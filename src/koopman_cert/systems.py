@@ -377,16 +377,3 @@ def iid_chunk(sys, mu0_sampler, m, seed, chunk_index, count):
         xs = np.stack([mu0_sampler(gen, m) for _ in range(count)])
         ys = np.stack([transition_step(sys, row, gen) for row in xs])
     return xs, ys
-
-
-def sample_ergodic_batch(sys, m, n_trials, seed):
-    """Yield (start, xs_chunk) blocks covering n_trials trajectories."""
-    for chunk, start, count in rng.trial_chunks(n_trials):
-        yield start, ergodic_chunk(sys, m, seed, chunk, count)
-
-
-def sample_iid_batch(sys, mu0_sampler, m, n_trials, seed):
-    """Yield (start, xs_chunk, ys_chunk) blocks covering n_trials pair sets."""
-    for chunk, start, count in rng.trial_chunks(n_trials):
-        xs, ys = iid_chunk(sys, mu0_sampler, m, seed, chunk, count)
-        yield start, xs, ys

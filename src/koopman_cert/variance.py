@@ -7,26 +7,29 @@ to mean-zero functions (K0), the polynomial
     p_m(z) = 2 * sum_{k=1}^{m-1} (1 - k/m) z^{k-1},
 
 and, in the unitary case, the Fejer kernel.  Everything here is evaluated
-exactly on a finite matrix representation; a brute-force Monte-Carlo oracle
-is provided for verification.
+exactly on a finite matrix representation.  Both p_m(K0) and the ergodic
+average (1/m) sum_{k<m} K0^k come from one matrix power: for
+
+    T = [[K0, I, 0], [0, I, I], [0, 0, I]],
+
+the top block row of T^m is [K0^m, S_m, sum_{k=1}^{m-1} S_k] with
+S_k = sum_{j<k} K0^j, so p_m(K0) = (2/m) sum_{k=1}^{m-1} S_k.  The
+Monte-Carlo oracle that checks these values lives in `studies`.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
-from .dictionaries import DictionaryKind, evaluate_batch
+from .dictionaries import DictionaryKind
 from .errors import (
     NotUnitary,
     NumericalError,
     UnsupportedSystem,
 )
 from .galerkin import exact_gram, exact_gram_circle, quadrature_gram_circle
-from .systems import CircleRotationSystem, FiniteMarkovSystem, ergodic_chunk
+from .systems import CircleRotationSystem, FiniteMarkovSystem
 
-HORNER_MAX = 4096
 GAP_THRESHOLD = 1e-10
 UNITARY_TOL = 1e-8
 
@@ -49,52 +52,34 @@ def pm_polynomial(m, z):
     return 2.0 / (1.0 - z) * (1.0 - geo / m)
 
 
-def _pm_eigvals(lam, m):
-    """p_m evaluated on an array of (possibly complex) eigenvalues."""
-    lam = np.asarray(lam)
-    out = np.empty(lam.shape, dtype=complex)
-    for idx, z in np.ndenumerate(lam):
-        out[idx] = pm_polynomial(m, z)
-    return out
+def _power_sums(M, m):
+    """(S_m, sum_{k=1}^{m-1} S_k) with S_k = sum_{j<k} M^j.
+
+    Both are blocks of one matrix power: for T = [[M, I, 0], [0, I, I],
+    [0, 0, I]], the top block row of T^m is [M^m, S_m, sum_{k<m} S_k]
+    (Van Loan 1978).  The cost is O(d^3 log m) for any M, with or without
+    a spectral gap.
+    """
+    d = M.shape[0]
+    I = np.eye(d)
+    Z = np.zeros((d, d))
+    T = np.block([[M, I, Z], [Z, I, I], [Z, Z, I]])
+    top = np.linalg.matrix_power(T, int(m))[:d]
+    return top[:, d : 2 * d], top[:, 2 * d :]
 
 
 def pm_apply_vectors(M, U, m):
     """Columns of p_m(M) @ U for the reduced mean-zero operator M.
 
-    Uses the forward recurrence for moderate m; for large m it switches to
-    the eigendecomposition when M is normal, or to the closed form
-    2 (I-M)^{-1} (I - S_m / m) with S_m = sum_{k<m} M^k when 1 is outside
-    the spectrum.
+    p_m(M) = (2/m) sum_{k=1}^{m-1} S_k with S_k = sum_{j<k} M^j, which is
+    the (0, 2) block of T^m for the block matrix T of `_power_sums`.
     """
     m = int(m)
     U = np.asarray(U, dtype=np.float64)
     if m <= 1 or U.size == 0:
         return np.zeros_like(U)
-    d = M.shape[0]
-    if m <= HORNER_MAX:
-        V = U.copy()
-        acc = 2.0 * (1.0 - 1.0 / m) * V
-        for k in range(2, m):
-            V = M @ V
-            acc += 2.0 * (1.0 - k / m) * V
-        return acc
-    if _is_symmetric(M):
-        lam, Q = np.linalg.eigh(M)
-        vals = _pm_eigvals(lam, m).real
-        return Q @ (vals[:, None] * (Q.T @ U))
-    gap = spectral_gap_of(M)
-    if gap > GAP_THRESHOLD:
-        ImM = np.eye(d) - M
-        Mm_U = np.linalg.matrix_power(M, m) @ U
-        S = np.linalg.solve(ImM, U - Mm_U)
-        return 2.0 * np.linalg.solve(ImM, U - S / m)
-    # last resort: exact but O(m) recurrence
-    V = U.copy()
-    acc = 2.0 * (1.0 - 1.0 / m) * V
-    for k in range(2, m):
-        V = M @ V
-        acc += 2.0 * (1.0 - k / m) * V
-    return acc
+    _, cum = _power_sums(M, m)
+    return (2.0 / m) * (cum @ U)
 
 
 def pm_apply(rep, m):
@@ -108,16 +93,8 @@ def pm_apply(rep, m):
 def mean_power_apply(M, U, m):
     """(1/m) sum_{k=0}^{m-1} M^k U (the ergodic average of the orbit of U)."""
     U = np.asarray(U, dtype=np.float64)
-    acc = U.copy()
-    V = U.copy()
-    for _ in range(1, int(m)):
-        V = M @ V
-        acc += V
-    return acc / m
-
-
-def _is_symmetric(M, tol=1e-12):
-    return np.max(np.abs(M - M.T)) <= tol * max(1.0, np.max(np.abs(M)))
+    S, _ = _power_sums(M, m)
+    return (S @ U) / m
 
 
 def spectral_gap_of(M):
@@ -220,11 +197,6 @@ class KoopmanMatrixRep:
         """
         X = np.asarray(X)
         return self.B.T @ (self.sqrtw[:, None] * X if X.ndim == 2 else self.sqrtw * X)
-
-    def from_reduced(self, U):
-        U = np.asarray(U)
-        lifted = self.B @ U
-        return lifted / (self.sqrtw[:, None] if lifted.ndim == 2 else self.sqrtw)
 
     # -- operators --------------------------------------------------------
     def apply_K(self, f):
@@ -526,20 +498,6 @@ def ergodic_average_sq_norm(rep, f_natural, m):
     return float(np.sum(v * v))
 
 
-def spectral_fejer_value(ts, weights, m):
-    """(1/m) sum_n F_m(2 pi t_n) w_n, the spectral form of the mean norm."""
-    return float(np.sum(fejer_kernel(m, 2.0 * np.pi * np.asarray(ts)) * weights) / m)
-
-
-def geometric_mean_sq(ts, weights, m):
-    """Per-atom geometric sums: sum_n w_n |1 - c^m|^2 / (m^2 |1 - c|^2)."""
-    c = np.exp(2j * np.pi * np.asarray(ts))
-    num = np.abs(1.0 - c**m) ** 2
-    den = (m * np.abs(1.0 - c)) ** 2
-    vals = np.where(den == 0, 1.0, num / np.where(den == 0, 1.0, den))
-    return float(np.sum(vals * weights))
-
-
 def _family_fejer_forms(rep, vectors_reduced, m):
     """(ergodic-average form, spectral form) for a stack of reduced vectors."""
     V = vectors_reduced
@@ -584,36 +542,6 @@ def fejer_variance(rep, dictionary, m, rtol=1e-9) -> VarianceReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# Monte-Carlo oracle
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OracleResult:
-    m: int
-    n_trials: int
-    var_C_hat: float
-    var_Cplus_hat: float
-    stderr_C: float
-    stderr_Cplus: float
-
-
-def _chunk_sq_errors(sys, dictionary, C, Cplus, m, seed, chunk_index, count):
-    """Per-trial squared Frobenius errors of C_hat and C_hat_plus."""
-    paths = ergodic_chunk(sys, m, seed, chunk_index, count)
-    if isinstance(sys, FiniteMarkovSystem):
-        table = dictionary.evaluate(np.arange(sys.n_states)).T  # (n, N)
-        psi = table[paths]  # (count, m+1, N)
-    else:
-        flat = evaluate_batch(dictionary, paths.ravel())
-        psi = flat.T.reshape(count, m + 1, -1)
-    Chat = np.einsum("bki,bkj->bij", psi[:, :m], psi[:, :m]) / m
-    Cphat = np.einsum("bki,bkj->bij", psi[:, :m], psi[:, 1:]) / m
-    errC = np.sum((Chat - C) ** 2, axis=(1, 2))
-    errCp = np.sum((Cphat - Cplus) ** 2, axis=(1, 2))
-    return errC, errCp
-
-
 def exact_reference_gram(sys, dictionary):
     """Exact GramPair for any system supporting one."""
     if isinstance(sys, FiniteMarkovSystem):
@@ -623,37 +551,3 @@ def exact_reference_gram(sys, dictionary):
             return exact_gram_circle(sys, dictionary)
         return quadrature_gram_circle(sys, dictionary)
     raise UnsupportedSystem(f"no exact Gram reference for {type(sys).__name__}")
-
-
-def montecarlo_variance_oracle(
-    sys, dictionary, m, n_trials, seed, threads=1
-) -> OracleResult:
-    """Sample mean of ||C - C_hat||_F^2 (and the C_+ analogue) over
-    independent stationary trajectories, with standard errors."""
-    n_trials = int(n_trials)
-    gram = exact_reference_gram(sys, dictionary)
-    C, Cplus = gram.C, gram.Cplus
-    chunks = list(rng.trial_chunks(n_trials))
-
-    def work(spec):
-        chunk, _, count = spec
-        return _chunk_sq_errors(sys, dictionary, C, Cplus, m, seed, chunk, count)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(spec) for spec in chunks]
-
-    errC = np.concatenate([r[0] for r in results])
-    errCp = np.concatenate([r[1] for r in results])
-
-    def mean_stderr(x):
-        mean = float(np.mean(x))
-        if len(x) < 2:
-            return mean, float("inf")
-        return mean, float(np.std(x, ddof=1) / np.sqrt(len(x)))
-
-    vc, sc = mean_stderr(errC)
-    vp, sp = mean_stderr(errCp)
-    return OracleResult(int(m), n_trials, vc, vp, sc, sp)

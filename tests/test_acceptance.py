@@ -87,7 +87,7 @@ def test_criterion_1_exact_variance_vs_montecarlo():
         rep = variance.build_rep(sys, d)
         for mi, m in enumerate([1, 2, 5, 10, 50, 200]):
             vr = variance.exact_variance(rep, d, m)
-            oracle = variance.montecarlo_variance_oracle(
+            oracle = studies.montecarlo_variance_oracle(
                 sys, d, m, n_trials, seed=SEED + 100 + mi
             )
             for exact, mc, se, tag in [

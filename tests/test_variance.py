@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koopman_cert import dictionaries, systems, variance
+from koopman_cert import dictionaries, studies, systems, variance
 from koopman_cert.errors import NotUnitary, UnsupportedSystem
 
 
@@ -28,7 +28,7 @@ class TestPmPolynomial:
     def test_matrix_apply_matches_scalar(self, two_state_chain, indicator2):
         rep = variance.build_rep(two_state_chain, indicator2)
         u = np.array([[1.0]])
-        for m in [2, 10, 200]:
+        for m in [2, 10, 200, 4096, 4097, 10**5]:
             got = variance.pm_apply_vectors(rep.M, u, m)[0, 0]
             want = variance.pm_polynomial(m, 0.4).real
             assert abs(got - want) < 1e-10
@@ -48,20 +48,42 @@ class TestPmPolynomial:
         rep2 = variance.build_rep(two_state_chain, indicator2)
         got = variance.pm_apply_vectors(rep2.M, np.eye(1), m)[0, 0]
         assert abs(got - variance.pm_polynomial(m, 0.4).real) < 1e-8
-        # non-normal reduced operator exercises the resolvent route
+        # non-normal reduced operator, checked against its eigendecomposition
         rep5 = variance.build_rep(five_state_chain, monomial3)
         U = np.eye(rep5.M.shape[0])
         big = variance.pm_apply_vectors(rep5.M, U, m)
         lam, V = np.linalg.eig(rep5.M)
-        diag = variance._pm_eigvals(lam, m)
+        diag = np.array([variance.pm_polynomial(m, z) for z in lam])
         expected = (V @ np.diag(diag) @ np.linalg.inv(V)).real
         assert np.max(np.abs(big - expected)) < 1e-6
 
 
+class TestNoSpectralGap:
+    @pytest.mark.parametrize("m", [4096, 4097, 10**5])
+    def test_rational_rotation_exact_matches_fejer(self, m):
+        # t0 = 1/4 with frequencies up to 4: K0 has the eigenvalue 1 exactly
+        d = dictionaries.fourier(2)
+        rep = variance.build_rep(systems.CircleRotationSystem(0.25), d)
+        assert rep.spectral_gap() < 1e-12
+        a = variance.exact_variance(rep, d, m)
+        b = variance.fejer_variance(rep, d, m)
+        assert abs(a.var_C - b.var_C) <= 1e-12 * abs(b.var_C)
+        assert abs(a.var_Cplus - b.var_Cplus) <= 1e-12 * abs(b.var_Cplus)
+
+    @pytest.mark.parametrize("m", [2, 4096, 4097, 10**5])
+    def test_jordan_block(self, m):
+        J = np.array([[1.0, 1.0], [0.0, 1.0]])
+        k = np.arange(1, m)
+        dp = 2.0 * np.sum((1.0 - k / m) * (k - 1))
+        want = np.array([[m - 1.0, dp], [0.0, m - 1.0]])
+        got = variance.pm_apply_vectors(J, np.eye(2), m)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestReversibleEigPath:
     def test_symmetric_reduced_operator_large_m(self):
-        # reversible chain: the weighted symmetrization is exact, so the
-        # large-m eigendecomposition path must agree with the scalar form
+        # reversible chain: the weighted symmetrization is exact, so p_m(M)
+        # must agree with the scalar form on the orthogonal eigenbasis
         P = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
         sys3 = systems.FiniteMarkovSystem(P)
         d = dictionaries.indicator(3)
@@ -78,7 +100,7 @@ class TestReversibleEigPath:
         rep = variance.build_rep(golden, d)
         for m in [7, 40]:
             vr = variance.exact_variance(rep, d, m)
-            oracle = variance.montecarlo_variance_oracle(golden, d, m, 500, seed=3)
+            oracle = studies.montecarlo_variance_oracle(golden, d, m, 500, seed=3)
             assert abs(vr.var_C - oracle.var_C_hat) < 1e-10
             assert abs(vr.var_Cplus - oracle.var_Cplus_hat) < 1e-10
 
@@ -193,7 +215,7 @@ class TestExactVariance:
     def test_oracle_agreement_two_state(self, two_state_chain, indicator2, m):
         rep = variance.build_rep(two_state_chain, indicator2)
         vr = variance.exact_variance(rep, indicator2, m)
-        oracle = variance.montecarlo_variance_oracle(
+        oracle = studies.montecarlo_variance_oracle(
             two_state_chain, indicator2, m, 20000, seed=101 + m
         )
         for exact, mc, se in [
@@ -264,7 +286,7 @@ class TestFejerVariance:
 
 class TestOracle:
     def test_single_trial_stderr_infinite(self, two_state_chain, indicator2):
-        oracle = variance.montecarlo_variance_oracle(
+        oracle = studies.montecarlo_variance_oracle(
             two_state_chain, indicator2, 5, 1, seed=0
         )
         assert oracle.stderr_C == float("inf")
@@ -274,16 +296,16 @@ class TestOracle:
         d = dictionaries.fourier(1)
         rep = variance.build_rep(golden, d)
         vr = variance.exact_variance(rep, d, 25)
-        oracle = variance.montecarlo_variance_oracle(golden, d, 25, 200, seed=1)
+        oracle = studies.montecarlo_variance_oracle(golden, d, 25, 200, seed=1)
         # squared error is constant in the initial point for Fourier features
         assert oracle.stderr_C < 1e-15
         assert abs(oracle.var_C_hat - vr.var_C) < 1e-12
 
     def test_threads_do_not_change_result(self, five_state_chain, monomial3):
-        a = variance.montecarlo_variance_oracle(five_state_chain, monomial3, 20, 3000,
-                                                seed=5, threads=1)
-        b = variance.montecarlo_variance_oracle(five_state_chain, monomial3, 20, 3000,
-                                                seed=5, threads=4)
+        a = studies.montecarlo_variance_oracle(five_state_chain, monomial3, 20, 3000,
+                                               seed=5, threads=1)
+        b = studies.montecarlo_variance_oracle(five_state_chain, monomial3, 20, 3000,
+                                               seed=5, threads=4)
         assert a.var_C_hat == b.var_C_hat
         assert a.var_Cplus_hat == b.var_Cplus_hat
 
