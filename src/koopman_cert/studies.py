@@ -214,6 +214,10 @@ def reference_model(sys, dictionary, m_ref, seed):
 # configs
 # ---------------------------------------------------------------------------
 
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass
 class StudyConfig:
     system: dict
@@ -228,6 +232,12 @@ class StudyConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.m_grid, (list, tuple)) or not all(
+            _is_int(m) and m >= 1 for m in self.m_grid
+        ):
+            raise ConfigError(f"m_grid must be a list of integers >= 1, got {self.m_grid!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         grid = list(self.m_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("m_grid must be strictly increasing")
@@ -399,6 +409,7 @@ def run_variance_check(cfg: StudyConfig, sys=None, dictionary=None):
     sys = system_from_config(cfg.system) if sys is None else sys
     dictionary = dictionary_from_config(cfg.dictionary, system=sys) if dictionary is None else dictionary
     rep = build_rep(sys, dictionary)
+    trace_C = float(np.trace(exact_reference_gram(sys, dictionary).C))
     rows = []
     for mi, m in enumerate(cfg.m_grid):
         vr = exact_variance(rep, dictionary, int(m))
@@ -406,9 +417,11 @@ def run_variance_check(cfg: StudyConfig, sys=None, dictionary=None):
             sys, dictionary, int(m), cfg.n_trials, _derived_seed(cfg.seed, mi),
             threads=cfg.threads,
         )
-        # degenerate trials (constant error) have zero stderr; allow float slack
+
+        # degenerate trials (constant error) have zero stderr, so the
+        # oracle's own round-off must be allowed for
         def _within(exact, mc, stderr):
-            slack = 1e-12 * max(abs(exact), abs(mc), 1e-300)
+            slack = _roundoff_slack(int(m), cfg.n_trials, dictionary.size, trace_C, mc)
             return abs(exact - mc) <= 3.0 * stderr + slack
 
         within_c = _within(vr.var_C, oracle.var_C_hat, oracle.stderr_C)
@@ -428,6 +441,30 @@ def run_variance_check(cfg: StudyConfig, sys=None, dictionary=None):
             }
         )
     return rows
+
+
+def _roundoff_slack(m, n_trials, size, trace_C, mc):
+    """Bound on the floating-point error of the oracle's mean of ||C - C_hat||^2.
+
+    With unit round-off u and gamma(k) = k u / (1 - k u) (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, ch. 3): each C_hat entry
+    sums m products and divides by m, so ||fl(C_hat) - C_hat||_F <= delta =
+    gamma(m + 2) tr(C_hat) (Cauchy-Schwarz on the sum of |psi| |psi|^T),
+    with tr(C_hat) taken at its mean tr(C); the C_plus analogue obeys the
+    same bound.  A trial's squared error then moves by at most
+    2 ||C - C_hat|| delta + delta^2, whose trial mean is at most
+    2 sqrt(mc) delta + delta^2.  Squaring and summing the size^2 entries,
+    the sqrt and re-square, and the mean over trials add a relative
+    gamma(size^2 + 3) + gamma(n_trials).
+    """
+    u = float(np.finfo(np.float64).eps) / 2
+
+    def gamma(k):
+        return k * u / (1.0 - k * u)
+
+    delta = gamma(m + 2) * trace_C
+    return (2.0 * math.sqrt(max(mc, 0.0)) * delta + delta**2
+            + (gamma(size**2 + 3) + gamma(n_trials)) * abs(mc))
 
 
 def _branch_bound(inputs, branch, m, epsilon):

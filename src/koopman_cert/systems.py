@@ -11,7 +11,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from . import kernels, rng
@@ -49,6 +48,28 @@ def _check_square_stochastic(P, tol=1e-12):
     return P
 
 
+def _bfs_levels(support):
+    """Breadth-first distance from state 0 along edges i -> j with
+    support[i, j]; -1 for states that cannot be reached."""
+    levels = np.full(support.shape[0], -1, dtype=np.int64)
+    levels[0] = 0
+    frontier = np.zeros(support.shape[0], dtype=bool)
+    frontier[0] = True
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = support[frontier].any(axis=0) & (levels < 0)
+        levels[frontier] = depth
+    return levels
+
+
+def _period(support, levels):
+    """Period of an irreducible chain: the gcd of levels[i] + 1 - levels[j]
+    over its edges i -> j, with levels from a breadth-first search."""
+    i, j = np.nonzero(support)
+    return int(np.gcd.reduce(levels[i] + 1 - levels[j]))
+
+
 class FiniteMarkovSystem:
     """Finite-state Markov chain given by a row-stochastic transition matrix.
 
@@ -61,12 +82,12 @@ class FiniteMarkovSystem:
         P.setflags(write=False)
         self.transition = P
         self.n_states = P.shape[0]
-        g = nx.DiGraph(
-            [(i, j) for i in range(self.n_states) for j in range(self.n_states) if P[i, j] > 0.0]
+        support = P > 0.0
+        levels = _bfs_levels(support)
+        self._irreducible = bool(
+            np.all(levels >= 0) and np.all(_bfs_levels(support.T) >= 0)
         )
-        g.add_nodes_from(range(self.n_states))
-        self._irreducible = nx.is_strongly_connected(g)
-        self.is_ergodic = self._irreducible and nx.is_aperiodic(g)
+        self.is_ergodic = self._irreducible and _period(support, levels) == 1
         self._pi = self._solve_invariant() if self._irreducible else None
         # row-wise cdf for the sampling kernels; force the last column to
         # dominate every uniform in [0, 1)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from koopman_cert import cli
 
 CHAIN_SYSTEM = {"type": "finite_chain", "transition": [[0.7, 0.3], [0.3, 0.7]]}
@@ -90,6 +92,31 @@ class TestStudy:
         assert rc == 0
         rows = json.loads(capsys.readouterr().out)
         assert all(r["within_3sigma_C"] for r in rows)
+
+    @pytest.mark.parametrize("command", ["study", "variance"])
+    @pytest.mark.parametrize(
+        "bad",
+        [{"m_grid": [0, 10, 20, 40]}, {"m_grid": [10, 20.5, 40]},
+         {"m_grid": "abc"}, {"m_grid": 100}, {"m_grid": [True, 10]},
+         {"seed": -1}, {"seed": 1.5}],
+        ids=["m_zero", "m_float", "m_string", "m_scalar", "m_bool",
+             "seed_negative", "seed_float"],
+    )
+    def test_invalid_grid_or_seed_exit_2(self, tmp_path, capsys, command, bad):
+        cfg = {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+               "m_grid": [10, 20, 40, 80], "n_trials": 30, "seed": 0}
+        cfg.update(bad)
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+                                   "m_grid": [10, 20, 40, 80], "n_trials": 30})
+        rc = cli.main(["study", "--config", cfg, "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
 
     def test_bounds_subcommand(self, tmp_path):
         cfg = write_cfg(

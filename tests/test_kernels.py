@@ -1,4 +1,6 @@
-"""Backend equivalence: compiled and pure-python kernels must agree bit for bit."""
+"""Chain kernels against a naive reference, and the backends against each other."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +8,12 @@ import pytest
 from koopman_cert import _kernels_py, kernels
 
 
-def _random_inputs(seed, B=64, m=40, n=5):
+def _random_inputs(seed, B=64, m=40, n=5, zero_frac=0.0):
     g = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
     P = g.random((n, n)) + 0.01
+    if zero_frac:
+        P[g.random((n, n)) < zero_frac] = 0.0
+        P[:, 0] += P.sum(axis=1) == 0.0
     P /= P.sum(axis=1, keepdims=True)
     cdf = np.cumsum(P, axis=1)
     cdf[:, -1] = np.maximum(cdf[:, -1], 1.0)
@@ -17,14 +22,111 @@ def _random_inputs(seed, B=64, m=40, n=5):
     return cdf, x0.astype(np.int64), u, n
 
 
+def _naive_paths(cdf, x0, u):
+    """One searchsorted per step per trajectory: the first j with u < cdf[cur, j]."""
+    B, m = u.shape
+    paths = np.empty((B, m + 1), dtype=np.int64)
+    for b in range(B):
+        cur = paths[b, 0] = x0[b]
+        for k in range(m):
+            cur = paths[b, k + 1] = np.searchsorted(cdf[cur], u[b, k], side="right")
+    return paths
+
+
+# (B, m, n, zero_frac): each case selects a distinct branch or edge of the kernel
+CASES = {
+    "zero_probabilities": (40, 60, 6, 0.5),  # repeated thresholds within rows
+    "one_state": (7, 9, 1, 0.0),
+    "no_steps": (5, 0, 4, 0.0),
+    "no_trajectories": (0, 5, 3, 0.0),
+    "two_states": (30, 50, 2, 0.0),
+    "few_thresholds": (20, 40, 5, 0.0),  # 20 thresholds: ranked by comparisons
+    "many_thresholds": (20, 40, 9, 0.0),  # 72 thresholds: ranked by searchsorted
+    "fifty_states": (30, 64, 50, 0.0),
+    "single_long_path": (1, 3000, 3, 0.0),
+    "iid_shape": (3000, 1, 2, 0.0),
+    "several_time_slices": (100, 700, 2, 0.0),
+    "table_too_large": (5, 40, 70, 0.0),  # 70 * 4831 entries: binary search
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_chain_paths_matches_naive(case):
+    B, m, n, zero_frac = CASES[case]
+    seed = sorted(CASES).index(case)
+    cdf, x0, u, n = _random_inputs(seed, B=B, m=m, n=n, zero_frac=zero_frac)
+    assert np.array_equal(_kernels_py.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
+
+
+@pytest.mark.parametrize("n", [3, 40])
+def test_uniforms_equal_to_thresholds(n):
+    """A uniform equal to cdf[i, j] moves past column j (u < cdf is strict)."""
+    cdf, x0, _, n = _random_inputs(12, B=50, m=30, n=n, zero_frac=0.3)
+    ties = np.append(np.unique(cdf[:, :-1]), 0.0)
+    u = np.random.default_rng(n).choice(ties[ties < 1.0], size=(50, 30))
+    assert np.array_equal(_kernels_py.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
+
+
+@pytest.mark.parametrize("B, m", [(120, 7), (20, 30), (50, 50)])
+def test_chain_paths_slices_on_both_axes(monkeypatch, B, m):
+    cdf, x0, u, n = _random_inputs(5, B=B, m=m, n=3)
+    monkeypatch.setattr(_kernels_py, "_SLICE_CELLS", 50)
+    assert np.array_equal(_kernels_py.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12])
+def test_binary_search_matches_table(monkeypatch, n):
+    cdf, x0, u, n = _random_inputs(8, B=30, m=25, n=n, zero_frac=0.3)
+    table = _kernels_py.chain_paths(cdf, x0, u)
+    monkeypatch.setattr(_kernels_py, "_TABLE_ENTRIES", 0)
+    assert np.array_equal(_kernels_py.chain_paths(cdf, x0, u), table)
+    assert np.array_equal(table, _naive_paths(cdf, x0, u))
+
+
+@pytest.mark.parametrize(
+    "shape, table_entries",
+    [((2, 200, 10_000), None), ((2, 2_000_000, 1), None), ((2, 2_000_000, 1), 0)],
+    ids=["ergodic", "iid", "iid_binary_search"],
+)
+def test_chain_paths_memory_bounded(monkeypatch, shape, table_entries):
+    """Above its output, the kernel allocates at most its slice budget."""
+    if table_entries is not None:
+        monkeypatch.setattr(_kernels_py, "_TABLE_ENTRIES", table_entries)
+    n, B, m = shape
+    cdf, x0, _, n = _random_inputs(9, B=1, m=1, n=n)
+    x0 = np.zeros(B, dtype=np.int64)
+    u = np.random.default_rng(0).random((B, m))
+    _kernels_py.chain_paths(cdf, x0[:4], u[:4])  # first-call allocations
+    tracemalloc.start()
+    try:
+        paths = _kernels_py.chain_paths(cdf, x0, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - paths.nbytes <= 48 * _kernels_py._SLICE_CELLS
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_chain_paths_backends_identical(seed):
     cdf, x0, u, n = _random_inputs(seed)
     a = kernels.chain_paths(cdf, x0, u)
     b = _kernels_py.chain_paths(cdf, x0, u)
     assert np.array_equal(a, b)
+    assert np.array_equal(b, _naive_paths(cdf, x0, u))
     assert np.array_equal(a[:, 0], x0)
     assert a.min() >= 0 and a.max() < n
+
+
+def test_compiled_chain_paths_matches_numpy():
+    compiled = pytest.importorskip(
+        "koopman_cert._kernels", reason="compiled kernels are not built"
+    )
+    for seed, case in enumerate(sorted(CASES)):
+        B, m, n, zero_frac = CASES[case]
+        cdf, x0, u, n = _random_inputs(seed, B=B, m=m, n=n, zero_frac=zero_frac)
+        assert np.array_equal(
+            compiled.chain_paths(cdf, x0, u), _kernels_py.chain_paths(cdf, x0, u)
+        ), case
 
 
 @pytest.mark.parametrize("seed", [3, 4])

@@ -124,6 +124,44 @@ class TestVarianceCheck:
         rows = studies.run_variance_check(cfg)
         assert all(r["within_3sigma_C"] and r["within_3sigma_Cplus"] for r in rows)
 
+    GOLDEN_FOURIER4 = dict(
+        system={"type": "circle_rotation",
+                "t0": {"form": "quadratic", "a": -1, "b": 1, "c": 2, "d": 5}},
+        dictionary={"kind": "fourier", "max_freq": 4},
+        m_grid=[1000, 3000, 10000], n_trials=30, seed=0,
+    )
+
+    def test_roundoff_within_slack_at_large_m(self):
+        # the squared errors agree to ~1e-17, far below the accumulated
+        # round-off of m-term Gram sums
+        rows = studies.run_variance_check(studies.StudyConfig(**self.GOLDEN_FOURIER4))
+        assert all(r["stderr_C"] < 1e-15 for r in rows)
+        assert all(r["within_3sigma_C"] and r["within_3sigma_Cplus"] for r in rows)
+
+    def test_exact_value_beyond_slack_flagged(self, monkeypatch):
+        from koopman_cert import config, variance
+
+        cfg = studies.StudyConfig(**self.GOLDEN_FOURIER4)
+        rows = {r["m"]: r for r in studies.run_variance_check(cfg)}
+        d = config.dictionary_from_config(cfg.dictionary)
+        sys = config.system_from_config(cfg.system)
+        trace_C = np.trace(variance.exact_reference_gram(sys, d).C)
+
+        def beyond(m, key):
+            mc, se = rows[m][f"var_{key}_mc"], rows[m][f"stderr_{key}"]
+            slack = studies._roundoff_slack(m, cfg.n_trials, d.size, trace_C, mc)
+            return mc + 3.0 * se + 2.0 * slack
+
+        def perturbed(rep, dictionary, m):
+            vr = variance.exact_variance(rep, dictionary, m)
+            vr.var_C, vr.var_Cplus = beyond(m, "C"), beyond(m, "Cplus")
+            return vr
+
+        monkeypatch.setattr(studies, "exact_variance", perturbed)
+        for r in studies.run_variance_check(cfg):
+            assert r["var_C_exact"] - r["var_C_mc"] < 1e-6 * r["var_C_mc"]
+            assert not r["within_3sigma_C"] and not r["within_3sigma_Cplus"]
+
 
 class TestBoundValidity:
     def test_ergodic_linear_grid(self, two_state_chain, indicator2):

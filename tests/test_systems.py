@@ -39,6 +39,54 @@ class TestInvariantMeasure:
             systems.FiniteMarkovSystem(np.array([[0.5, 0.4], [0.3, 0.7]]))
 
 
+def _cycles_chain(n, edges):
+    """Uniform transitions over the given directed edges."""
+    A = np.zeros((n, n))
+    for i, j in edges:
+        A[i, j] = 1.0
+    return systems.FiniteMarkovSystem(A / A.sum(axis=1, keepdims=True))
+
+
+class TestConnectivityAndPeriod:
+    def test_period_three_cycle(self):
+        sys = _cycles_chain(3, [(0, 1), (1, 2), (2, 0)])
+        assert sys._irreducible
+        assert not sys.is_ergodic
+
+    def test_two_and_three_cycles_sharing_a_state(self):
+        # cycle lengths 2 and 3 through state 0: gcd 1, aperiodic
+        sys = _cycles_chain(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0)])
+        assert sys._irreducible
+        assert sys.is_ergodic
+        assert np.allclose(sys.pi @ sys.transition, sys.pi, atol=1e-12)
+
+    def test_transient_state_reducible(self):
+        # state 0 leaves for the closed class {1, 2} and never returns
+        sys = _cycles_chain(3, [(0, 1), (1, 2), (2, 1), (2, 2)])
+        assert not sys._irreducible
+        assert not sys.is_ergodic
+
+    def test_one_state_chain(self):
+        sys = systems.FiniteMarkovSystem(np.array([[1.0]]))
+        assert sys._irreducible
+        assert sys.is_ergodic
+        assert np.array_equal(sys.pi, [1.0])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_networkx_on_sparse_supports(self, seed):
+        nx = pytest.importorskip("networkx")
+        g = np.random.default_rng(seed)
+        n = int(g.integers(1, 9))
+        support = g.random((n, n)) < g.uniform(0.1, 0.5)
+        support[np.arange(n), g.integers(0, n, n)] = True  # no empty rows
+        sys = systems.FiniteMarkovSystem(support / support.sum(axis=1, keepdims=True))
+        graph = nx.DiGraph(list(zip(*np.nonzero(support))))
+        graph.add_nodes_from(range(n))
+        strongly = nx.is_strongly_connected(graph)
+        assert sys._irreducible == strongly
+        assert sys.is_ergodic == (strongly and nx.is_aperiodic(graph))
+
+
 class TestKoopmanMatrix:
     def test_constant_fixed_point(self, five_state_chain):
         K = systems.koopman_matrix_exact(five_state_chain)
