@@ -32,13 +32,6 @@ from .errors import (
 )
 from .galerkin import inv_fro_norm
 from .spectral import ThinMeasureCertificate, certify_family
-from .systems import CircleRotationSystem, FiniteMarkovSystem
-from .variance import (
-    build_rep,
-    exact_reference_gram,
-    function_family,
-    variance_constants,
-)
 
 BRANCH_ERGODIC_LINEAR = "ergodic_linear"
 BRANCH_ERGODIC_SUPERLINEAR = "ergodic_superlinear"
@@ -75,25 +68,21 @@ def m_constant(norm_Cinv, norm_Cplus, E_zero, E_plus):
     return 8.0 * (1.0 + ab2) ** 2 / norm_Cplus**2 * max(E_zero, E_plus)
 
 
-def bound_inputs_from_exact(sys, dictionary, L=None, thin_params=None) -> BoundInputs:
-    """Assemble BoundInputs from the exact representation of a system.
+def bound_inputs_from_exact(rep, L=None, thin_params=None) -> BoundInputs:
+    """Assemble BoundInputs from an exact representation (`variance.build_rep`).
 
     thin_params, when given, is (alpha, theta): thin-measure certificates
     are computed for the whole product family and aggregated (worst kappa).
     L defaults to 1 for i.i.d. sampling from the invariant measure of a
     finite chain or from arc length on the circle.
     """
-    rep = build_rep(sys, dictionary)
-    gram = exact_reference_gram(sys, dictionary)
-    fam = function_family(rep, dictionary)
-    E_plus, E_zero = variance_constants(rep, fam)
-    phi = phi_function(dictionary)
-    norm_phi = math.sqrt(float(np.sum(rep.weights * fam["phi"] ** 2)))
+    phi = phi_function(rep.dictionary)
+    norm_phi = math.sqrt(float(np.sum(rep.weights * rep.family["phi"] ** 2)))
     sup_phi = phi.sup_bound
-    if sup_phi is None and isinstance(sys, FiniteMarkovSystem):
-        sup_phi = float(np.max(phi.evaluate(np.arange(sys.n_states))))
-    if L is None and isinstance(sys, (FiniteMarkovSystem, CircleRotationSystem)):
-        L = 1.0  # sampling from the invariant measure
+    if sup_phi is None and rep.kind == "chain":
+        sup_phi = float(np.max(phi.evaluate(np.arange(rep.dim))))
+    if L is None:
+        L = 1.0  # sampling from the invariant measure of the chain or circle
     try:
         r_plus, r_zero = rep.resolvent_norms()
     except NoSpectralGap:
@@ -101,15 +90,15 @@ def bound_inputs_from_exact(sys, dictionary, L=None, thin_params=None) -> BoundI
     thin = None
     if thin_params is not None:
         alpha, theta = thin_params
-        famcert = certify_family(rep, dictionary, alpha, theta)
+        famcert = certify_family(rep, alpha, theta)
         thin = ThinMeasureCertificate(
             famcert.alpha, famcert.theta, famcert.kappa, famcert.exact
         )
     return BoundInputs(
-        norm_Cinv=inv_fro_norm(gram.C),
-        norm_Cplus=float(np.linalg.norm(gram.Cplus)),
-        E_plus=E_plus,
-        E_zero=E_zero,
+        norm_Cinv=inv_fro_norm(rep.gram.C),
+        norm_Cplus=float(np.linalg.norm(rep.gram.Cplus)),
+        E_plus=rep.E_plus,
+        E_zero=rep.E_zero,
         norm_phi_L2=norm_phi,
         sup_phi=sup_phi,
         L=L,
@@ -360,6 +349,16 @@ def estimator_error_bounds(inputs: BoundInputs, m, epsilon, branch):
     raise ConfigError(f"unknown branch {branch}")
 
 
+def split_threshold(inputs: BoundInputs, epsilon):
+    """(tau, delta_plus, delta_zero) with tau = 2ab + eps, delta_plus = (eps/tau) b
+    and delta_zero = (eps/tau) / a, for a = ||C^{-1}||_F and b = ||C_+||_F."""
+    eps = float(epsilon)
+    a = inputs.norm_Cinv
+    b = inputs.norm_Cplus
+    tau = 2.0 * a * b + eps
+    return tau, eps / tau * b, eps / tau / a
+
+
 def combine_bounds(bound_C: BoundReport, bound_Cplus: BoundReport,
                    inputs: BoundInputs, epsilon) -> BoundReport:
     """Threshold-splitting combination of per-matrix bounds.
@@ -370,18 +369,13 @@ def combine_bounds(bound_C: BoundReport, bound_Cplus: BoundReport,
     """
     if inputs.norm_Cplus <= 0:
         raise ConfigError("combination requires C_+ != 0")
-    eps = float(epsilon)
-    a = inputs.norm_Cinv
-    b = inputs.norm_Cplus
-    tau = 2.0 * a * b + eps
     m = bound_C.m
     if bound_Cplus.m != m:
         raise ConfigError("per-matrix bounds must share the sample count")
-    delta_plus = eps / tau * b
-    delta_zero = eps / tau / a
+    tau, delta_plus, delta_zero = split_threshold(inputs, epsilon)
     p = bound_Cplus.at(m, delta_plus) + bound_C.at(m, delta_zero)
     return BoundReport(
-        eps,
+        float(epsilon),
         int(m),
         p,
         f"combined({bound_C.branch},{bound_Cplus.branch})",

@@ -18,7 +18,7 @@ from .edmd import edmd_estimate, estimation_error
 from .errors import ConfigError, KoopmanCertError, NumericalError
 from .galerkin import galerkin_matrix
 from .systems import sample_ergodic, sample_iid
-from .variance import exact_reference_gram
+from .variance import build_rep, exact_reference_gram
 
 
 def _add_common(p):
@@ -144,24 +144,15 @@ def cmd_variance(args):
 
 
 def cmd_bounds(args):
-    cfg = load_json(args.config)
-    system = system_from_config(cfg["system"])
-    dictionary = dictionary_from_config(cfg["dictionary"], system=system)
-    branch = cfg.get("branch", bounds_mod.BRANCH_ERGODIC_LINEAR)
-    thin = cfg.get("thin")
-    thin_params = (thin["alpha"], thin["theta"]) if thin else None
-    seed = _seed(args, cfg)
-    m_values = cfg.get("m_grid", [1000, 10000])
-    epsilons = cfg.get("epsilons", [1.0])
-    n_trials = int(cfg.get("n_trials", 1000))
+    cfg = studies.BoundsConfig.from_dict(_seeded(load_json(args.config), args))
+    system = system_from_config(cfg.system)
+    rep = build_rep(system, dictionary_from_config(cfg.dictionary, system=system))
+    inputs = bounds_mod.bound_inputs_from_exact(rep, thin_params=cfg.thin_params)
     rows = studies.run_bound_validity(
-        system, dictionary, branch, m_values, epsilons, n_trials, seed,
-        thin_params=thin_params, threads=args.threads,
+        rep, inputs, cfg.branch, cfg.m_grid, cfg.epsilons, cfg.n_trials, cfg.seed,
+        threads=args.threads,
     )
-    inputs = bounds_mod.bound_inputs_from_exact(
-        system, dictionary, thin_params=thin_params
-    )
-    report = studies._branch_bound(inputs, branch, m_values[-1], epsilons[0])
+    report = studies._branch_bound(inputs, cfg.branch, cfg.m_grid[-1], cfg.epsilons[0])
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "bound_report.json"), "w") as fh:
@@ -171,10 +162,18 @@ def cmd_bounds(args):
     return 0
 
 
-def _study_dict(cfg, args):
+def _seeded(cfg, args):
+    """A copy of the config with the --seed override applied."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     d = dict(cfg)
     if args.seed is not None:
         d["seed"] = args.seed
+    return d
+
+
+def _study_dict(cfg, args):
+    d = _seeded(cfg, args)
     if args.threads != 1:
         d["threads"] = args.threads
     return d

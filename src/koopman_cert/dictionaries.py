@@ -41,11 +41,6 @@ class Dictionary:
         return out
 
 
-def evaluate_batch(dictionary, states):
-    """Data matrix with column k equal to Psi(states[k])."""
-    return dictionary.evaluate(states)
-
-
 @dataclass
 class PhiFunction:
     """phi(x) = sum_j psi_j(x)^2 = ||Psi(x)||_2^2, with optional sup bound."""
@@ -157,21 +152,23 @@ def random_fourier(n_features, bandwidth, seed, dim=1):
     return Dictionary(N, DictionaryKind.RANDOM_FOURIER, _eval, meta)
 
 
-def check_mu_linear_independence(dictionary, sys, cond_threshold=1e12):
+def check_mu_linear_independence(dictionary, sys):
     """Classify the dictionary against the system's exact invariant measure.
 
-    Dependent when the exact mass matrix is numerically singular.  Strong
-    independence additionally requires every nonzero combination to be
-    nonzero almost everywhere; on a finite chain with N >= 2 this always
-    fails (a combination orthogonal to one column vanishes on that state),
-    while real trigonometric polynomials vanish on finite, hence null, sets.
+    Dependent when the exact mass matrix is numerically singular
+    (`galerkin.is_singular`).  Strong independence additionally requires
+    every nonzero combination to be nonzero almost everywhere; on a finite
+    chain with N >= 2 this always fails (a combination orthogonal to one
+    column vanishes on that state), while real trigonometric polynomials
+    vanish on finite, hence null, sets.
     """
+    from .galerkin import is_singular, quadrature_mass_circle
     from .systems import CircleRotationSystem, FiniteMarkovSystem
 
     if isinstance(sys, FiniteMarkovSystem):
         vals = dictionary.evaluate(np.arange(sys.n_states))
         C = (vals * sys.pi) @ vals.T
-        if _is_singular(C, cond_threshold):
+        if is_singular(C):
             return IndependenceLevel.DEPENDENT
         if dictionary.size == 1:
             if np.all(np.abs(vals[0]) > 0):
@@ -180,10 +177,8 @@ def check_mu_linear_independence(dictionary, sys, cond_threshold=1e12):
         return IndependenceLevel.INDEPENDENT
 
     if isinstance(sys, CircleRotationSystem):
-        from .galerkin import quadrature_mass_circle
-
         C = quadrature_mass_circle(dictionary)
-        if _is_singular(C, cond_threshold):
+        if is_singular(C):
             return IndependenceLevel.DEPENDENT
         if dictionary.kind in (DictionaryKind.FOURIER, DictionaryKind.RANDOM_FOURIER):
             # nonzero trig polynomials have finitely many zeros on the circle
@@ -191,8 +186,3 @@ def check_mu_linear_independence(dictionary, sys, cond_threshold=1e12):
         return IndependenceLevel.INDEPENDENT
 
     raise ConfigError("independence check needs an exactly computable measure")
-
-
-def _is_singular(C, cond_threshold):
-    s = np.linalg.svd(C, compute_uv=False)
-    return s[0] <= 0 or s[-1] == 0 or s[0] / s[-1] > cond_threshold

@@ -5,12 +5,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .dictionaries import evaluate_batch
 from .errors import ConfigError, DimensionMismatch, SingularEmpiricalMass
-from .galerkin import GramPair, KoopmanGalerkinMatrix, Provenance
+from .galerkin import GramPair, KoopmanGalerkinMatrix, Provenance, is_singular
 from .systems import FiniteMarkovSystem, Regime, SamplePairs
-
-SVD_RTOL = 1e-12
 
 
 @dataclass
@@ -32,8 +29,8 @@ def empirical_gram(dictionary, pairs: SamplePairs, ridge=0.0) -> GramPair:
     No regularization by default; `ridge` adds eps*I for exploratory use
     only (certification paths always run with ridge=0).
     """
-    psi_x = evaluate_batch(dictionary, pairs.xs)
-    psi_y = evaluate_batch(dictionary, pairs.ys)
+    psi_x = dictionary.evaluate(pairs.xs)
+    psi_y = dictionary.evaluate(pairs.ys)
     m = pairs.m
     C = psi_x @ psi_x.T / m
     C = 0.5 * (C + C.T)
@@ -44,9 +41,8 @@ def empirical_gram(dictionary, pairs: SamplePairs, ridge=0.0) -> GramPair:
 
 
 def solve_khat(C, Cplus):
-    """K_hat from C_hat K_hat = C_hat_plus, with an SVD invertibility gate."""
-    s = np.linalg.svd(C, compute_uv=False)
-    if s[0] <= 0 or s[-1] <= SVD_RTOL * s[0]:
+    """K_hat from C_hat K_hat = C_hat_plus, behind the singularity gate."""
+    if is_singular(C):
         raise SingularEmpiricalMass(
             "empirical mass matrix is numerically singular (need m >= N and "
             "non-degenerate sampling)"

@@ -22,7 +22,7 @@ class DomainError(KoopmanCertError):
 
 
 class SingularMass(NumericalError):
-    """Exact mass matrix is numerically singular (condition number > 1e12)."""
+    """Exact mass matrix is numerically singular (s_min <= 1e-12 s_max)."""
 
 
 class SingularEmpiricalMass(NumericalError):

@@ -1,15 +1,18 @@
-"""Exact mass/stiffness matrices and the Galerkin matrix K_V = C^{-1} C_+."""
+"""Gram pairs, the singularity gate, and the Galerkin matrix K_V = C^{-1} C_+.
+
+The exact pair of a finite chain or a Fourier circle is built once with its
+representation (`variance.build_rep`); this module adds quadrature pairs for
+other circle observables.
+"""
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dictionaries import DictionaryKind
-from .errors import ConfigError, NumericalError, SingularMass
-from .systems import CircleRotationSystem, FiniteMarkovSystem
+from .errors import NumericalError, SingularMass
 
-COND_THRESHOLD = 1e12
+SINGULAR_RTOL = 1e-12
 QUADRATURE_NODES = 2**16
 
 
@@ -55,45 +58,14 @@ class KoopmanGalerkinMatrix:
     source: GramPair
 
 
-def _check_condition(C):
-    s = np.linalg.svd(C, compute_uv=False)
-    if s[-1] == 0 or s[0] / s[-1] > COND_THRESHOLD:
-        raise SingularMass(
-            f"mass matrix condition number exceeds {COND_THRESHOLD:g}"
-        )
+def is_singular(C):
+    """The singularity gate: s_min <= SINGULAR_RTOL * s_max.
 
-
-def exact_gram(sys: FiniteMarkovSystem, dictionary) -> GramPair:
-    """Exact finite sums over the invariant distribution of a chain."""
-    vals = dictionary.evaluate(np.arange(sys.n_states))  # (N, n)
-    w = vals * sys.pi  # psi_i(x) pi(x)
-    C = w @ vals.T
-    kvals = vals @ sys.transition.T  # (K psi_j)(x) in row j
-    Cplus = w @ kvals.T
-    C = 0.5 * (C + C.T)
-    _check_condition(C)
-    return GramPair(C, Cplus, Provenance("exact"))
-
-
-def exact_gram_circle(sys: CircleRotationSystem, dictionary) -> GramPair:
-    """Analytic C = I and block-rotation C_+ for the Fourier dictionary.
-
-    Per frequency k the stiffness block is
-    [[cos(2 pi k t0), sin(2 pi k t0)], [-sin(2 pi k t0), cos(2 pi k t0)]].
+    C is one matrix or a stack of them (the result is then a boolean array).
+    A zero matrix is singular.
     """
-    if dictionary.kind is not DictionaryKind.FOURIER:
-        raise ConfigError("analytic circle Gram matrices require a Fourier dictionary")
-    F = dictionary.metadata["max_freq"]
-    N = dictionary.size
-    C = np.eye(N)
-    Cplus = np.zeros((N, N))
-    Cplus[0, 0] = 1.0
-    for k in range(1, F + 1):
-        ang = 2.0 * np.pi * k * sys.t0
-        c, s = np.cos(ang), np.sin(ang)
-        i = 2 * k - 1
-        Cplus[i : i + 2, i : i + 2] = [[c, s], [-s, c]]
-    return GramPair(C, Cplus, Provenance("exact"))
+    s = np.linalg.svd(C, compute_uv=False)
+    return s[..., -1] <= SINGULAR_RTOL * s[..., 0]
 
 
 def quadrature_mass_circle(dictionary, nodes=QUADRATURE_NODES):
@@ -111,13 +83,13 @@ def quadrature_gram_circle(sys, dictionary, nodes=QUADRATURE_NODES):
     C = (vals @ vals.T) / nodes
     Cplus = (vals @ kvals.T) / nodes
     C = 0.5 * (C + C.T)
-    _check_condition(C)
     return GramPair(C, Cplus, Provenance("exact"))
 
 
 def galerkin_matrix(gram: GramPair) -> KoopmanGalerkinMatrix:
     """Solve C X = C_+ by LU factorization; never forms C^{-1} explicitly."""
-    _check_condition(gram.C)
+    if is_singular(gram.C):
+        raise SingularMass("mass matrix is numerically singular")
     KV = np.linalg.solve(gram.C, gram.Cplus)
     resid = np.linalg.norm(gram.C @ KV - gram.Cplus)
     if resid > 1e-9 * max(np.linalg.norm(gram.Cplus), 1e-300):
@@ -127,5 +99,6 @@ def galerkin_matrix(gram: GramPair) -> KoopmanGalerkinMatrix:
 
 def inv_fro_norm(C):
     """||C^{-1}||_F via explicit inverse of the small N x N mass matrix."""
-    _check_condition(C)
+    if is_singular(C):
+        raise SingularMass("mass matrix is numerically singular")
     return float(np.linalg.norm(np.linalg.inv(C)))

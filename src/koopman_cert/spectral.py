@@ -13,7 +13,6 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ConfigError, DegenerateTheta, NotMeanZero
-from .variance import function_family
 
 ATOM_WEIGHT_TOL = 1e-24
 MEAN_ZERO_TOL = 1e-10
@@ -160,14 +159,14 @@ class FamilyCertificate:
     per_function: List[ThinMeasureCertificate]
 
 
-def certify_family(rep, dictionary, alpha, theta) -> FamilyCertificate:
+def certify_family(rep, alpha, theta) -> FamilyCertificate:
     """Certify every product function the variance formulas touch.
 
     Functions with zero mean-zero component are trivially certified and
     skipped.  kappa is the worst case over the family; exact requires every
     member to have zero arc mass within theta.
     """
-    fam = function_family(rep, dictionary)
+    fam = rep.family
     N = fam["psi"].shape[0]
     certs = []
     kappa = 0.0

@@ -15,10 +15,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import rng
-from .dictionaries import evaluate_batch
-from .edmd import SVD_RTOL
 from .errors import ConfigError, InsufficientPoints, UnsupportedSystem
-from .galerkin import galerkin_matrix
+from .galerkin import galerkin_matrix, is_singular
 from .systems import (
     CircleRotationSystem,
     FiniteMarkovSystem,
@@ -46,7 +44,7 @@ def _psi_on_states(sys, dictionary, states):
         table = dictionary.evaluate(np.arange(sys.n_states)).T
         return table[np.asarray(states, dtype=np.int64)]
     B, k = states.shape
-    flat = evaluate_batch(dictionary, states.ravel())
+    flat = dictionary.evaluate(states.ravel())
     return flat.T.reshape(B, k, -1)
 
 # cap on feature-block floats per slice (keeps peak memory ~tens of MB)
@@ -59,8 +57,7 @@ def _gram_errors_block(psi_x, psi_y, ref, m):
     C, Cplus, KV = ref
     err_C = np.sqrt(np.sum((Chat - C) ** 2, axis=(1, 2)))
     err_Cp = np.sqrt(np.sum((Cphat - Cplus) ** 2, axis=(1, 2)))
-    sv = np.linalg.svd(Chat, compute_uv=False)
-    good = sv[:, -1] > SVD_RTOL * np.maximum(sv[:, 0], 1e-300)
+    good = ~is_singular(Chat)
     err_K = np.full(len(psi_x), np.nan)
     if np.any(good):
         Khat = np.linalg.solve(Chat[good], Cphat[good])
@@ -158,11 +155,9 @@ def mc_trial_errors(sys, dictionary, ref, m, n_trials, seed, regime,
     return err_C, err_Cp, err_K
 
 
-def exact_reference(sys, dictionary):
-    """(C, C_plus, K_V) for systems with computable Gram matrices."""
-    gram = exact_reference_gram(sys, dictionary)
-    kv = galerkin_matrix(gram)
-    return gram.C, gram.Cplus, kv.KV
+def exact_reference(gram):
+    """(C, C_plus, K_V) of an exact GramPair."""
+    return gram.C, gram.Cplus, galerkin_matrix(gram).KV
 
 
 @dataclass
@@ -182,13 +177,12 @@ def _mean_stderr(x):
     return mean, float(np.std(x, ddof=1) / np.sqrt(len(x)))
 
 
-def montecarlo_variance_oracle(
-    sys, dictionary, m, n_trials, seed, threads=1
-) -> OracleResult:
+def montecarlo_variance_oracle(rep, m, n_trials, seed, threads=1) -> OracleResult:
     """Sample mean of ||C - C_hat||_F^2 (and the C_+ analogue) over
-    independent stationary trajectories, with standard errors."""
+    independent stationary trajectories of the rep's system, with standard
+    errors."""
     err_C, err_Cp, _ = mc_trial_errors(
-        sys, dictionary, exact_reference(sys, dictionary), int(m), int(n_trials),
+        rep.system, rep.dictionary, exact_reference(rep.gram), int(m), int(n_trials),
         seed, Regime.ERGODIC, threads=threads,
     )
     vc, sc = _mean_stderr(err_C**2)
@@ -218,6 +212,36 @@ def _is_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _is_real(v):
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def _check_sampling(m_grid, seed, n_trials, min_trials):
+    """Checks every sampling config shares: a non-empty, strictly increasing
+    grid of integers >= 1, an integer seed >= 0, integer n_trials >= min_trials."""
+    if not isinstance(m_grid, (list, tuple)) or not m_grid or not all(
+        _is_int(m) and m >= 1 for m in m_grid
+    ):
+        raise ConfigError(
+            f"m_grid must be a non-empty list of integers >= 1, got {m_grid!r}"
+        )
+    if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
+        raise ConfigError("m_grid must be strictly increasing")
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    if not _is_int(n_trials) or n_trials < min_trials:
+        raise ConfigError(f"n_trials must be an integer >= {min_trials}, got {n_trials!r}")
+
+
+def _config_from_dict(cls, d, name):
+    extra = set(d) - set(cls.__dataclass_fields__)
+    if extra:
+        raise ConfigError(f"unknown {name} config keys: {sorted(extra)}")
+    if "system" not in d or "dictionary" not in d:
+        raise ConfigError(f"{name} config needs 'system' and 'dictionary'")
+    return cls(**d)
+
+
 @dataclass
 class StudyConfig:
     system: dict
@@ -232,29 +256,47 @@ class StudyConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.m_grid, (list, tuple)) or not all(
-            _is_int(m) and m >= 1 for m in self.m_grid
-        ):
-            raise ConfigError(f"m_grid must be a list of integers >= 1, got {self.m_grid!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        grid = list(self.m_grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("m_grid must be strictly increasing")
-        if self.n_trials < 30:
-            raise ConfigError("n_trials must be >= 30 for stderr validity")
+        # 30 trials at least, so the standard errors mean something
+        _check_sampling(self.m_grid, self.seed, self.n_trials, 30)
         if self.regime not in ("ergodic", "iid"):
             raise ConfigError("regime must be 'ergodic' or 'iid'")
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown study config keys: {sorted(extra)}")
-        if "system" not in d or "dictionary" not in d:
-            raise ConfigError("study config needs 'system' and 'dictionary'")
-        return cls(**d)
+        return _config_from_dict(cls, d, "study")
+
+
+@dataclass
+class BoundsConfig:
+    """Config of the `bounds` command, checked as StudyConfig is."""
+
+    system: dict
+    dictionary: dict
+    branch: str = bounds_mod.BRANCH_ERGODIC_LINEAR
+    thin: Optional[dict] = None
+    m_grid: List[int] = field(default_factory=lambda: [1000, 10000])
+    epsilons: List[float] = field(default_factory=lambda: [1.0])
+    n_trials: int = 1000
+    seed: int = 0
+
+    def __post_init__(self):
+        _check_sampling(self.m_grid, self.seed, self.n_trials, 1)
+        eps = self.epsilons
+        if not (isinstance(eps, (list, tuple)) and eps
+                and all(_is_real(e) and math.isfinite(e) and e > 0 for e in eps)):
+            raise ConfigError(f"epsilons must be a non-empty list of numbers > 0, got {eps!r}")
+        thin = self.thin
+        if thin and not (isinstance(thin, dict) and _is_real(thin.get("alpha"))
+                         and _is_real(thin.get("theta"))):
+            raise ConfigError(f"thin needs numbers alpha and theta, got {thin!r}")
+
+    @property
+    def thin_params(self):
+        return (self.thin["alpha"], self.thin["theta"]) if self.thin else None
+
+    @classmethod
+    def from_dict(cls, d):
+        return _config_from_dict(cls, d, "bounds")
 
 
 @dataclass
@@ -322,37 +364,33 @@ def run_convergence_study(cfg: StudyConfig, sys=None, dictionary=None):
     dictionary = dictionary_from_config(cfg.dictionary, system=sys) if dictionary is None else dictionary
     regime = Regime(cfg.regime)
     try:
-        ref = exact_reference(sys, dictionary)
+        rep = build_rep(sys, dictionary)
+    except UnsupportedSystem:
+        rep = None
+    try:
+        ref = exact_reference(rep.gram if rep else exact_reference_gram(sys, dictionary))
     except UnsupportedSystem:
         # reference-model mode: the largest grid entry stays a factor 10
         # below the surrogate's sample size
         ref = reference_model(sys, dictionary, 10 * max(cfg.m_grid),
                               seed=_derived_seed(cfg.seed, len(cfg.m_grid)))
-    try:
-        rep = build_rep(sys, dictionary)
-    except UnsupportedSystem:
-        rep = None
     mu0 = _default_mu0(sys) if regime is Regime.IID else None
 
-    tail_report = None
-    if cfg.tail_epsilon is not None and cfg.tail_branch is not None:
-        try:
-            inputs = bounds_mod.bound_inputs_from_exact(
-                sys,
-                dictionary,
-                thin_params=(1.5, 0.2)
-                if cfg.tail_branch
-                in (bounds_mod.BRANCH_ERGODIC_SUPERLINEAR,
-                    bounds_mod.BRANCH_ERGODIC_KAPPA_ZERO)
-                else None,
-            )
+    tail_report = None  # without exact constants the tail column stays NaN
+    if cfg.tail_epsilon is not None and cfg.tail_branch is not None and rep is not None:
+        inputs = bounds_mod.bound_inputs_from_exact(
+            rep,
+            thin_params=(1.5, 0.2)
+            if cfg.tail_branch
+            in (bounds_mod.BRANCH_ERGODIC_SUPERLINEAR,
+                bounds_mod.BRANCH_ERGODIC_KAPPA_ZERO)
+            else None,
+        )
 
-            def tail_p(m):
-                return _branch_bound(inputs, cfg.tail_branch, m, cfg.tail_epsilon).p_bound
+        def tail_p(m):
+            return _branch_bound(inputs, cfg.tail_branch, m, cfg.tail_epsilon).p_bound
 
-            tail_report = tail_p
-        except UnsupportedSystem:
-            tail_report = None  # no exact constants: tail column stays NaN
+        tail_report = tail_p
 
     rows = []
     for mi, m in enumerate(cfg.m_grid):
@@ -375,7 +413,7 @@ def run_convergence_study(cfg: StudyConfig, sys=None, dictionary=None):
             row[f"{tag}_Cplus"] = float(np.quantile(err_Cp, q))
             row[f"{tag}_K"] = float(np.quantile(err_K[good], q)) if good.any() else float("nan")
         if rep is not None:
-            vr = exact_variance(rep, dictionary, int(m))
+            vr = exact_variance(rep, int(m))
             row["pred_rmse_C"] = math.sqrt(max(vr.var_C, 0.0))
             row["pred_rmse_Cplus"] = math.sqrt(max(vr.var_Cplus, 0.0))
         else:
@@ -409,13 +447,12 @@ def run_variance_check(cfg: StudyConfig, sys=None, dictionary=None):
     sys = system_from_config(cfg.system) if sys is None else sys
     dictionary = dictionary_from_config(cfg.dictionary, system=sys) if dictionary is None else dictionary
     rep = build_rep(sys, dictionary)
-    trace_C = float(np.trace(exact_reference_gram(sys, dictionary).C))
+    trace_C = float(np.trace(rep.gram.C))
     rows = []
     for mi, m in enumerate(cfg.m_grid):
-        vr = exact_variance(rep, dictionary, int(m))
+        vr = exact_variance(rep, int(m))
         oracle = montecarlo_variance_oracle(
-            sys, dictionary, int(m), cfg.n_trials, _derived_seed(cfg.seed, mi),
-            threads=cfg.threads,
+            rep, int(m), cfg.n_trials, _derived_seed(cfg.seed, mi), threads=cfg.threads,
         )
 
         # degenerate trials (constant error) have zero stderr, so the
@@ -479,10 +516,11 @@ def _branch_bound(inputs, branch, m, epsilon):
     raise ConfigError(f"unknown branch {branch}")
 
 
-def run_bound_validity(sys, dictionary, branch, m_values, epsilons, n_trials,
-                       seed, thin_params=None, threads=1):
+def run_bound_validity(rep, inputs, branch, m_values, epsilons, n_trials, seed,
+                       threads=1):
     """Empirical exceedance frequencies against a branch's p_bound.
 
+    `inputs` are the rep's BoundInputs (`bounds.bound_inputs_from_exact`).
     The composite bound is checked on ||K_V - K_hat||_F (singular trials
     count as exceedances); per-matrix bounds are checked alongside on
     ||C - C_hat||_F and ||C_+ - C_hat_plus||_F at their shifted thresholds.
@@ -492,22 +530,19 @@ def run_bound_validity(sys, dictionary, branch, m_values, epsilons, n_trials,
         if branch in (bounds_mod.BRANCH_IID_MARKOV, bounds_mod.BRANCH_IID_HOEFFDING)
         else Regime.ERGODIC
     )
-    inputs = bounds_mod.bound_inputs_from_exact(sys, dictionary, thin_params=thin_params)
-    ref = exact_reference(sys, dictionary)
-    mu0 = _default_mu0(sys) if regime is Regime.IID else None
+    ref = exact_reference(rep.gram)
+    mu0 = _default_mu0(rep.system) if regime is Regime.IID else None
     rows = []
     for gi, m in enumerate(m_values):
         err_C, err_Cp, err_K = mc_trial_errors(
-            sys, dictionary, ref, int(m), n_trials,
+            rep.system, rep.dictionary, ref, int(m), n_trials,
             _derived_seed(seed, gi), regime, mu0, threads,
         )
         exceed_base = ~np.isfinite(err_K)
         for eps in epsilons:
             report = _branch_bound(inputs, branch, int(m), float(eps))
             rc, rp = bounds_mod.estimator_error_bounds(inputs, int(m), float(eps), branch)
-            tau = 2.0 * inputs.norm_Cinv * inputs.norm_Cplus + float(eps)
-            delta_p = float(eps) / tau * inputs.norm_Cplus
-            delta_c = float(eps) / tau / inputs.norm_Cinv
+            _, delta_p, delta_c = bounds_mod.split_threshold(inputs, eps)
             frac_K = float(np.mean(np.where(exceed_base, True, err_K > float(eps))))
             frac_C = float(np.mean(err_C > delta_c))
             frac_Cp = float(np.mean(err_Cp > delta_p))

@@ -40,6 +40,8 @@ def _check_square_stochastic(P, tol=1e-12):
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ConfigError(f"transition matrix must be square, got {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise ConfigError("transition matrix has non-finite entries")
     if np.any(P < 0):
         raise ConfigError("transition matrix has negative entries")
     rows = P.sum(axis=1)
@@ -122,16 +124,6 @@ class FiniteMarkovSystem:
         pi = self.pi
         flux = pi[:, None] * self.transition
         return bool(np.max(np.abs(flux - flux.T)) <= tol)
-
-
-def invariant_measure(sys):
-    """Invariant probability vector pi with pi P = pi, pi > 0."""
-    return sys.pi
-
-
-def koopman_matrix_exact(sys):
-    """Transition matrix acting on observables: (K psi)(i) = sum_j P[i,j] psi(j)."""
-    return sys.transition.copy()
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,13 @@ average (1/m) sum_{k<m} K0^k come from one matrix power: for
     T = [[K0, I, 0], [0, I, I], [0, 0, I]],
 
 the top block row of T^m is [K0^m, S_m, sum_{k=1}^{m-1} S_k] with
-S_k = sum_{j<k} K0^j, so p_m(K0) = (2/m) sum_{k=1}^{m-1} S_k.  The
-Monte-Carlo oracle that checks these values lives in `studies`.
+S_k = sum_{j<k} K0^j, so p_m(K0) = (2/m) sum_{k=1}^{m-1} S_k.
+
+Only p_m(K0) depends on m.  `build_rep` builds everything else once per
+(system, dictionary): the embedded dictionary, the product family psi_i psi_j
+and psi_i K psi_j, the exact Gram pair C, C_+, and the constants E_0, E_+.
+It is the package's one exact reference for finite chains and Fourier
+circles.  The Monte-Carlo oracle that checks these values lives in `studies`.
 """
 
 from dataclasses import dataclass
@@ -22,12 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionaries import DictionaryKind
-from .errors import (
-    NotUnitary,
-    NumericalError,
-    UnsupportedSystem,
-)
-from .galerkin import exact_gram, exact_gram_circle, quadrature_gram_circle
+from .errors import NotUnitary, NumericalError, SingularMass, UnsupportedSystem
+from .galerkin import GramPair, Provenance, is_singular, quadrature_gram_circle
 from .systems import CircleRotationSystem, FiniteMarkovSystem
 
 GAP_THRESHOLD = 1e-10
@@ -144,17 +145,24 @@ def fejer_kernel_sum(m, t):
 
 class KoopmanMatrixRep:
     """K, its weighted adjoint, and the mean-zero compression K0 on a
-    computable function space.
+    computable function space, with the exact quantities of one dictionary.
 
     Functions are coefficient vectors in natural coordinates: values on
     states for finite chains, real Fourier coefficients (constant, then
     sqrt2-normalized cos/sin pairs) for the circle.  `M` is K0 expressed in
     an orthonormal basis of the mean-zero subspace, so Euclidean geometry on
     reduced coordinates equals the weighted L2 geometry.
+
+    Construction also builds, once and eagerly (the Monte-Carlo pools share
+    the rep across threads): `psi`, the dictionary as rows in natural
+    coordinates; `family`, its product family (`function_family`); `gram`,
+    the exact GramPair with C symmetrised; and `E_plus`, `E_zero`.
     """
 
-    def __init__(self, kind, K, Kstar, weights, one, meta):
+    def __init__(self, kind, system, dictionary, K, Kstar, weights, one, meta):
         self.kind = kind
+        self.system = system
+        self.dictionary = dictionary
         self.K = K
         self.Kstar = Kstar
         self.weights = weights
@@ -171,6 +179,13 @@ class KoopmanMatrixRep:
         self.M = self.B.T @ G @ self.B
         self.unitary = bool(np.linalg.norm(G.T @ G - np.eye(self.dim)) <= UNITARY_TOL)
         self.Q = np.eye(self.dim) - np.outer(one, weights * one)
+
+        self.psi = embed_dictionary(self)
+        self.family = function_family(self)
+        w = self.psi * weights
+        C = w @ self.psi.T
+        self.gram = GramPair(0.5 * (C + C.T), w @ (K @ self.psi.T), Provenance("exact"))
+        self.E_plus, self.E_zero = variance_constants(self)
 
     # -- geometry ---------------------------------------------------------
     def inner(self, f, g):
@@ -352,7 +367,8 @@ def _complex_to_real(gamma, R_out):
 
 
 def build_rep(sys, dictionary):
-    """Finite representation carrying 1, all psi_i, and all of their products.
+    """The exact representation of (sys, dictionary), carrying 1, all psi_i,
+    and all of their products.
 
     Finite chains represent every function exactly; the circle uses the
     Fourier space truncated at twice the dictionary's maximal frequency
@@ -363,7 +379,7 @@ def build_rep(sys, dictionary):
         K = sys.transition.copy()
         Kstar = (pi[None, :] * sys.transition.T) / pi[:, None]
         one = np.ones(sys.n_states)
-        return KoopmanMatrixRep("chain", K, Kstar, pi, one, {"system": sys})
+        return KoopmanMatrixRep("chain", sys, dictionary, K, Kstar, pi, one, {})
     if isinstance(sys, CircleRotationSystem):
         if dictionary.kind is not DictionaryKind.FOURIER:
             raise UnsupportedSystem(
@@ -384,31 +400,28 @@ def build_rep(sys, dictionary):
         one[0] = 1.0
         weights = np.ones(d)
         return KoopmanMatrixRep(
-            "circle", K, K.T, weights, one, {"t0": sys.t0, "R": R, "system": sys}
+            "circle", sys, dictionary, K, K.T, weights, one, {"t0": sys.t0, "R": R}
         )
     raise UnsupportedSystem(
         f"no exact representation for {type(sys).__name__}"
     )
 
 
-def embed_dictionary(rep, dictionary):
-    """Dictionary functions as rows of an (N, dim) natural-coordinate array."""
+def embed_dictionary(rep):
+    """The rep's dictionary as rows of an (N, dim) natural-coordinate array.
+
+    On the circle the Fourier dictionary is the leading block of the
+    representation's own basis.
+    """
     if rep.kind == "chain":
-        return dictionary.evaluate(np.arange(rep.dim))
-    F = dictionary.metadata["max_freq"]
-    N = dictionary.size
-    out = np.zeros((N, rep.dim))
-    out[0, 0] = 1.0
-    for k in range(1, F + 1):
-        out[2 * k - 1, 2 * k - 1] = 1.0
-        out[2 * k, 2 * k] = 1.0
-    return out
+        return rep.dictionary.evaluate(np.arange(rep.dim))
+    return np.eye(rep.dictionary.size, rep.dim)
 
 
-def function_family(rep, dictionary):
+def function_family(rep):
     """psi_ij = psi_i psi_j, g_ij = psi_i K psi_j, gs[i,j] = psi_j K* psi_i,
     and phi = sum_j psi_j^2, all in natural coordinates."""
-    psis = embed_dictionary(rep, dictionary)
+    psis = rep.psi
     N = psis.shape[0]
     kpsis = (rep.K @ psis.T).T
     kstar_psis = (rep.Kstar @ psis.T).T
@@ -422,15 +435,6 @@ def function_family(rep, dictionary):
             gs_ij[i, j] = rep.multiply(psis[j], kstar_psis[i])
     phi = psi_ij.reshape(N * N, rep.dim)[:: N + 1].sum(axis=0)
     return {"psi": psis, "psi_ij": psi_ij, "g_ij": g_ij, "gs_ij": gs_ij, "phi": phi}
-
-
-def gram_from_rep(rep, fam):
-    """Exact C and C_+ recomputed inside the representation."""
-    psis = fam["psi"]
-    w = psis * rep.weights
-    C = w @ psis.T
-    Cplus = w @ (rep.K @ psis.T)
-    return C, Cplus
 
 
 @dataclass
@@ -457,24 +461,23 @@ class VarianceReport:
         }
 
 
-def variance_constants(rep, fam):
+def variance_constants(rep):
     """E_plus = <K phi, phi> - ||C_+||_F^2 and E_zero = ||phi||^2 - ||C||_F^2."""
-    C, Cplus = gram_from_rep(rep, fam)
-    phi = fam["phi"]
+    C, Cplus = rep.gram.C, rep.gram.Cplus
+    phi = rep.family["phi"]
     E_plus = float(np.sum(rep.weights * (rep.K @ phi) * phi) - np.sum(Cplus * Cplus))
     E_zero = float(np.sum(rep.weights * phi * phi) - np.sum(C * C))
     return E_plus, E_zero
 
 
-def exact_variance(rep, dictionary, m) -> VarianceReport:
+def exact_variance(rep, m) -> VarianceReport:
     """Exact E||C - C_hat||_F^2 = sigma2_zero / m and the C_+ analogue.
 
     sigma2_plus = E_plus + sum_ij <p_m(K0) Q g_ij, Q g*_ji> and
     sigma2_zero = E_zero + sum_ij <K0 p_m(K0) Q psi_ij, Q psi_ij>.
     """
     m = int(m)
-    fam = function_family(rep, dictionary)
-    E_plus, E_zero = variance_constants(rep, fam)
+    fam = rep.family
     N = fam["psi"].shape[0]
     d = rep.dim
 
@@ -483,11 +486,12 @@ def exact_variance(rep, dictionary, m) -> VarianceReport:
     V = rep.to_reduced(fam["psi_ij"].reshape(N * N, d).T)
 
     PU = pm_apply_vectors(rep.M, U, m)
-    sigma2_plus = E_plus + float(np.sum(PU * Us))
+    sigma2_plus = rep.E_plus + float(np.sum(PU * Us))
     PV = pm_apply_vectors(rep.M, V, m)
-    sigma2_zero = E_zero + float(np.sum((rep.M @ PV) * V))
+    sigma2_zero = rep.E_zero + float(np.sum((rep.M @ PV) * V))
     return VarianceReport(
-        m, sigma2_plus, sigma2_zero, E_plus, E_zero, sigma2_plus / m, sigma2_zero / m
+        m, sigma2_plus, sigma2_zero, rep.E_plus, rep.E_zero,
+        sigma2_plus / m, sigma2_zero / m,
     )
 
 
@@ -512,7 +516,7 @@ def _family_fejer_forms(rep, vectors_reduced, m):
     return form_avg, form_spec
 
 
-def fejer_variance(rep, dictionary, m, rtol=1e-9) -> VarianceReport:
+def fejer_variance(rep, m, rtol=1e-9) -> VarianceReport:
     """Unitary-case variances via ergodic averages, cross-checked spectrally.
 
     E||C_+ - C_hat_plus||^2 = sum_ij ||(1/m) sum_{k<m} K0^k Q g_ij||^2 and
@@ -522,8 +526,7 @@ def fejer_variance(rep, dictionary, m, rtol=1e-9) -> VarianceReport:
     if not rep.unitary:
         raise NotUnitary("Fejer variance requires a unitary representation")
     m = int(m)
-    fam = function_family(rep, dictionary)
-    E_plus, E_zero = variance_constants(rep, fam)
+    fam = rep.family
     N = fam["psi"].shape[0]
     d = rep.dim
     U = rep.to_reduced(fam["g_ij"].reshape(N * N, d).T)
@@ -538,16 +541,18 @@ def fejer_variance(rep, dictionary, m, rtol=1e-9) -> VarianceReport:
                 f"Fejer forms disagree: ergodic-average {a} vs spectral {b}"
             )
     return VarianceReport(
-        m, m * var_plus, m * var_zero, E_plus, E_zero, var_plus, var_zero
+        m, m * var_plus, m * var_zero, rep.E_plus, rep.E_zero, var_plus, var_zero
     )
 
 
 def exact_reference_gram(sys, dictionary):
-    """Exact GramPair for any system supporting one."""
-    if isinstance(sys, FiniteMarkovSystem):
-        return exact_gram(sys, dictionary)
-    if isinstance(sys, CircleRotationSystem):
-        if dictionary.kind is DictionaryKind.FOURIER:
-            return exact_gram_circle(sys, dictionary)
-        return quadrature_gram_circle(sys, dictionary)
-    raise UnsupportedSystem(f"no exact Gram reference for {type(sys).__name__}")
+    """Exact GramPair: the rep's pair for finite chains and Fourier circles,
+    quadrature for other circle dictionaries, UnsupportedSystem otherwise."""
+    circle = isinstance(sys, CircleRotationSystem)
+    if circle and dictionary.kind is not DictionaryKind.FOURIER:
+        gram = quadrature_gram_circle(sys, dictionary)
+    else:
+        gram = build_rep(sys, dictionary).gram
+    if is_singular(gram.C):
+        raise SingularMass("exact mass matrix is numerically singular")
+    return gram

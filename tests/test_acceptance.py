@@ -86,9 +86,9 @@ def test_criterion_1_exact_variance_vs_montecarlo():
     for label, sys, d in cases:
         rep = variance.build_rep(sys, d)
         for mi, m in enumerate([1, 2, 5, 10, 50, 200]):
-            vr = variance.exact_variance(rep, d, m)
+            vr = variance.exact_variance(rep, m)
             oracle = studies.montecarlo_variance_oracle(
-                sys, d, m, n_trials, seed=SEED + 100 + mi
+                rep, m, n_trials, seed=SEED + 100 + mi
             )
             for exact, mc, se, tag in [
                 (vr.var_C, oracle.var_C_hat, oracle.stderr_C, "C"),
@@ -114,7 +114,7 @@ def test_criterion_2_fejer_three_forms_agree():
     for F in [1, 2, 4]:
         d = dictionaries.fourier(F)
         rep = variance.build_rep(gold, d)
-        fam = variance.function_family(rep, d)
+        fam = rep.family
         N = d.size
         ts, E = rep.eigen_system()
         for m in [10, 100, 1000]:
@@ -134,8 +134,8 @@ def test_criterion_2_fejer_three_forms_agree():
                 worst = max(worst, spread / scale)
                 assert spread <= 1e-9 * scale, (F, m, form_a, form_b, form_c)
             # the general polynomial route agrees as well
-            a = variance.exact_variance(rep, d, m)
-            b = variance.fejer_variance(rep, d, m)
+            a = variance.exact_variance(rep, m)
+            b = variance.fejer_variance(rep, m)
             assert abs(a.var_C - b.var_C) <= 1e-9 * max(a.var_C, 1e-30)
             assert abs(a.var_Cplus - b.var_Cplus) <= 1e-9 * max(a.var_Cplus, 1e-30)
     print(f"\nACCEPTANCE 2 PASS: ergodic-average, spectral-Fejer and geometric "
@@ -189,8 +189,10 @@ def test_criterion_4_bound_validity_all_branches():
         (chain, ind, bounds.BRANCH_IID_HOEFFDING, [2500, 5000], [1.0], None),
     ]
     for bi, (sys, d, branch, ms, eps, thin) in enumerate(grids):
+        rep = variance.build_rep(sys, d)
         rows = studies.run_bound_validity(
-            sys, d, branch, ms, eps, n_trials, SEED + 300 + bi, thin_params=thin
+            rep, bounds.bound_inputs_from_exact(rep, thin_params=thin), branch, ms, eps,
+            n_trials, SEED + 300 + bi,
         )
         informative = [r for r in rows if r["p_bound"] <= 0.5]
         assert informative, f"{branch}: no grid point with p_bound <= 0.5"
@@ -202,8 +204,8 @@ def test_criterion_4_bound_validity_all_branches():
     # second moment bounds P(err_C > delta) by sigma2/(m delta^2)
     rep = variance.build_rep(chain, ind)
     m = 50
-    vr = variance.exact_variance(rep, ind, m)
-    ref = studies.exact_reference(chain, ind)
+    vr = variance.exact_variance(rep, m)
+    ref = studies.exact_reference(rep.gram)
     err_C, _, _ = studies.mc_trial_errors(
         chain, ind, ref, m, n_trials, SEED + 400, systems.Regime.ERGODIC
     )
@@ -223,7 +225,9 @@ def test_criterion_4_bound_validity_all_branches():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_composite_constant_regressions():
-    chain_inputs = bounds.bound_inputs_from_exact(make_two_state(), dictionaries.indicator(2))
+    chain_inputs = bounds.bound_inputs_from_exact(
+        variance.build_rep(make_two_state(), dictionaries.indicator(2))
+    )
     worst = 0.0
     for eps in [0.1, 0.5, 1.0, 1.9]:
         m = 4000
@@ -238,7 +242,8 @@ def test_criterion_5_composite_constant_regressions():
         assert abs(combined.p_bound - target) <= 1e-12 * target
 
     gold_inputs = bounds.bound_inputs_from_exact(
-        systems.golden_rotation(), dictionaries.fourier(1), thin_params=(1.5, 0.45)
+        variance.build_rep(systems.golden_rotation(), dictionaries.fourier(1)),
+        thin_params=(1.5, 0.45),
     )
     cert = gold_inputs.thin
     C = bounds.c_alpha_kappa_theta(cert.alpha, cert.kappa, cert.theta)
@@ -269,9 +274,9 @@ def test_criterion_6_structural_invariants():
     four = dictionaries.fourier(2)
 
     # K 1 = 1 fixed point (operator and Galerkin coordinate versions)
-    K = systems.koopman_matrix_exact(chain)
+    K = chain.transition
     assert np.max(np.abs(K @ np.ones(5) - 1.0)) < 1e-12
-    kv = galerkin.galerkin_matrix(galerkin.exact_gram(chain, mono))
+    kv = galerkin.galerkin_matrix(variance.exact_reference_gram(chain, mono))
     e0 = np.zeros(3)
     e0[0] = 1.0
     assert np.max(np.abs(kv.KV @ e0 - e0)) < 1e-9
@@ -287,7 +292,7 @@ def test_criterion_6_structural_invariants():
         return 2.0 * mono.evaluate(states)
 
     mono2 = dictionaries.Dictionary(3, mono.kind, scaled_eval)
-    kv2 = galerkin.galerkin_matrix(galerkin.exact_gram(chain, mono2))
+    kv2 = galerkin.galerkin_matrix(variance.exact_reference_gram(chain, mono2))
     assert np.max(np.abs(kv.KV - kv2.KV)) < 1e-12
     est1 = edmd.edmd_estimate(mono, pairs)
     est2 = edmd.edmd_estimate(mono2, pairs)

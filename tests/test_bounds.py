@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from koopman_cert import bounds, dictionaries
+from koopman_cert import bounds, dictionaries, variance
 from koopman_cert.errors import (
     MissingCertificate,
     MissingSupBound,
@@ -14,13 +14,13 @@ from koopman_cert.errors import (
 
 @pytest.fixture
 def chain_inputs(two_state_chain, indicator2):
-    return bounds.bound_inputs_from_exact(two_state_chain, indicator2)
+    return bounds.bound_inputs_from_exact(variance.build_rep(two_state_chain, indicator2))
 
 
 @pytest.fixture
 def golden_inputs(golden):
     return bounds.bound_inputs_from_exact(
-        golden, dictionaries.fourier(1), thin_params=(1.5, 0.45)
+        variance.build_rep(golden, dictionaries.fourier(1)), thin_params=(1.5, 0.45)
     )
 
 
@@ -53,8 +53,8 @@ class TestAlphaConstant:
             return 2.0 * base.evaluate(states)
 
         d2 = dictionaries.Dictionary(2, base.kind, doubled)
-        i1 = bounds.bound_inputs_from_exact(two_state_chain, base)
-        i2 = bounds.bound_inputs_from_exact(two_state_chain, d2)
+        i1 = bounds.bound_inputs_from_exact(variance.build_rep(two_state_chain, base))
+        i2 = bounds.bound_inputs_from_exact(variance.build_rep(two_state_chain, d2))
         assert abs(i2.norm_Cinv - i1.norm_Cinv / 4.0) < 1e-12
         assert abs(i2.norm_Cplus - i1.norm_Cplus * 4.0) < 1e-12
         prod1 = i1.norm_Cinv * i1.norm_Cplus
@@ -62,7 +62,7 @@ class TestAlphaConstant:
         assert abs(prod1 - prod2) < 1e-12
 
     def test_no_gap_raises(self, golden):
-        inputs = bounds.bound_inputs_from_exact(golden, dictionaries.fourier(1))
+        inputs = bounds.bound_inputs_from_exact(variance.build_rep(golden, dictionaries.fourier(1)))
         inputs.resolvent_plus = None
         with pytest.raises(NoSpectralGap):
             bounds.alpha_constant(inputs, 0.1)
@@ -102,7 +102,7 @@ class TestCAlpha:
 class TestSuperlinearBound:
     def test_kappa_zero_scales_m_minus_two(self, golden):
         inputs = bounds.bound_inputs_from_exact(
-            golden, dictionaries.fourier(1), thin_params=(1.5, 0.2)
+            variance.build_rep(golden, dictionaries.fourier(1)), thin_params=(1.5, 0.2)
         )
         assert inputs.thin.exact
         r1 = bounds.superlinear_bound(inputs, 100, 1.0)
@@ -111,7 +111,7 @@ class TestSuperlinearBound:
         assert abs(r2.p_bound - r1.p_bound / 4.0) < 1e-12
 
     def test_missing_certificate(self, golden):
-        inputs = bounds.bound_inputs_from_exact(golden, dictionaries.fourier(1))
+        inputs = bounds.bound_inputs_from_exact(variance.build_rep(golden, dictionaries.fourier(1)))
         with pytest.raises(MissingCertificate):
             bounds.superlinear_bound(inputs, 100, 1.0)
 
@@ -173,7 +173,7 @@ class TestEstimatorErrorBounds:
 
     def test_constant_dictionary_zero_bound(self, five_state_chain):
         d = dictionaries.monomial(0)
-        inputs = bounds.bound_inputs_from_exact(five_state_chain, d)
+        inputs = bounds.bound_inputs_from_exact(variance.build_rep(five_state_chain, d))
         rc, rp = bounds.estimator_error_bounds(inputs, 50, 0.5,
                                                bounds.BRANCH_IID_MARKOV)
         assert abs(rc.p_bound) < 1e-12
@@ -258,7 +258,7 @@ class TestMonotonicity:
         from koopman_cert.studies import _branch_bound
 
         inputs = bounds.bound_inputs_from_exact(
-            golden, dictionaries.fourier(1), thin_params=(1.5, theta)
+            variance.build_rep(golden, dictionaries.fourier(1)), thin_params=(1.5, theta)
         )
         for eps in [0.5, 1.0]:
             ps = [_branch_bound(inputs, bounds.BRANCH_ERGODIC_SUPERLINEAR, m, eps).p_bound

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from koopman_cert import cli
+from koopman_cert import cli, variance
 
 CHAIN_SYSTEM = {"type": "finite_chain", "transition": [[0.7, 0.3], [0.3, 0.7]]}
 
@@ -93,14 +93,14 @@ class TestStudy:
         rows = json.loads(capsys.readouterr().out)
         assert all(r["within_3sigma_C"] for r in rows)
 
-    @pytest.mark.parametrize("command", ["study", "variance"])
+    @pytest.mark.parametrize("command", ["study", "variance", "bounds"])
     @pytest.mark.parametrize(
         "bad",
         [{"m_grid": [0, 10, 20, 40]}, {"m_grid": [10, 20.5, 40]},
          {"m_grid": "abc"}, {"m_grid": 100}, {"m_grid": [True, 10]},
-         {"seed": -1}, {"seed": 1.5}],
+         {"seed": -1}, {"seed": 1.5}, {"m_grid": []}, {"n_trials": 0}],
         ids=["m_zero", "m_float", "m_string", "m_scalar", "m_bool",
-             "seed_negative", "seed_float"],
+             "seed_negative", "seed_float", "m_empty", "trials_zero"],
     )
     def test_invalid_grid_or_seed_exit_2(self, tmp_path, capsys, command, bad):
         cfg = {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
@@ -151,6 +151,84 @@ class TestStudy:
         report = json.loads((out / "bound_report.json").read_text())
         # zero arc mass upgrades to the quadratic-rate branch
         assert report["branch"] == "ergodic_kappa_zero"
+
+
+class TestInputContract:
+    BOUNDS = {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+              "branch": "ergodic_linear", "m_grid": [100, 200], "epsilons": [1.0],
+              "n_trials": 30, "seed": 0}
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"m_grid": [200, 100]}, {"epsilons": [0.0]}, {"epsilons": []},
+         {"epsilons": [float("inf")]}, {"thin": {"alpha": 1.5}},
+         {"thin": {"theta": 0.2}}, {"thin": "wide"}, {"bogus": 1}],
+        ids=["m_decreasing", "eps_zero", "eps_empty", "eps_inf", "thin_no_theta",
+             "thin_no_alpha", "thin_string", "unknown_key"],
+    )
+    def test_bounds_invalid_input_exit_2(self, tmp_path, capsys, bad):
+        cfg = dict(self.BOUNDS, **bad)
+        rc = cli.main(["bounds", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_bounds_negative_seed_override_exit_2(self, tmp_path, capsys):
+        rc = cli.main(["bounds", "--config", write_cfg(tmp_path, self.BOUNDS),
+                       "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_transition_exit_2(self, tmp_path, capsys, bad):
+        cfg = {"system": {"type": "finite_chain", "transition": [[bad, 1.0], [0.5, 0.5]]},
+               "dictionary": {"kind": "indicator"}, "m_grid": [10, 20, 40, 80],
+               "n_trials": 30}
+        rc = cli.main(["study", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+GOLDEN = {"type": "circle_rotation",
+          "t0": {"form": "quadratic", "a": -1, "b": 1, "c": 2, "d": 5}}
+
+
+class TestOneExactReference:
+    """A command builds the product family of its exact representation once,
+    whatever its grid."""
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [("study", {"system": GOLDEN, "dictionary": {"kind": "fourier", "max_freq": 2},
+                    "m_grid": [10, 20, 40, 80], "n_trials": 30, "seed": 1}),
+         ("study", {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+                    "m_grid": [10, 20, 40, 80, 160], "n_trials": 30, "seed": 1,
+                    "tail_epsilon": 1.0, "tail_branch": "ergodic_linear"}),
+         ("variance", {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+                       "m_grid": [8, 16, 32], "n_trials": 30, "seed": 1}),
+         ("bounds", {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+                     "branch": "ergodic_linear", "m_grid": [100, 200],
+                     "epsilons": [1.0, 2.0], "n_trials": 30, "seed": 1}),
+         ("bounds", {"system": GOLDEN, "dictionary": {"kind": "fourier", "max_freq": 1},
+                     "branch": "ergodic_superlinear", "thin": {"alpha": 1.5, "theta": 0.2},
+                     "m_grid": [100, 300], "epsilons": [1.0], "n_trials": 30, "seed": 1})],
+        ids=["rotation_study", "chain_study_with_tail", "variance", "bounds",
+             "bounds_thin"],
+    )
+    def test_one_family_per_command(self, tmp_path, monkeypatch, command, cfg):
+        calls = []
+        family = variance.function_family
+
+        def counted(rep):
+            calls.append(rep)
+            return family(rep)
+
+        monkeypatch.setattr(variance, "function_family", counted)
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 1
 
 
 class TestEntryPoint:

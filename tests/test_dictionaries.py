@@ -59,10 +59,10 @@ class TestOrthonormality:
         assert np.max(np.abs(C - np.eye(d.size))) < 1e-10
 
     def test_indicator_mass_is_diag_pi(self, five_state_chain):
-        from koopman_cert.galerkin import exact_gram
+        from koopman_cert.variance import exact_reference_gram
 
         d = dictionaries.indicator(5)
-        gram = exact_gram(five_state_chain, d)
+        gram = exact_reference_gram(five_state_chain, d)
         assert np.allclose(gram.C, np.diag(five_state_chain.pi), atol=1e-14)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koopman_cert import dictionaries, edmd, galerkin, systems
+from koopman_cert import dictionaries, edmd, galerkin, systems, variance
 from koopman_cert.errors import DimensionMismatch, SingularEmpiricalMass
 
 
@@ -50,7 +50,7 @@ class TestEdmdEstimate:
 
     def test_circle_exact_recovery(self, golden):
         d = dictionaries.fourier(2)
-        ref = galerkin.galerkin_matrix(galerkin.exact_gram_circle(golden, d))
+        ref = galerkin.galerkin_matrix(variance.exact_reference_gram(golden, d))
         pairs = systems.sample_ergodic(golden, 3 * d.size, seed=1)
         est = edmd.edmd_estimate(d, pairs)
         # dictionary space is invariant under the rotation: no estimation error
@@ -71,14 +71,14 @@ class TestEdmdEstimate:
 
 class TestEstimationError:
     def test_exact_inputs_zero_error(self, two_state_chain, indicator2):
-        gram = galerkin.exact_gram(two_state_chain, indicator2)
+        gram = variance.exact_reference_gram(two_state_chain, indicator2)
         ref = galerkin.galerkin_matrix(gram)
         est = edmd.EdmdEstimate(gram, ref.KV, 10**6, systems.Regime.ERGODIC)
         errs = edmd.estimation_error(est, ref)
         assert errs == {"err_K": 0.0, "err_C": 0.0, "err_Cplus": 0.0}
 
     def test_triangle_chain(self, five_state_chain, monomial3):
-        gram = galerkin.exact_gram(five_state_chain, monomial3)
+        gram = variance.exact_reference_gram(five_state_chain, monomial3)
         ref = galerkin.galerkin_matrix(gram)
         for seed in range(10):
             pairs = systems.sample_ergodic(five_state_chain, 50, seed=seed)
@@ -94,13 +94,13 @@ class TestEstimationError:
 
     def test_scaling_invariance(self, five_state_chain):
         d1 = dictionaries.monomial(2, scale=0.25)
-        ref1 = galerkin.galerkin_matrix(galerkin.exact_gram(five_state_chain, d1))
+        ref1 = galerkin.galerkin_matrix(variance.exact_reference_gram(five_state_chain, d1))
 
         def doubled_eval(states):
             return 2.0 * d1.evaluate(states)
 
         d2 = dictionaries.Dictionary(3, d1.kind, doubled_eval)
-        ref2 = galerkin.galerkin_matrix(galerkin.exact_gram(five_state_chain, d2))
+        ref2 = galerkin.galerkin_matrix(variance.exact_reference_gram(five_state_chain, d2))
         pairs = systems.sample_ergodic(five_state_chain, 200, seed=3)
         e1 = edmd.estimation_error(edmd.edmd_estimate(d1, pairs), ref1)
         e2 = edmd.estimation_error(edmd.edmd_estimate(d2, pairs), ref2)
@@ -108,7 +108,7 @@ class TestEstimationError:
 
     def test_dimension_mismatch(self, two_state_chain, indicator2, five_state_chain):
         ref5 = galerkin.galerkin_matrix(
-            galerkin.exact_gram(five_state_chain, dictionaries.indicator(5))
+            variance.exact_reference_gram(five_state_chain, dictionaries.indicator(5))
         )
         pairs = systems.sample_ergodic(two_state_chain, 50, seed=0)
         est = edmd.edmd_estimate(indicator2, pairs)
@@ -120,13 +120,13 @@ class TestConsistency:
     def test_grams_converge_along_trajectory(self, two_state_chain, indicator2):
         from koopman_cert.variance import build_rep, exact_variance
 
-        gram = galerkin.exact_gram(two_state_chain, indicator2)
+        gram = variance.exact_reference_gram(two_state_chain, indicator2)
         rep = build_rep(two_state_chain, indicator2)
         m = 10**6
         pairs = systems.sample_ergodic(two_state_chain, m, seed=11)
         emp = edmd.empirical_gram(indicator2, pairs)
         err = np.linalg.norm(emp.C - gram.C)
-        predicted_rms = np.sqrt(exact_variance(rep, indicator2, m).var_C)
+        predicted_rms = np.sqrt(exact_variance(rep, m).var_C)
         assert err < 10 * predicted_rms
 
 

@@ -3,25 +3,25 @@ import json
 import numpy as np
 import pytest
 
-from koopman_cert import dictionaries, galerkin, systems
-from koopman_cert.errors import SingularMass
+from koopman_cert import dictionaries, edmd, galerkin, studies, systems, variance
+from koopman_cert.errors import SingularEmpiricalMass, SingularMass
 
 
 class TestExactGram:
     def test_two_state_indicator_by_hand(self, two_state_chain, indicator2):
-        gram = galerkin.exact_gram(two_state_chain, indicator2)
+        gram = variance.exact_reference_gram(two_state_chain, indicator2)
         # C[i][j] = pi(i) delta_ij, C+[i][j] = pi(i) P(i,j)
         assert np.allclose(gram.C, np.diag([0.5, 0.5]), atol=1e-15)
         assert np.allclose(gram.Cplus, [[0.35, 0.15], [0.15, 0.35]], atol=1e-15)
 
     def test_indicator_recovers_transition(self, two_state_chain, indicator2):
-        gram = galerkin.exact_gram(two_state_chain, indicator2)
+        gram = variance.exact_reference_gram(two_state_chain, indicator2)
         kv = galerkin.galerkin_matrix(gram)
         assert np.allclose(kv.KV, two_state_chain.transition, atol=1e-12)
 
     def test_constant_dictionary(self, five_state_chain):
         d = dictionaries.monomial(0)
-        gram = galerkin.exact_gram(five_state_chain, d)
+        gram = variance.exact_reference_gram(five_state_chain, d)
         assert np.allclose(gram.C, [[1.0]], atol=1e-14)
         assert np.allclose(gram.Cplus, [[1.0]], atol=1e-14)
         assert np.allclose(galerkin.galerkin_matrix(gram).KV, [[1.0]], atol=1e-14)
@@ -35,29 +35,29 @@ class TestExactGram:
 
         d = dictionaries.Dictionary(2, base.kind, dup_eval)
         with pytest.raises(SingularMass):
-            galerkin.exact_gram(two_state_chain, d)
+            variance.exact_reference_gram(two_state_chain, d)
 
 
 class TestCircleGram:
     def test_constants_only(self):
         circ = systems.CircleRotationSystem(0.25)
-        gram = galerkin.exact_gram_circle(circ, dictionaries.fourier(0))
+        gram = variance.exact_reference_gram(circ, dictionaries.fourier(0))
         assert np.allclose(gram.C, [[1.0]])
         assert np.allclose(gram.Cplus, [[1.0]])
 
     def test_quarter_rotation_block(self):
         circ = systems.CircleRotationSystem(0.25)
-        gram = galerkin.exact_gram_circle(circ, dictionaries.fourier(1))
+        gram = variance.exact_reference_gram(circ, dictionaries.fourier(1))
         assert np.allclose(gram.Cplus[1:, 1:], [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
 
     def test_galerkin_matrix_orthogonal(self, golden):
         d = dictionaries.fourier(3)
-        kv = galerkin.galerkin_matrix(galerkin.exact_gram_circle(golden, d))
+        kv = galerkin.galerkin_matrix(variance.exact_reference_gram(golden, d))
         assert np.max(np.abs(kv.KV.T @ kv.KV - np.eye(d.size))) < 1e-12
 
     def test_analytic_matches_quadrature(self, golden):
         d = dictionaries.fourier(2)
-        g1 = galerkin.exact_gram_circle(golden, d)
+        g1 = variance.exact_reference_gram(golden, d)
         g2 = galerkin.quadrature_gram_circle(golden, d)
         assert np.max(np.abs(g1.C - g2.C)) < 1e-10
         assert np.max(np.abs(g1.Cplus - g2.Cplus)) < 1e-10
@@ -65,7 +65,7 @@ class TestCircleGram:
     def test_eigenvalues_on_unit_circle(self, golden):
         F = 2
         kv = galerkin.galerkin_matrix(
-            galerkin.exact_gram_circle(golden, dictionaries.fourier(F))
+            variance.exact_reference_gram(golden, dictionaries.fourier(F))
         )
         lam = np.linalg.eigvals(kv.KV)
         assert np.max(np.abs(np.abs(lam) - 1.0)) < 1e-10
@@ -85,21 +85,21 @@ class TestGalerkinMatrix:
         assert np.allclose(kv.KV, Cplus)
 
     def test_joint_scaling_invariance(self, five_state_chain, monomial3):
-        gram = galerkin.exact_gram(five_state_chain, monomial3)
+        gram = variance.exact_reference_gram(five_state_chain, monomial3)
         kv = galerkin.galerkin_matrix(gram)
         scaled = galerkin.GramPair(4.0 * gram.C, 4.0 * gram.Cplus, gram.provenance)
         kv2 = galerkin.galerkin_matrix(scaled)
         assert np.allclose(kv.KV, kv2.KV, atol=1e-12)
 
     def test_residual_contract(self, five_state_chain, monomial3):
-        gram = galerkin.exact_gram(five_state_chain, monomial3)
+        gram = variance.exact_reference_gram(five_state_chain, monomial3)
         kv = galerkin.galerkin_matrix(gram)
         resid = np.linalg.norm(gram.C @ kv.KV - gram.Cplus)
         assert resid <= 1e-9 * np.linalg.norm(gram.Cplus)
 
     def test_constant_coordinate_fixed(self, five_state_chain, monomial3):
         # the constant function is psi_0, so K_V e_0 = e_0
-        kv = galerkin.galerkin_matrix(galerkin.exact_gram(five_state_chain, monomial3))
+        kv = galerkin.galerkin_matrix(variance.exact_reference_gram(five_state_chain, monomial3))
         e = np.zeros(3)
         e[0] = 1.0
         assert np.max(np.abs(kv.KV @ e - e)) < 1e-9
@@ -107,7 +107,7 @@ class TestGalerkinMatrix:
     def test_reversible_chain_real_spectrum_in_unit_interval(self):
         P = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
         sys = systems.FiniteMarkovSystem(P)
-        kv = galerkin.galerkin_matrix(galerkin.exact_gram(sys, dictionaries.indicator(3)))
+        kv = galerkin.galerkin_matrix(variance.exact_reference_gram(sys, dictionaries.indicator(3)))
         lam = np.linalg.eigvals(kv.KV)
         assert np.max(np.abs(lam.imag)) < 1e-12
         assert np.all(lam.real <= 1 + 1e-12) and np.all(lam.real >= -1 - 1e-12)
@@ -115,9 +115,54 @@ class TestGalerkinMatrix:
 
 class TestSerialization:
     def test_gram_roundtrip(self, two_state_chain, indicator2):
-        gram = galerkin.exact_gram(two_state_chain, indicator2)
+        gram = variance.exact_reference_gram(two_state_chain, indicator2)
         blob = json.dumps(gram.to_json_dict())
         back = galerkin.GramPair.from_json_dict(json.loads(blob))
         assert np.array_equal(back.C, gram.C)
         assert np.array_equal(back.Cplus, gram.Cplus)
         assert back.provenance.kind == "exact"
+
+
+class TestSingularityGate:
+    """The exact Galerkin solve, the EDMD solve, the batched Monte-Carlo block
+    and the independence check share one gate, so they agree on every mass
+    matrix."""
+
+    @pytest.mark.parametrize(
+        "diag, singular",
+        [((1.0, 1e-11), False), ((1.0, 1e-13), True), ((0.0, 0.0), True)],
+        ids=["ratio_1e-11", "ratio_1e-13", "zeros"],
+    )
+    def test_call_sites_agree(self, two_state_chain, diag, singular):
+        C = np.diag(diag)
+        assert bool(galerkin.is_singular(C)) is singular
+
+        def raises(fn, exc):
+            try:
+                fn()
+            except exc:
+                return True
+            return False
+
+        gram = galerkin.GramPair(C, C, galerkin.Provenance("exact"))
+        verdicts = {
+            "galerkin_matrix": raises(lambda: galerkin.galerkin_matrix(gram), SingularMass),
+            "solve_khat": raises(lambda: edmd.solve_khat(C, C), SingularEmpiricalMass),
+        }
+        # one trial of m = 1 whose C_hat is diag(diag)
+        psi = np.diag(np.sqrt(diag))[None]
+        _, _, err_K = studies._gram_errors_block(psi, psi, (C, C, np.eye(2)), 1)
+        verdicts["_gram_errors_block"] = bool(np.isnan(err_K[0]))
+        # pi = (1/2, 1/2), so the exact mass matrix is diag(diag)
+        table = np.diag(np.sqrt(2.0 * np.asarray(diag)))
+        d = dictionaries.Dictionary(2, dictionaries.DictionaryKind.MONOMIAL,
+                                    lambda states: table[:, states])
+        level = dictionaries.check_mu_linear_independence(d, two_state_chain)
+        verdicts["check_mu_linear_independence"] = (
+            level is dictionaries.IndependenceLevel.DEPENDENT
+        )
+        assert verdicts == dict.fromkeys(verdicts, singular)
+
+    def test_stack_of_matrices(self):
+        stack = np.stack([np.diag([1.0, 1e-11]), np.diag([1.0, 1e-13]), np.zeros((2, 2))])
+        assert galerkin.is_singular(stack).tolist() == [False, True, True]

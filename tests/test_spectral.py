@@ -108,14 +108,14 @@ class TestArcMass:
         with pytest.raises(ConfigError):
             spectral.arc_mass(self._measure(), 0.6)
 
-    def test_thin_arc_for_golden_products(self, golden, golden_rep):
+    def test_thin_arc_for_golden_products(self, golden):
         # smallest wrapped |k t0| over represented k decides the cutoff
         radii = [abs(variance.wrap_angle(k * golden.t0)) for k in range(1, 5)]
         theta = 0.9 * min(radii)
-        d = dictionaries.fourier(1)
-        fam = variance.function_family(golden_rep, d)
-        f = golden_rep.project_zero(fam["psi_ij"][1, 1])
-        meas = spectral.spectral_measure(golden_rep, f)
+        rep = variance.build_rep(golden, dictionaries.fourier(1))
+        fam = rep.family
+        f = rep.project_zero(fam["psi_ij"][1, 1])
+        meas = spectral.spectral_measure(rep, f)
         assert spectral.arc_mass(meas, theta) == 0.0
 
 
@@ -147,9 +147,9 @@ class TestCertifyThinMeasure:
         assert grid.kappa <= base.kappa + 1e-12
         assert grid.kappa == base.kappa  # atom radii dominate
 
-    def test_trig_polynomials_exact_for_small_theta(self, golden, golden_rep):
-        d = dictionaries.fourier(1)
-        cert = spectral.certify_family(golden_rep, d, alpha=1.5, theta=0.2)
+    def test_trig_polynomials_exact_for_small_theta(self, golden):
+        rep = variance.build_rep(golden, dictionaries.fourier(1))
+        cert = spectral.certify_family(rep, alpha=1.5, theta=0.2)
         assert cert.exact and cert.kappa == 0.0
 
     def test_certificate_validates_decay(self, golden_rep):
@@ -193,21 +193,21 @@ class TestWeightedL2:
 
 
 class TestMeanErgodicDecay:
-    def test_exact_certificate_quadratic_decay(self, golden, golden_rep):
+    def test_exact_certificate_quadratic_decay(self, golden):
         # zero arc mass within theta forces the two-over-(1-cos) m^-2 envelope
-        d = dictionaries.fourier(1)
-        fam = variance.function_family(golden_rep, d)
+        rep = variance.build_rep(golden, dictionaries.fourier(1))
+        fam = rep.family
         theta = 0.2
-        cert = spectral.certify_family(golden_rep, d, alpha=1.5, theta=theta)
+        cert = spectral.certify_family(rep, alpha=1.5, theta=theta)
         assert cert.exact
         bound_const = 2.0 / (1.0 - np.cos(2.0 * np.pi * theta))
         for stack in (fam["psi_ij"], fam["g_ij"]):
             for i in range(stack.shape[0]):
                 for j in range(stack.shape[1]):
-                    f = golden_rep.project_zero(stack[i, j])
-                    nrm = golden_rep.norm_sq(f)
+                    f = rep.project_zero(stack[i, j])
+                    nrm = rep.norm_sq(f)
                     if nrm < 1e-28:
                         continue
                     for m in [10, 100, 1000]:
-                        avg = variance.ergodic_average_sq_norm(golden_rep, f, m)
+                        avg = variance.ergodic_average_sq_norm(rep, f, m)
                         assert avg <= bound_const * nrm / m**2 + 1e-15

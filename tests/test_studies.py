@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koopman_cert import bounds, dictionaries, studies
+from koopman_cert import bounds, dictionaries, studies, variance
 from koopman_cert.errors import ConfigError, InsufficientPoints
 
 
@@ -152,8 +152,8 @@ class TestVarianceCheck:
             slack = studies._roundoff_slack(m, cfg.n_trials, d.size, trace_C, mc)
             return mc + 3.0 * se + 2.0 * slack
 
-        def perturbed(rep, dictionary, m):
-            vr = variance.exact_variance(rep, dictionary, m)
+        def perturbed(rep, m):
+            vr = variance.exact_variance(rep, m)
             vr.var_C, vr.var_Cplus = beyond(m, "C"), beyond(m, "Cplus")
             return vr
 
@@ -165,18 +165,20 @@ class TestVarianceCheck:
 
 class TestBoundValidity:
     def test_ergodic_linear_grid(self, two_state_chain, indicator2):
+        rep = variance.build_rep(two_state_chain, indicator2)
         rows = studies.run_bound_validity(
-            two_state_chain, indicator2, bounds.BRANCH_ERGODIC_LINEAR,
+            rep, bounds.bound_inputs_from_exact(rep), bounds.BRANCH_ERGODIC_LINEAR,
             m_values=[2000], epsilons=[1.0, 2.0], n_trials=500, seed=0,
         )
         assert all(r["ok"] and r["ok_C"] and r["ok_Cplus"] for r in rows)
 
     def test_kappa_zero_grid(self, golden):
         d = dictionaries.fourier(1)
+        rep = variance.build_rep(golden, d)
         rows = studies.run_bound_validity(
-            golden, d, bounds.BRANCH_ERGODIC_KAPPA_ZERO,
+            rep, bounds.bound_inputs_from_exact(rep, thin_params=(1.5, 0.2)),
+            bounds.BRANCH_ERGODIC_KAPPA_ZERO,
             m_values=[100, 300], epsilons=[1.0], n_trials=500, seed=1,
-            thin_params=(1.5, 0.2),
         )
         assert all(r["ok"] for r in rows)
         assert any(r["p_bound"] <= 0.5 for r in rows)

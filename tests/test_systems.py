@@ -9,11 +9,11 @@ class TestInvariantMeasure:
     def test_reducible_identity_raises(self):
         sys = systems.FiniteMarkovSystem(np.eye(2))
         with pytest.raises(NonErgodicChain):
-            systems.invariant_measure(sys)
+            sys.pi
 
     def test_two_state_symmetric(self):
         sys = systems.FiniteMarkovSystem(np.array([[0.7, 0.3], [0.3, 0.7]]))
-        pi = systems.invariant_measure(sys)
+        pi = sys.pi
         # eigenvector oracle: stationary left eigenvector of P for eigenvalue 1
         w, v = np.linalg.eig(sys.transition.T)
         vec = np.real(v[:, np.argmin(np.abs(w - 1))])
@@ -25,7 +25,7 @@ class TestInvariantMeasure:
         sys = systems.FiniteMarkovSystem(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert not sys.is_ergodic
         with pytest.raises(NonErgodicChain):
-            systems.invariant_measure(sys)
+            sys.pi
 
     def test_invariance_identity(self, five_state_chain):
         pi = five_state_chain.pi
@@ -37,6 +37,11 @@ class TestInvariantMeasure:
     def test_non_stochastic_rejected(self):
         with pytest.raises(ConfigError):
             systems.FiniteMarkovSystem(np.array([[0.5, 0.4], [0.3, 0.7]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            systems.FiniteMarkovSystem(np.array([[bad, 1.0], [0.5, 0.5]]))
 
 
 def _cycles_chain(n, edges):
@@ -89,12 +94,12 @@ class TestConnectivityAndPeriod:
 
 class TestKoopmanMatrix:
     def test_constant_fixed_point(self, five_state_chain):
-        K = systems.koopman_matrix_exact(five_state_chain)
+        K = five_state_chain.transition
         one = np.ones(5)
         assert np.allclose(K @ one, one, atol=1e-12)
 
     def test_two_state_eigenvalues(self, two_state_chain):
-        K = systems.koopman_matrix_exact(two_state_chain)
+        K = two_state_chain.transition
         lam = np.sort(np.linalg.eigvals(K).real)
         # 2x2 characteristic polynomial roots: 1 and 1 - p - q
         assert np.allclose(lam, [0.4, 1.0], atol=1e-12)

@@ -65,8 +65,8 @@ class TestNoSpectralGap:
         d = dictionaries.fourier(2)
         rep = variance.build_rep(systems.CircleRotationSystem(0.25), d)
         assert rep.spectral_gap() < 1e-12
-        a = variance.exact_variance(rep, d, m)
-        b = variance.fejer_variance(rep, d, m)
+        a = variance.exact_variance(rep, m)
+        b = variance.fejer_variance(rep, m)
         assert abs(a.var_C - b.var_C) <= 1e-12 * abs(b.var_C)
         assert abs(a.var_Cplus - b.var_Cplus) <= 1e-12 * abs(b.var_Cplus)
 
@@ -99,8 +99,8 @@ class TestReversibleEigPath:
         d = dictionaries.fourier(2)
         rep = variance.build_rep(golden, d)
         for m in [7, 40]:
-            vr = variance.exact_variance(rep, d, m)
-            oracle = studies.montecarlo_variance_oracle(golden, d, m, 500, seed=3)
+            vr = variance.exact_variance(rep, m)
+            oracle = studies.montecarlo_variance_oracle(rep, m, 500, seed=3)
             assert abs(vr.var_C - oracle.var_C_hat) < 1e-10
             assert abs(vr.var_Cplus - oracle.var_Cplus_hat) < 1e-10
 
@@ -167,7 +167,7 @@ class TestBuildRep:
 class TestExactVariance:
     def test_two_state_m1_by_hand(self, two_state_chain, indicator2):
         rep = variance.build_rep(two_state_chain, indicator2)
-        vr = variance.exact_variance(rep, indicator2, 1)
+        vr = variance.exact_variance(rep, 1)
         # ||phi||^2 = 1, ||C||_F^2 = 0.5; <K phi, phi> = 1, ||C+||_F^2 = 0.29
         assert abs(vr.E_zero - 0.5) < 1e-14
         assert abs(vr.E_plus - 0.71) < 1e-14
@@ -177,7 +177,7 @@ class TestExactVariance:
     def test_two_state_m2_by_hand(self, two_state_chain, indicator2):
         # direct expectation over the 2-step chain gives 0.35 and 0.455
         rep = variance.build_rep(two_state_chain, indicator2)
-        vr = variance.exact_variance(rep, indicator2, 2)
+        vr = variance.exact_variance(rep, 2)
         assert abs(vr.var_C - 0.35) < 1e-12
         assert abs(vr.var_Cplus - 0.455) < 1e-12
 
@@ -185,20 +185,20 @@ class TestExactVariance:
         d = dictionaries.monomial(0)
         rep = variance.build_rep(five_state_chain, d)
         for m in [1, 2, 10, 100]:
-            vr = variance.exact_variance(rep, d, m)
+            vr = variance.exact_variance(rep, m)
             assert abs(vr.sigma2_plus) < 1e-14
             assert abs(vr.sigma2_zero) < 1e-14
 
     def test_nonnegative_constants(self, five_state_chain, monomial3):
         rep = variance.build_rep(five_state_chain, monomial3)
-        vr = variance.exact_variance(rep, monomial3, 10)
+        vr = variance.exact_variance(rep, 10)
         assert vr.E_plus >= 0 and vr.E_zero >= 0
         assert vr.var_C >= 0 and vr.var_Cplus >= 0
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 50])
     def test_sig2_operator_norm_bounds(self, five_state_chain, monomial3, m):
         rep = variance.build_rep(five_state_chain, monomial3)
-        vr = variance.exact_variance(rep, monomial3, m)
+        vr = variance.exact_variance(rep, m)
         pm_norm, kpm_norm = rep.pm_operator_norms(m)
         assert vr.sigma2_plus <= (1.0 + pm_norm) * vr.E_plus + 1e-10
         assert vr.sigma2_zero <= (1.0 + kpm_norm) * vr.E_zero + 1e-10
@@ -207,17 +207,15 @@ class TestExactVariance:
         rep = variance.build_rep(five_state_chain, monomial3)
         r_plus, r_zero = rep.resolvent_norms()
         for m in [1, 2, 5, 10, 50, 200, 1000]:
-            vr = variance.exact_variance(rep, monomial3, m)
+            vr = variance.exact_variance(rep, m)
             assert vr.sigma2_plus <= (1.0 + 4.0 * r_plus) * vr.E_plus + 1e-10
             assert vr.sigma2_zero <= (1.0 + 4.0 * r_zero) * vr.E_zero + 1e-10
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 50, 200])
     def test_oracle_agreement_two_state(self, two_state_chain, indicator2, m):
         rep = variance.build_rep(two_state_chain, indicator2)
-        vr = variance.exact_variance(rep, indicator2, m)
-        oracle = studies.montecarlo_variance_oracle(
-            two_state_chain, indicator2, m, 20000, seed=101 + m
-        )
+        vr = variance.exact_variance(rep, m)
+        oracle = studies.montecarlo_variance_oracle(rep, m, 20000, seed=101 + m)
         for exact, mc, se in [
             (vr.var_C, oracle.var_C_hat, oracle.stderr_C),
             (vr.var_Cplus, oracle.var_Cplus_hat, oracle.stderr_Cplus),
@@ -259,8 +257,8 @@ class TestFejerVariance:
             d = dictionaries.fourier(F)
             rep = variance.build_rep(golden, d)
             for m in [2, 10, 100]:
-                a = variance.exact_variance(rep, d, m)
-                b = variance.fejer_variance(rep, d, m)
+                a = variance.exact_variance(rep, m)
+                b = variance.fejer_variance(rep, m)
                 assert abs(a.var_C - b.var_C) <= 1e-9 * max(abs(a.var_C), 1e-30)
                 assert abs(a.var_Cplus - b.var_Cplus) <= 1e-9 * max(abs(a.var_Cplus), 1e-30)
 
@@ -281,13 +279,13 @@ class TestFejerVariance:
     def test_requires_unitary(self, two_state_chain, indicator2):
         rep = variance.build_rep(two_state_chain, indicator2)
         with pytest.raises(NotUnitary):
-            variance.fejer_variance(rep, indicator2, 10)
+            variance.fejer_variance(rep, 10)
 
 
 class TestOracle:
     def test_single_trial_stderr_infinite(self, two_state_chain, indicator2):
         oracle = studies.montecarlo_variance_oracle(
-            two_state_chain, indicator2, 5, 1, seed=0
+            variance.build_rep(two_state_chain, indicator2), 5, 1, seed=0
         )
         assert oracle.stderr_C == float("inf")
         assert oracle.stderr_Cplus == float("inf")
@@ -295,17 +293,16 @@ class TestOracle:
     def test_deterministic_rotation_oracle_exact(self, golden):
         d = dictionaries.fourier(1)
         rep = variance.build_rep(golden, d)
-        vr = variance.exact_variance(rep, d, 25)
-        oracle = studies.montecarlo_variance_oracle(golden, d, 25, 200, seed=1)
+        vr = variance.exact_variance(rep, 25)
+        oracle = studies.montecarlo_variance_oracle(rep, 25, 200, seed=1)
         # squared error is constant in the initial point for Fourier features
         assert oracle.stderr_C < 1e-15
         assert abs(oracle.var_C_hat - vr.var_C) < 1e-12
 
     def test_threads_do_not_change_result(self, five_state_chain, monomial3):
-        a = studies.montecarlo_variance_oracle(five_state_chain, monomial3, 20, 3000,
-                                               seed=5, threads=1)
-        b = studies.montecarlo_variance_oracle(five_state_chain, monomial3, 20, 3000,
-                                               seed=5, threads=4)
+        rep = variance.build_rep(five_state_chain, monomial3)
+        a = studies.montecarlo_variance_oracle(rep, 20, 3000, seed=5, threads=1)
+        b = studies.montecarlo_variance_oracle(rep, 20, 3000, seed=5, threads=4)
         assert a.var_C_hat == b.var_C_hat
         assert a.var_Cplus_hat == b.var_Cplus_hat
 
@@ -313,12 +310,11 @@ class TestOracle:
 class TestIidExactIdentity:
     def test_cross_terms_vanish(self, two_state_chain, indicator2):
         # E || C_+ - C_hat_plus ||_F^2 == E_plus / m exactly under i.i.d. pairs
-        from koopman_cert.galerkin import exact_gram
         from koopman_cert.systems import iid_chunk, categorical_sampler
 
         rep = variance.build_rep(two_state_chain, indicator2)
-        vr = variance.exact_variance(rep, indicator2, 1)
-        gram = exact_gram(two_state_chain, indicator2)
+        vr = variance.exact_variance(rep, 1)
+        gram = variance.exact_reference_gram(two_state_chain, indicator2)
         m = 7
         mu0 = categorical_sampler(two_state_chain.pi)
         n_trials, chunk = 40000, 0
