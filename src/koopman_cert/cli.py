@@ -45,10 +45,16 @@ def build_parser():
     return p
 
 
-def _seed(args, cfg, default=0):
-    if args.seed is not None:
-        return args.seed
-    return int(cfg.get("seed", default))
+def _seed(args, cfg):
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    studies.check_seed(seed)
+    return seed
+
+
+def _required(cfg, key):
+    if not isinstance(cfg, dict) or key not in cfg:
+        raise ConfigError(f"config needs {key!r}")
+    return cfg[key]
 
 
 def _emit(args, payload, default_name):
@@ -65,7 +71,7 @@ def _emit(args, payload, default_name):
 
 def cmd_simulate(args):
     cfg = load_json(args.config)
-    system = system_from_config(cfg["system"])
+    system = system_from_config(_required(cfg, "system"))
     seed = _seed(args, cfg)
     if args.regime == "ergodic":
         pairs = sample_ergodic(system, args.m, seed=seed)
@@ -98,16 +104,13 @@ def cmd_simulate(args):
 
 
 def _scalar(v):
-    arr = np.asarray(v)
-    if arr.ndim == 0:
-        return repr(arr.item())
-    return ";".join(repr(x) for x in arr.ravel())
+    return ";".join(repr(x) for x in np.ravel(v).tolist())
 
 
 def cmd_estimate(args):
     cfg = load_json(args.config)
-    system = system_from_config(cfg["system"])
-    dictionary = dictionary_from_config(cfg["dictionary"], system=system)
+    system = system_from_config(_required(cfg, "system"))
+    dictionary = dictionary_from_config(_required(cfg, "dictionary"), system=system)
     seed = _seed(args, cfg)
     if args.regime == "ergodic":
         pairs = sample_ergodic(system, args.m, seed=seed)

@@ -29,6 +29,8 @@ def system_from_config(cfg):
         raise ConfigError("system config must be an object with a 'type' key")
     kind = cfg["type"]
     if kind == "finite_chain":
+        if "transition" not in cfg:
+            raise ConfigError("system.transition is required for a finite_chain")
         return FiniteMarkovSystem(np.asarray(cfg["transition"], dtype=np.float64))
     if kind == "circle_rotation":
         t0 = cfg.get("t0")

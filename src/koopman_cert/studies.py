@@ -216,6 +216,12 @@ def _is_real(v):
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
+def check_seed(seed):
+    """A seed is an integer >= 0, as SeedSequence needs."""
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _check_sampling(m_grid, seed, n_trials, min_trials):
     """Checks every sampling config shares: a non-empty, strictly increasing
     grid of integers >= 1, an integer seed >= 0, integer n_trials >= min_trials."""
@@ -227,8 +233,7 @@ def _check_sampling(m_grid, seed, n_trials, min_trials):
         )
     if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
         raise ConfigError("m_grid must be strictly increasing")
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    check_seed(seed)
     if not _is_int(n_trials) or n_trials < min_trials:
         raise ConfigError(f"n_trials must be an integer >= {min_trials}, got {n_trials!r}")
 

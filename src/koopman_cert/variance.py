@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import DictionaryKind
+from .dictionaries import DictionaryKind, fourier
 from .errors import NotUnitary, NumericalError, SingularMass, UnsupportedSystem
 from .galerkin import GramPair, Provenance, is_singular, quadrature_gram_circle
 from .systems import CircleRotationSystem, FiniteMarkovSystem
@@ -220,12 +220,6 @@ class KoopmanMatrixRep:
     def apply_Kstar(self, f):
         return self.Kstar @ np.asarray(f)
 
-    def multiply(self, f, g):
-        """Pointwise product of two functions, in natural coordinates."""
-        if self.kind == "chain":
-            return np.asarray(f) * np.asarray(g)
-        return _fourier_multiply(f, g, self.meta["R"])
-
     def spectral_gap(self):
         return spectral_gap_of(self.M)
 
@@ -321,51 +315,6 @@ def _orthonormalize_clusters(lam, V, tol=1e-9):
     return V
 
 
-def _fourier_multiply(f, g, R):
-    """Product of two trig polynomials in the real coefficient basis.
-
-    Coefficients are converted to complex exponentials, convolved, and
-    converted back; exact for products whose degree still fits in R.
-    """
-    gamma_f = _real_to_complex(f)
-    gamma_g = _real_to_complex(g)
-    prod = np.convolve(gamma_f, gamma_g)
-    deg = (len(prod) - 1) // 2
-    if deg > R:
-        head = prod[: deg - R]
-        tail = prod[deg + R + 1 :]
-        if np.max(np.abs(head)) > 1e-12 or np.max(np.abs(tail)) > 1e-12:
-            raise NumericalError("product degree exceeds the representation size")
-        prod = prod[deg - R : deg + R + 1]
-        deg = R
-    return _complex_to_real(prod, R)
-
-
-def _real_to_complex(f):
-    f = np.asarray(f, dtype=np.float64)
-    R = (len(f) - 1) // 2
-    gamma = np.zeros(2 * R + 1, dtype=complex)  # index shift: gamma[R + k]
-    gamma[R] = f[0]
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for k in range(1, R + 1):
-        a, b = f[2 * k - 1], f[2 * k]
-        gamma[R + k] = (a - 1j * b) * inv_sqrt2
-        gamma[R - k] = (a + 1j * b) * inv_sqrt2
-    return gamma
-
-
-def _complex_to_real(gamma, R_out):
-    deg = (len(gamma) - 1) // 2
-    out = np.zeros(2 * R_out + 1)
-    out[0] = gamma[deg].real
-    sqrt2 = np.sqrt(2.0)
-    for k in range(1, min(deg, R_out) + 1):
-        gp, gm = gamma[deg + k], gamma[deg - k]
-        out[2 * k - 1] = ((gp + gm) / sqrt2).real
-        out[2 * k] = (1j * (gp - gm) / sqrt2).real
-    return out
-
-
 def build_rep(sys, dictionary):
     """The exact representation of (sys, dictionary), carrying 1, all psi_i,
     and all of their products.
@@ -420,19 +369,28 @@ def embed_dictionary(rep):
 
 def function_family(rep):
     """psi_ij = psi_i psi_j, g_ij = psi_i K psi_j, gs[i,j] = psi_j K* psi_i,
-    and phi = sum_j psi_j^2, all in natural coordinates."""
+    and phi = sum_j psi_j^2, all in natural coordinates.
+
+    Products are pointwise on values.  Chain coordinates are values; a
+    circle function has degree <= R, so its values at the d = 2R + 1 nodes
+    a/d determine it: E maps coefficients to those values, E.T / d back.
+    """
     psis = rep.psi
     N = psis.shape[0]
     kpsis = (rep.K @ psis.T).T
     kstar_psis = (rep.Kstar @ psis.T).T
-    psi_ij = np.empty((N, N, rep.dim))
-    g_ij = np.empty((N, N, rep.dim))
-    gs_ij = np.empty((N, N, rep.dim))  # gs_ij[i, j] = psi_j * K* psi_i
-    for i in range(N):
-        for j in range(N):
-            psi_ij[i, j] = rep.multiply(psis[i], psis[j])
-            g_ij[i, j] = rep.multiply(psis[i], kpsis[j])
-            gs_ij[i, j] = rep.multiply(psis[j], kstar_psis[i])
+    if rep.kind == "chain":
+        psi_ij = psis[:, None, :] * psis[None, :, :]
+        g_ij = psis[:, None, :] * kpsis[None, :, :]
+        gs_ij = kstar_psis[:, None, :] * psis[None, :, :]
+    else:
+        d = rep.dim
+        E = fourier(rep.meta["R"]).evaluate(np.arange(d) / d).T
+        back = E / d
+        v, kv, ksv = psis @ E.T, kpsis @ E.T, kstar_psis @ E.T
+        psi_ij = (v[:, None, :] * v[None, :, :]) @ back
+        g_ij = (v[:, None, :] * kv[None, :, :]) @ back
+        gs_ij = (ksv[:, None, :] * v[None, :, :]) @ back
     phi = psi_ij.reshape(N * N, rep.dim)[:: N + 1].sum(axis=0)
     return {"psi": psis, "psi_ij": psi_ij, "g_ij": g_ij, "gs_ij": gs_ij, "phi": phi}
 

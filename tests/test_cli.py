@@ -41,6 +41,28 @@ class TestSimulate:
         assert lines[0] == "k,x,y"
         assert len(lines) == 11
 
+    @pytest.mark.parametrize(
+        "system, width",
+        [({"type": "sde", "model": "ornstein_uhlenbeck", "lag": 0.1,
+           "integrator_dt": 0.01}, 1),
+         ({"type": "noisy_map", "noise_sigma": 0.1,
+           "map": {"name": "linear", "matrix": [[0.5, 0.1], [0.0, 0.3]]}}, 2)],
+        ids=["sde_1d", "linear_2d"],
+    )
+    def test_csv_prints_plain_floats(self, tmp_path, capsys, system, width):
+        cfg = write_cfg(tmp_path, {"system": system, "seed": 0})
+        rc = cli.main(["simulate", "--config", cfg, "--m", "3"])
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        for k, row in enumerate(rows):
+            cells = row.split(",")
+            assert cells[0] == str(k)
+            for cell in cells[1:]:
+                coords = cell.split(";")
+                assert len(coords) == width
+                assert all(repr(float(c)) == c for c in coords)
+
 
 class TestEstimate:
     def test_estimate_with_errors(self, tmp_path, capsys):
@@ -179,6 +201,36 @@ class TestInputContract:
                        "--seed", "-1", "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    @pytest.mark.parametrize(
+        "cfg, extra",
+        [({"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"}, "seed": -1}, []),
+         ({"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"}}, ["--seed", "-2"]),
+         ({"dictionary": {"kind": "indicator", "n_states": 2}}, []),
+         ([CHAIN_SYSTEM], [])],
+        ids=["seed_negative", "seed_override_negative", "no_system", "not_an_object"],
+    )
+    def test_sampling_commands_invalid_input_exit_2(self, tmp_path, capsys, command,
+                                                     cfg, extra):
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg), *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_estimate_without_dictionary_exit_2(self, tmp_path, capsys):
+        rc = cli.main(["estimate", "--config", write_cfg(tmp_path, {"system": CHAIN_SYSTEM})])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'dictionary'" in err
+
+    def test_chain_without_transition_exit_2(self, tmp_path, capsys):
+        cfg = {"system": {"type": "finite_chain"}, "dictionary": {"kind": "indicator"},
+               "m_grid": [10, 20, 40, 80], "n_trials": 30}
+        rc = cli.main(["study", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "system.transition" in err
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_transition_exit_2(self, tmp_path, capsys, bad):

@@ -1,11 +1,11 @@
-"""Chain kernels against a naive reference, and the backends against each other."""
+"""Chain kernels against a naive reference."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from koopman_cert import _kernels_py, kernels
+from koopman_cert import kernels
 
 
 def _random_inputs(seed, B=64, m=40, n=5, zero_frac=0.0):
@@ -55,7 +55,10 @@ def test_chain_paths_matches_naive(case):
     B, m, n, zero_frac = CASES[case]
     seed = sorted(CASES).index(case)
     cdf, x0, u, n = _random_inputs(seed, B=B, m=m, n=n, zero_frac=zero_frac)
-    assert np.array_equal(_kernels_py.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
+    paths = kernels.chain_paths(cdf, x0, u)
+    assert np.array_equal(paths, _naive_paths(cdf, x0, u))
+    assert np.array_equal(paths[:, 0], x0)
+    assert paths.size == 0 or (paths.min() >= 0 and paths.max() < n)
 
 
 @pytest.mark.parametrize("n", [3, 40])
@@ -64,22 +67,22 @@ def test_uniforms_equal_to_thresholds(n):
     cdf, x0, _, n = _random_inputs(12, B=50, m=30, n=n, zero_frac=0.3)
     ties = np.append(np.unique(cdf[:, :-1]), 0.0)
     u = np.random.default_rng(n).choice(ties[ties < 1.0], size=(50, 30))
-    assert np.array_equal(_kernels_py.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
+    assert np.array_equal(kernels.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
 
 
 @pytest.mark.parametrize("B, m", [(120, 7), (20, 30), (50, 50)])
 def test_chain_paths_slices_on_both_axes(monkeypatch, B, m):
     cdf, x0, u, n = _random_inputs(5, B=B, m=m, n=3)
-    monkeypatch.setattr(_kernels_py, "_SLICE_CELLS", 50)
-    assert np.array_equal(_kernels_py.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
+    monkeypatch.setattr(kernels, "_SLICE_CELLS", 50)
+    assert np.array_equal(kernels.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 12])
 def test_binary_search_matches_table(monkeypatch, n):
     cdf, x0, u, n = _random_inputs(8, B=30, m=25, n=n, zero_frac=0.3)
-    table = _kernels_py.chain_paths(cdf, x0, u)
-    monkeypatch.setattr(_kernels_py, "_TABLE_ENTRIES", 0)
-    assert np.array_equal(_kernels_py.chain_paths(cdf, x0, u), table)
+    table = kernels.chain_paths(cdf, x0, u)
+    monkeypatch.setattr(kernels, "_TABLE_ENTRIES", 0)
+    assert np.array_equal(kernels.chain_paths(cdf, x0, u), table)
     assert np.array_equal(table, _naive_paths(cdf, x0, u))
 
 
@@ -91,59 +94,27 @@ def test_binary_search_matches_table(monkeypatch, n):
 def test_chain_paths_memory_bounded(monkeypatch, shape, table_entries):
     """Above its output, the kernel allocates at most its slice budget."""
     if table_entries is not None:
-        monkeypatch.setattr(_kernels_py, "_TABLE_ENTRIES", table_entries)
+        monkeypatch.setattr(kernels, "_TABLE_ENTRIES", table_entries)
     n, B, m = shape
     cdf, x0, _, n = _random_inputs(9, B=1, m=1, n=n)
     x0 = np.zeros(B, dtype=np.int64)
     u = np.random.default_rng(0).random((B, m))
-    _kernels_py.chain_paths(cdf, x0[:4], u[:4])  # first-call allocations
+    kernels.chain_paths(cdf, x0[:4], u[:4])  # first-call allocations
     tracemalloc.start()
     try:
-        paths = _kernels_py.chain_paths(cdf, x0, u)
+        paths = kernels.chain_paths(cdf, x0, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - paths.nbytes <= 48 * _kernels_py._SLICE_CELLS
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_chain_paths_backends_identical(seed):
-    cdf, x0, u, n = _random_inputs(seed)
-    a = kernels.chain_paths(cdf, x0, u)
-    b = _kernels_py.chain_paths(cdf, x0, u)
-    assert np.array_equal(a, b)
-    assert np.array_equal(b, _naive_paths(cdf, x0, u))
-    assert np.array_equal(a[:, 0], x0)
-    assert a.min() >= 0 and a.max() < n
-
-
-def test_compiled_chain_paths_matches_numpy():
-    compiled = pytest.importorskip(
-        "koopman_cert._kernels", reason="compiled kernels are not built"
-    )
-    for seed, case in enumerate(sorted(CASES)):
-        B, m, n, zero_frac = CASES[case]
-        cdf, x0, u, n = _random_inputs(seed, B=B, m=m, n=n, zero_frac=zero_frac)
-        assert np.array_equal(
-            compiled.chain_paths(cdf, x0, u), _kernels_py.chain_paths(cdf, x0, u)
-        ), case
-
-
-@pytest.mark.parametrize("seed", [3, 4])
-def test_pair_counts_backends_identical(seed):
-    cdf, x0, u, n = _random_inputs(seed)
-    paths = kernels.chain_paths(cdf, x0, u)
-    a = kernels.pair_counts(paths, n)
-    b = _kernels_py.pair_counts(paths, n)
-    assert np.array_equal(a, b)
-    # each trajectory contributes exactly m transitions
-    assert np.all(a.sum(axis=(1, 2)) == u.shape[1])
+    assert peak - paths.nbytes <= 48 * kernels._SLICE_CELLS
 
 
 def test_pair_counts_matches_naive():
     cdf, x0, u, n = _random_inputs(7, B=8, m=25)
     paths = kernels.chain_paths(cdf, x0, u)
     counts = kernels.pair_counts(paths, n)
+    # each trajectory contributes exactly m transitions
+    assert np.all(counts.sum(axis=(1, 2)) == u.shape[1])
     for b in range(paths.shape[0]):
         naive = np.zeros((n, n), dtype=np.int64)
         for k in range(paths.shape[1] - 1):
@@ -161,4 +132,4 @@ def test_searchsorted_convention_matches_numpy():
 
 
 def test_backend_name_reported():
-    assert kernels.backend_name() in ("cython", "python")
+    assert kernels.backend_name() == "python"

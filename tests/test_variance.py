@@ -146,9 +146,7 @@ class TestBuildRep:
 
     def test_circle_multiply_cos_squared(self, golden):
         rep = variance.build_rep(golden, dictionaries.fourier(1))
-        c1 = np.zeros(5)
-        c1[1] = 1.0  # sqrt2 cos(2 pi t)
-        sq = rep.multiply(c1, c1)
+        sq = rep.family["psi_ij"][1, 1]  # psi_1 = sqrt2 cos(2 pi t), squared
         # 2 cos^2 = 1 + cos(4 pi t) = 1 + (1/sqrt2) * sqrt2 cos(4 pi t)
         expected = np.zeros(5)
         expected[0] = 1.0
