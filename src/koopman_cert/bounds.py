@@ -213,11 +213,6 @@ def one_minus_cos(theta_rev):
     return 1.0 - math.cos(2.0 * math.pi * float(theta_rev))
 
 
-def one_minus_cos_raw(theta):
-    """Alternate reading with theta already in radians (kept for comparison)."""
-    return 1.0 - math.cos(float(theta))
-
-
 def c_alpha_kappa_theta(alpha, kappa, theta) -> float:
     """C(alpha, kappa, theta) = max{2 / (1 - cos 2 pi theta), kappa C(alpha)}."""
     return max(2.0 / one_minus_cos(theta), float(kappa) * c_alpha(alpha))

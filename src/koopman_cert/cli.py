@@ -1,11 +1,15 @@
 """koopman-cert command line interface.
 
 Subcommands: simulate, estimate, variance, bounds, study.  Exit codes:
-0 success, 2 config error, 3 numerical failure.
+0 success; 2 for a ConfigError (the input is at fault, including its
+subclasses NonErgodicChain and UnsupportedSystem); 3 for any other
+KoopmanCertError (a numerical failure).  JSON output writes null for a
+missing (non-finite) value.
 """
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 
@@ -15,7 +19,7 @@ from . import bounds as bounds_mod
 from . import studies
 from .config import dictionary_from_config, load_json, system_from_config
 from .edmd import edmd_estimate, estimation_error
-from .errors import ConfigError, KoopmanCertError, NumericalError
+from .errors import ConfigError, KoopmanCertError
 from .galerkin import galerkin_matrix
 from .systems import sample_ergodic, sample_iid
 from .variance import build_rep, exact_reference_gram
@@ -57,16 +61,34 @@ def _required(cfg, key):
     return cfg[key]
 
 
+def _json_text(payload):
+    """Indented, key-sorted JSON; non-finite floats become null."""
+    return json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
+def _finite_or_none(v):
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_none(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_none(x) for x in v]
+    return v
+
+
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        fh.write(_json_text(payload) + "\n")
+
+
 def _emit(args, payload, default_name):
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         path = args.out
         if os.path.isdir(path):
             path = os.path.join(path, default_name)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write_json(path, payload)
     else:
-        print(text)
+        print(_json_text(payload))
 
 
 def cmd_simulate(args):
@@ -148,6 +170,7 @@ def cmd_variance(args):
 
 def cmd_bounds(args):
     cfg = studies.BoundsConfig.from_dict(_seeded(load_json(args.config), args))
+    studies.check_threads(args.threads)
     system = system_from_config(cfg.system)
     rep = build_rep(system, dictionary_from_config(cfg.dictionary, system=system))
     inputs = bounds_mod.bound_inputs_from_exact(rep, thin_params=cfg.thin_params)
@@ -158,9 +181,7 @@ def cmd_bounds(args):
     report = studies._branch_bound(inputs, cfg.branch, cfg.m_grid[-1], cfg.epsilons[0])
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "bound_report.json"), "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "bound_report.json"), report.to_json_dict())
     studies.write_csv(os.path.join(out_dir, "bound_grid.csv"), rows, "bounds")
     return 0
 
@@ -189,19 +210,11 @@ def cmd_study(args):
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     if args.format == "json":
-        with open(os.path.join(out_dir, "convergence.json"), "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "convergence.json"), rows)
     else:
         studies.write_csv(os.path.join(out_dir, "convergence.csv"), rows, "convergence")
-    with open(os.path.join(out_dir, "rate_fit.json"), "w") as fh:
-        json.dump(
-            {k: (v.to_json_dict() if v else None) for k, v in fits.items()},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "rate_fit.json"),
+                {k: (v.to_json_dict() if v else None) for k, v in fits.items()})
     return 0
 
 
@@ -233,7 +246,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
-    except (NumericalError, KoopmanCertError) as exc:
+    except KoopmanCertError as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 3
 

@@ -23,6 +23,16 @@ def load_json(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+def _number(cfg, key, default, path, cast=float):
+    """cfg[key], or default when absent, through cast; a value cast rejects
+    raises ConfigError naming path.key."""
+    value = cfg.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}.{key} must be a number, got {value!r}") from exc
+
+
 def system_from_config(cfg):
     """Build a system from {"type": ..., ...}."""
     if not isinstance(cfg, dict) or "type" not in cfg:
@@ -42,7 +52,7 @@ def system_from_config(cfg):
             )
         if t0 is None:
             raise ConfigError("circle_rotation needs t0")
-        return CircleRotationSystem(float(t0))
+        return CircleRotationSystem(_number(cfg, "t0", None, "system"))
     if kind == "noisy_map":
         return _noisy_map_from_config(cfg)
     if kind == "sde":
@@ -54,7 +64,7 @@ def _noisy_map_from_config(cfg):
     spec = cfg.get("map", {})
     name = spec.get("name")
     if name == "logistic":
-        r = float(spec.get("r", 3.9))
+        r = _number(spec, "r", 3.9, "system.map")
 
         def map_fn(x):
             return r * x * (1.0 - x)
@@ -69,7 +79,7 @@ def _noisy_map_from_config(cfg):
         dim = A.shape[0]
     else:
         raise ConfigError("noisy_map supports map names 'logistic' and 'linear'")
-    sigma = float(cfg.get("noise_sigma", 0.0))
+    sigma = _number(cfg, "noise_sigma", 0.0, "system")
 
     def noise(gen, shape):
         if sigma == 0.0:
@@ -83,9 +93,9 @@ def _noisy_map_from_config(cfg):
 def _sde_from_config(cfg):
     name = cfg.get("model")
     if name == "ornstein_uhlenbeck":
-        rate = float(cfg.get("rate", 1.0))
-        sigma = float(cfg.get("sigma", 1.0))
-        dim = int(cfg.get("state_dim", 1))
+        rate = _number(cfg, "rate", 1.0, "system")
+        sigma = _number(cfg, "sigma", 1.0, "system")
+        dim = _number(cfg, "state_dim", 1, "system", int)
 
         def drift(x):
             return -rate * x
@@ -94,7 +104,7 @@ def _sde_from_config(cfg):
             return sigma * np.ones_like(x)
 
     elif name == "double_well":
-        sigma = float(cfg.get("sigma", 0.7))
+        sigma = _number(cfg, "sigma", 0.7, "system")
         dim = 1
 
         def drift(x):
@@ -105,8 +115,10 @@ def _sde_from_config(cfg):
 
     else:
         raise ConfigError("sde supports models 'ornstein_uhlenbeck' and 'double_well'")
-    lag = float(cfg.get("lag", 1.0))
-    dt = cfg.get("integrator_dt")
+    lag = _number(cfg, "lag", 1.0, "system")
+    dt = None
+    if cfg.get("integrator_dt") is not None:
+        dt = _number(cfg, "integrator_dt", None, "system")
     return SdeSystem(drift, diffusion, dim, lag, integrator_dt=dt)
 
 
@@ -120,23 +132,23 @@ def dictionary_from_config(cfg, system=None):
         raise ConfigError("dictionary config must be an object with a 'kind' key")
     kind = cfg["kind"]
     if kind == "indicator":
-        n = cfg.get("n_states")
-        if n is None:
-            if not isinstance(system, FiniteMarkovSystem):
-                raise ConfigError(
-                    "indicator dictionary needs n_states or a finite-chain system"
-                )
-            n = system.n_states
-        return dicts.indicator(int(n))
+        if cfg.get("n_states") is not None:
+            return dicts.indicator(_number(cfg, "n_states", None, "dictionary", int))
+        if not isinstance(system, FiniteMarkovSystem):
+            raise ConfigError(
+                "indicator dictionary needs n_states or a finite-chain system"
+            )
+        return dicts.indicator(system.n_states)
     if kind == "fourier":
-        return dicts.fourier(int(cfg.get("max_freq", 1)))
+        return dicts.fourier(_number(cfg, "max_freq", 1, "dictionary", int))
     if kind == "monomial":
-        return dicts.monomial(int(cfg.get("degree", 2)), float(cfg.get("scale", 1.0)))
+        return dicts.monomial(_number(cfg, "degree", 2, "dictionary", int),
+                              _number(cfg, "scale", 1.0, "dictionary"))
     if kind == "rff":
         return dicts.random_fourier(
-            int(cfg.get("n_features", 100)),
-            float(cfg.get("bandwidth", 1.0)),
-            int(cfg.get("seed", 0)),
-            dim=int(cfg.get("dim", 1)),
+            _number(cfg, "n_features", 100, "dictionary", int),
+            _number(cfg, "bandwidth", 1.0, "dictionary"),
+            _number(cfg, "seed", 0, "dictionary", int),
+            dim=_number(cfg, "dim", 1, "dictionary", int),
         )
     raise ConfigError(f"unknown dictionary kind {kind!r}")

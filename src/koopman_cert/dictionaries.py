@@ -33,8 +33,12 @@ class Dictionary:
     metadata: dict = field(default_factory=dict)
 
     def evaluate(self, states):
-        """Psi(states) as an (N, m) matrix; column k is Psi(states[k])."""
+        """Psi(states) as an (N, m) matrix; column k is Psi(states[k]).
+
+        Scalar states may come as (m,) or (m, 1)."""
         states = np.asarray(states)
+        if states.ndim == 2 and states.shape[1] == 1:
+            states = states[:, 0]
         if np.issubdtype(states.dtype, np.floating) and not np.all(np.isfinite(states)):
             raise DomainError("states contain non-finite coordinates")
         out = self._eval(np.atleast_1d(states))
@@ -109,8 +113,6 @@ def monomial(degree, scale=1.0):
 
     def _eval(states):
         x = np.asarray(states, dtype=np.float64)
-        if x.ndim == 2 and x.shape[1] == 1:
-            x = x[:, 0]
         if x.ndim != 1:
             raise DomainError("monomial dictionary needs scalar states")
         x = x * s

@@ -69,18 +69,6 @@ def estimation_error(est: EdmdEstimate, ref: KoopmanGalerkinMatrix):
     }
 
 
-def transition_count_estimator(pairs: SamplePairs, n_states):
-    """K_hat in closed form for the indicator dictionary: counts(i->j)/visits(i)."""
-    xs = np.asarray(pairs.xs, dtype=np.int64)
-    ys = np.asarray(pairs.ys, dtype=np.int64)
-    n = int(n_states)
-    counts = np.bincount(xs * n + ys, minlength=n * n).reshape(n, n).astype(np.float64)
-    visits = counts.sum(axis=1)
-    if np.any(visits == 0):
-        raise SingularEmpiricalMass("some states were never visited")
-    return counts / visits[:, None]
-
-
 def ergodic_invertibility_condition(sys: FiniteMarkovSystem, dictionary, max_states=12):
     """Check the trajectory-invertibility hypothesis on a finite chain.
 

@@ -13,7 +13,7 @@ class NumericalError(KoopmanCertError):
     """Numerical failure such as a residual check not met (CLI exit code 3)."""
 
 
-class NonErgodicChain(KoopmanCertError):
+class NonErgodicChain(ConfigError):
     """The finite chain is reducible or periodic; no unique ergodic measure."""
 
 
@@ -33,8 +33,9 @@ class DimensionMismatch(KoopmanCertError):
     """Matrix/dictionary dimensions do not agree."""
 
 
-class UnsupportedSystem(KoopmanCertError):
-    """No exact finite representation exists for this system."""
+class UnsupportedSystem(ConfigError):
+    """The system lacks what the request needs (an exact finite
+    representation, an initial-measure sampler)."""
 
 
 class NotUnitary(KoopmanCertError):

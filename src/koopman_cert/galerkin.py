@@ -42,15 +42,6 @@ class GramPair:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, d):
-        prov = d.get("provenance", {})
-        return cls(
-            np.asarray(d["C"], dtype=np.float64),
-            np.asarray(d["Cplus"], dtype=np.float64),
-            Provenance(prov.get("kind", "exact"), prov.get("m"), prov.get("seed")),
-        )
-
 
 @dataclass
 class KoopmanGalerkinMatrix:

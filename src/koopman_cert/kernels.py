@@ -122,29 +122,29 @@ def _ranks(q, v, out, hit):
         out += hit
 
 
-def pair_counts(paths, n_states):
-    """Per-trajectory transition counts.
+def pair_counts(xs, ys, n_states):
+    """Per-trial transition counts of a block of pairs.
 
     Parameters
     ----------
-    paths : (B, m+1) integer states
+    xs, ys : (B, m) integer states; a trajectory block `paths` (B, m+1)
+        passes `paths[:, :-1], paths[:, 1:]`
     n_states : int
 
     Returns
     -------
-    (B, n, n) int64; entry [b, i, j] counts steps x_k = i -> x_{k+1} = j.
+    (B, n, n) int64; entry [b, i, j] counts pairs xs[b, k] = i, ys[b, k] = j.
     """
-    paths = np.asarray(paths, dtype=np.int64)
-    B, mp1 = paths.shape
-    m = mp1 - 1
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    B, m = xs.shape
     n = int(n_states)
     counts = np.empty((B, n, n), dtype=np.int64)
     # chunk over trials to bound the size of the flattened index array
     rows = max(1, int(2**22) // max(m, 1))
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
-        block = paths[lo:hi]
-        flat = block[:, :-1] * n + block[:, 1:]
+        flat = xs[lo:hi] * n + ys[lo:hi]
         flat += np.arange(hi - lo, dtype=np.int64)[:, None] * (n * n)
         counts[lo:hi] = np.bincount(
             flat.ravel(), minlength=(hi - lo) * n * n

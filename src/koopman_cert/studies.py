@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import rng
+from . import kernels, rng
 from .errors import ConfigError, InsufficientPoints, UnsupportedSystem
 from .galerkin import galerkin_matrix, is_singular
 from .systems import (
@@ -39,12 +39,12 @@ CSV_SCHEMAS = {
 # ---------------------------------------------------------------------------
 
 def _psi_on_states(sys, dictionary, states):
-    """(B, k, N) dictionary values on a (B, k) state block."""
+    """(B, k, N) dictionary values on a (B, k) or (B, k, state_dim) state block."""
     if isinstance(sys, FiniteMarkovSystem):
         table = dictionary.evaluate(np.arange(sys.n_states)).T
         return table[np.asarray(states, dtype=np.int64)]
-    B, k = states.shape
-    flat = dictionary.evaluate(states.ravel())
+    B, k = states.shape[:2]
+    flat = dictionary.evaluate(states.reshape(B * k, *states.shape[2:]))
     return flat.T.reshape(B, k, -1)
 
 # cap on feature-block floats per slice (keeps peak memory ~tens of MB)
@@ -65,23 +65,11 @@ def _gram_errors_block(psi_x, psi_y, ref, m):
     return err_C, err_Cp, err_K
 
 
-def _indicator_errors(paths_or_pairs, ref, m, n, ergodic):
-    """Closed-form indicator estimates via transition counts."""
-    from . import kernels
-
+def _indicator_errors(xs, ys, ref, m, n):
+    """Closed-form indicator estimates from the transition counts of a
+    (B, m) pair block."""
     C, Cplus, KV = ref
-    if ergodic:
-        counts = kernels.pair_counts(paths_or_pairs, n).astype(np.float64)
-    else:
-        xs, ys = paths_or_pairs
-        B = xs.shape[0]
-        flat = xs.astype(np.int64) * n + ys.astype(np.int64)
-        flat += np.arange(B, dtype=np.int64)[:, None] * (n * n)
-        counts = (
-            np.bincount(flat.ravel(), minlength=B * n * n)
-            .reshape(B, n, n)
-            .astype(np.float64)
-        )
+    counts = kernels.pair_counts(xs, ys, n).astype(np.float64)
     visits = counts.sum(axis=2)
     Cp_hat = counts / m
     err_Cp = np.sqrt(np.sum((Cp_hat - Cplus) ** 2, axis=(1, 2)))
@@ -113,7 +101,7 @@ def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime,
     if regime is Regime.ERGODIC:
         paths = ergodic_chunk(sys, m, seed, chunk, count)
         if indicator:
-            return _indicator_errors(paths, ref, m, sys.n_states, True)
+            return _indicator_errors(paths[:, :-1], paths[:, 1:], ref, m, sys.n_states)
         rows = max(1, _SLICE_BUDGET // ((m + 1) * dictionary.size))
         parts = []
         for lo in range(0, count, rows):
@@ -123,7 +111,7 @@ def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime,
     else:
         xs, ys = iid_chunk(sys, mu0_sampler, m, seed, chunk, count)
         if indicator:
-            return _indicator_errors((xs, ys), ref, m, sys.n_states, False)
+            return _indicator_errors(xs, ys, ref, m, sys.n_states)
         rows = max(1, _SLICE_BUDGET // (2 * m * dictionary.size))
         parts = []
         for lo in range(0, count, rows):
@@ -222,6 +210,12 @@ def check_seed(seed):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
 
 
+def check_threads(threads):
+    """A thread count is an integer >= 1."""
+    if not _is_int(threads) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+
+
 def _check_sampling(m_grid, seed, n_trials, min_trials):
     """Checks every sampling config shares: a non-empty, strictly increasing
     grid of integers >= 1, an integer seed >= 0, integer n_trials >= min_trials."""
@@ -263,6 +257,7 @@ class StudyConfig:
     def __post_init__(self):
         # 30 trials at least, so the standard errors mean something
         _check_sampling(self.m_grid, self.seed, self.n_trials, 30)
+        check_threads(self.threads)
         if self.regime not in ("ergodic", "iid"):
             raise ConfigError("regime must be 'ergodic' or 'iid'")
 

@@ -2,9 +2,11 @@
 
 Four system classes are provided: finite Markov chains (the exactly
 computable reference class), circle rotations by an irrational angle, noisy
-iterated maps, and Euler-Maruyama discretizations of SDEs.  Samplers produce
-(x_k, y_k) pairs either from one stationary trajectory (ergodic regime) or
-as independent draws (i.i.d. regime), always from explicit seeds.
+iterated maps, and Euler-Maruyama discretizations of SDEs.  There is one
+batched sampler per regime, always on explicit seeds: `ergodic_chunk` draws
+stationary trajectories (ergodic regime) and `iid_chunk` independent pairs
+(i.i.d. regime).  `sample_ergodic` and `sample_iid` return a single
+trajectory or pair set: the block's one-trial case.
 """
 
 import enum
@@ -120,11 +122,6 @@ class FiniteMarkovSystem:
             )
         return self._pi
 
-    def is_reversible(self, tol=1e-10):
-        pi = self.pi
-        flux = pi[:, None] * self.transition
-        return bool(np.max(np.abs(flux - flux.T)) <= tol)
-
 
 @dataclass(frozen=True)
 class QuadraticIrrational:
@@ -239,57 +236,32 @@ class SdeSystem:
         return x
 
 
-def _default_burn_in(sys, m):
-    # systems with an exactly sampleable invariant measure need no burn-in
-    if isinstance(sys, (FiniteMarkovSystem, CircleRotationSystem)):
-        return 0
-    return 10 * m
-
-
-def sample_ergodic(sys, m, burn_in=None, seed=0):
+def sample_ergodic(sys, m, seed=0):
     """One stationary trajectory of length m+1: ys[k] = xs[k+1].
 
-    For finite chains x0 is drawn from the exact invariant distribution; the
-    circle draws x0 uniformly (its exact invariant measure); other systems
-    rely on burn-in (default 10*m steps).
+    Trial 0 of `ergodic_chunk(sys, m, seed, 0, 1)`, so its pairs are those
+    of the Monte-Carlo engine's first trajectory in stream (seed, 0).
     """
+    m = _check_m(m)
+    traj = ergodic_chunk(sys, m, seed, 0, 1)[0]
+    return SamplePairs(traj[:m], traj[1:], Regime.ERGODIC, seed)
+
+
+def sample_iid(sys, mu0_sampler, m, seed=0):
+    """m independent pairs: x_k ~ mu0, y_k ~ rho(x_k, .).
+
+    Trial 0 of `iid_chunk(sys, mu0_sampler, m, seed, 1, 1)`.
+    """
+    m = _check_m(m)
+    xs, ys = iid_chunk(sys, mu0_sampler, m, seed, 1, 1)
+    return SamplePairs(xs[0], ys[0], Regime.IID, seed)
+
+
+def _check_m(m):
     m = int(m)
     if m < 1:
         raise ConfigError("m must be >= 1")
-    if burn_in is None:
-        burn_in = _default_burn_in(sys, m)
-    burn_in = int(burn_in)
-
-    if isinstance(sys, FiniteMarkovSystem):
-        if not sys.is_ergodic:
-            raise NonErgodicChain("ergodic sampling requires an ergodic chain")
-        gen = rng.stream(seed, 0)
-        x0 = np.searchsorted(np.cumsum(sys.pi), gen.random(), side="right")
-        x0 = np.array([min(int(x0), sys.n_states - 1)], dtype=np.int64)
-        u = gen.random((1, burn_in + m))
-        paths = kernels.chain_paths(sys._cdf, x0, u)[0]
-        traj = paths[burn_in:]
-        return SamplePairs(traj[:m].copy(), traj[1:].copy(), Regime.ERGODIC, seed)
-
-    if isinstance(sys, CircleRotationSystem):
-        gen = rng.stream(seed, 0)
-        x0 = gen.random()
-        traj = np.mod(x0 + sys.t0 * np.arange(burn_in, burn_in + m + 1), 1.0)
-        return SamplePairs(traj[:m], traj[1:], Regime.ERGODIC, seed)
-
-    if isinstance(sys, (NoisyMapSystem, SdeSystem)):
-        gen = rng.stream(seed, 0)
-        x = np.atleast_2d(sys.x0)
-        for _ in range(burn_in):
-            x = sys.step(x, gen)
-        traj = np.empty((m + 1, sys.state_dim))
-        traj[0] = x[0]
-        for k in range(m):
-            x = sys.step(x, gen)
-            traj[k + 1] = x[0]
-        return SamplePairs(traj[:m].copy(), traj[1:].copy(), Regime.ERGODIC, seed)
-
-    raise ConfigError(f"unknown system type {type(sys).__name__}")
+    return m
 
 
 def categorical_sampler(weights):
@@ -306,24 +278,8 @@ def categorical_sampler(weights):
     return sampler
 
 
-def point_mass_sampler(x_star):
-    """mu0 sampler that always returns x_star."""
-
-    def sampler(gen, m):
-        arr = np.asarray(x_star)
-        if arr.ndim == 0:
-            return np.full(m, arr[()])
-        return np.tile(arr, (m, 1))
-
-    return sampler
-
-
-def transition_step(sys, xs, gen):
-    """Draw y ~ rho(x, .) for each x in a batch."""
-    if isinstance(sys, FiniteMarkovSystem):
-        xs = np.asarray(xs, dtype=np.int64)
-        u = gen.random((len(xs), 1))
-        return kernels.chain_paths(sys._cdf, xs, u)[:, 1]
+def _step(sys, xs, gen):
+    """Draw y ~ rho(x, .) for each x in a batch of continuous states."""
     if isinstance(sys, CircleRotationSystem):
         return np.mod(np.asarray(xs, dtype=np.float64) + sys.t0, 1.0)
     if isinstance(sys, (NoisyMapSystem, SdeSystem)):
@@ -331,22 +287,15 @@ def transition_step(sys, xs, gen):
     raise ConfigError(f"unknown system type {type(sys).__name__}")
 
 
-def sample_iid(sys, mu0_sampler, m, seed=0):
-    """m independent pairs: x_k ~ mu0, y_k ~ rho(x_k, .)."""
-    m = int(m)
-    if m < 1:
-        raise ConfigError("m must be >= 1")
-    gen = rng.stream(seed, 1)
-    xs = mu0_sampler(gen, m)
-    ys = transition_step(sys, xs, gen)
-    return SamplePairs(np.asarray(xs), np.asarray(ys), Regime.IID, seed)
-
-
 def ergodic_chunk(sys, m, seed, chunk_index, count):
-    """One block of `count` independent stationary trajectories, (count, m+1).
+    """One block of `count` independent stationary trajectories.
 
-    The block is a pure function of (seed, chunk_index); Monte-Carlo drivers
-    may therefore evaluate chunks in any order or in parallel.
+    States are (count, m+1) for chains and the circle, and (count, m+1,
+    state_dim) for noisy maps and SDEs.  Chains start from their invariant
+    distribution and the circle from arc length; noisy maps and SDEs start
+    at x0 and burn in 10 m lags.  The block is a pure function of (seed,
+    chunk_index); Monte-Carlo drivers may therefore evaluate chunks in any
+    order or in parallel.
     """
     gen = rng.stream(seed, chunk_index)
     if isinstance(sys, FiniteMarkovSystem):
@@ -364,17 +313,14 @@ def ergodic_chunk(sys, m, seed, chunk_index, count):
         steps = sys.t0 * np.arange(m + 1)
         return np.mod(x0[:, None] + steps[None, :], 1.0)
     if isinstance(sys, (NoisyMapSystem, SdeSystem)):
-        # batched over trials; scalar state space only (burn-in 10 m steps)
-        if sys.state_dim != 1:
-            raise ConfigError("batched sampling supports 1-d noisy/SDE systems only")
         x = np.tile(np.atleast_2d(sys.x0), (count, 1))
         for _ in range(10 * m):
             x = sys.step(x, gen)
-        traj = np.empty((count, m + 1))
-        traj[:, 0] = x[:, 0]
+        traj = np.empty((count, m + 1, sys.state_dim))
+        traj[:, 0] = x
         for k in range(m):
             x = sys.step(x, gen)
-            traj[:, k + 1] = x[:, 0]
+            traj[:, k + 1] = x
         return traj
     raise ConfigError(f"no batched ergodic sampler for {type(sys).__name__}")
 
@@ -388,5 +334,5 @@ def iid_chunk(sys, mu0_sampler, m, seed, chunk_index, count):
         ys = kernels.chain_paths(sys._cdf, xs.ravel(), u)[:, 1].reshape(count, m)
     else:
         xs = np.stack([mu0_sampler(gen, m) for _ in range(count)])
-        ys = np.stack([transition_step(sys, row, gen) for row in xs])
+        ys = np.stack([_step(sys, row, gen) for row in xs])
     return xs, ys

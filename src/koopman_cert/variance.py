@@ -83,14 +83,6 @@ def pm_apply_vectors(M, U, m):
     return (2.0 / m) * (cum @ U)
 
 
-def pm_apply(rep, m):
-    """Natural-coordinate matrix acting as p_m(K0) on mean-zero functions
-    (and as zero on constants)."""
-    P = pm_apply_vectors(rep.M, np.eye(rep.dim - 1), int(m))
-    lifted = rep.B @ P @ rep.B.T
-    return (lifted * rep.sqrtw[None, :]) / rep.sqrtw[:, None]
-
-
 def mean_power_apply(M, U, m):
     """(1/m) sum_{k=0}^{m-1} M^k U (the ergodic average of the orbit of U)."""
     U = np.asarray(U, dtype=np.float64)
@@ -130,13 +122,6 @@ def fejer_kernel(m, t):
     if vals.ndim == 0:
         return float(vals)
     return vals
-
-
-def fejer_kernel_sum(m, t):
-    """O(m) reference evaluation: 1 + 2 sum_{k=1}^{m-1} (1 - k/m) cos(kt)."""
-    m = int(m)
-    k = np.arange(1, m)
-    return float(1.0 + 2.0 * np.sum((1.0 - k / m) * np.cos(k * np.asarray(t, dtype=float))))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +199,6 @@ class KoopmanMatrixRep:
         return self.B.T @ (self.sqrtw[:, None] * X if X.ndim == 2 else self.sqrtw * X)
 
     # -- operators --------------------------------------------------------
-    def apply_K(self, f):
-        return self.K @ np.asarray(f)
-
-    def apply_Kstar(self, f):
-        return self.Kstar @ np.asarray(f)
-
     def spectral_gap(self):
         return spectral_gap_of(self.M)
 

@@ -94,7 +94,7 @@ class TestCAlpha:
     def test_angle_convention_ratio_recorded(self):
         # revolutions -> radians convention; the raw-radian reading differs
         theta = 0.2
-        ratio = bounds.one_minus_cos(theta) / bounds.one_minus_cos_raw(theta)
+        ratio = bounds.one_minus_cos(theta) / (1 - math.cos(theta))
         assert abs(bounds.one_minus_cos(theta) - (1 - math.cos(2 * math.pi * 0.2))) < 1e-15
         assert ratio > 30.0  # the conventions differ by over an order of magnitude
 

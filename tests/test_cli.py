@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -293,3 +294,92 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["regime"] == "ergodic"
+
+
+OU_SYSTEM = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,
+             "integrator_dt": 0.01}
+
+
+class TestJsonOutput:
+    def test_study_without_exact_reference_writes_null(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"system": OU_SYSTEM,
+                                   "dictionary": {"kind": "monomial", "degree": 2},
+                                   "m_grid": [4, 8], "n_trials": 30, "seed": 3})
+        rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path), "--format", "json"])
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        for name in ("convergence.json", "rate_fit.json"):
+            text = (tmp_path / name).read_text()
+            json.loads(text, parse_constant=reject)
+        rows = json.loads((tmp_path / "convergence.json").read_text())
+        assert all(r["pred_rmse_C"] is None and r["pred_rmse_Cplus"] is None for r in rows)
+        assert all(isinstance(r["rmse_C"], float) for r in rows)
+
+
+class TestInputAtFault:
+    STUDY = {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+             "m_grid": [10, 20, 40, 80], "n_trials": 30, "seed": 0}
+
+    @pytest.mark.parametrize(
+        "command, cfg, extra",
+        [("study", {"threads": "two"}, []), ("study", {}, ["--threads", "0"]),
+         ("variance", {}, ["--threads", "-1"]), ("variance", {"threads": 1.5}, []),
+         ("bounds", {"branch": "ergodic_linear"}, ["--threads", "0"])],
+        ids=["study_string", "study_zero", "variance_negative", "variance_float",
+             "bounds_zero"],
+    )
+    def test_bad_threads_exit_2(self, tmp_path, capsys, command, cfg, extra):
+        cfg = dict(self.STUDY, **cfg)
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path), *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "threads" in err
+
+    @pytest.mark.parametrize(
+        "argv, cfg",
+        [(["study"], dict(STUDY, system={"type": "finite_chain",
+                                         "transition": [[0.0, 1.0], [1.0, 0.0]]})),
+         (["variance"], dict(STUDY, system=OU_SYSTEM,
+                             dictionary={"kind": "monomial", "degree": 2})),
+         (["simulate", "--regime", "iid"], {"system": OU_SYSTEM})],
+        ids=["periodic_chain_study", "sde_variance", "sde_iid_simulate"],
+    )
+    def test_input_at_fault_exit_2(self, tmp_path, capsys, argv, cfg):
+        rc = cli.main([*argv, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "system, dictionary, path",
+        [(dict(OU_SYSTEM, rate="fast"), {"kind": "monomial"}, "system.rate"),
+         ({"type": "noisy_map", "map": {"name": "logistic", "r": [3.9]}},
+          {"kind": "monomial"}, "system.map.r"),
+         (OU_SYSTEM, {"kind": "monomial", "degree": "two"}, "dictionary.degree"),
+         (OU_SYSTEM, {"kind": "rff", "n_features": 4, "bandwidth": None},
+          "dictionary.bandwidth")],
+        ids=["sde_rate", "logistic_r", "monomial_degree", "rff_bandwidth"],
+    )
+    def test_bad_number_named(self, tmp_path, capsys, system, dictionary, path):
+        cfg = dict(self.STUDY, system=system, dictionary=dictionary)
+        rc = cli.main(["study", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and path in err
+
+
+def test_linear_2d_rff_study(tmp_path):
+    system = {"type": "noisy_map", "noise_sigma": 0.1,
+              "map": {"name": "linear", "matrix": [[0.5, 0.1], [0.0, 0.4]]}}
+    cfg = write_cfg(tmp_path, {"system": system,
+                               "dictionary": {"kind": "rff", "n_features": 6, "dim": 2},
+                               "m_grid": [20, 40], "n_trials": 30, "seed": 1})
+    rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path), "--format", "json"])
+    assert rc == 0
+    rows = json.loads((tmp_path / "convergence.json").read_text())
+    assert [r["m"] for r in rows] == [20, 40]
+    assert all(math.isfinite(r["rmse_C"]) for r in rows)

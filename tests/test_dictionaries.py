@@ -33,6 +33,17 @@ class TestEvaluation:
         assert out.shape == (3, 3)
         assert np.allclose(out[:, 1], [1.0, 2.0, 4.0])
 
+    @pytest.mark.parametrize(
+        "d",
+        [dictionaries.fourier(2), dictionaries.monomial(3),
+         dictionaries.random_fourier(4, 1.0, 0)],
+        ids=["fourier", "monomial", "rff"],
+    )
+    def test_scalar_states_as_column(self, d):
+        # noisy-map and SDE samplers keep a state axis of length 1
+        x = np.linspace(0.05, 0.95, 7)
+        assert np.array_equal(d.evaluate(x[:, None]), d.evaluate(x))
+
 
 class TestPhi:
     def test_phi_equals_norm_sq_on_random_states(self):

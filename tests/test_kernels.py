@@ -112,14 +112,17 @@ def test_chain_paths_memory_bounded(monkeypatch, shape, table_entries):
 def test_pair_counts_matches_naive():
     cdf, x0, u, n = _random_inputs(7, B=8, m=25)
     paths = kernels.chain_paths(cdf, x0, u)
-    counts = kernels.pair_counts(paths, n)
-    # each trajectory contributes exactly m transitions
-    assert np.all(counts.sum(axis=(1, 2)) == u.shape[1])
-    for b in range(paths.shape[0]):
-        naive = np.zeros((n, n), dtype=np.int64)
-        for k in range(paths.shape[1] - 1):
-            naive[paths[b, k], paths[b, k + 1]] += 1
-        assert np.array_equal(counts[b], naive)
+    # an ergodic block (consecutive states) and an i.i.d. block (free pairs)
+    iid = np.random.Generator(np.random.Philox(8)).integers(0, n, size=(2,) + u.shape)
+    for xs, ys in [(paths[:, :-1], paths[:, 1:]), (iid[0], iid[1])]:
+        counts = kernels.pair_counts(xs, ys, n)
+        # each trial contributes exactly m pairs
+        assert np.all(counts.sum(axis=(1, 2)) == u.shape[1])
+        for b in range(xs.shape[0]):
+            naive = np.zeros((n, n), dtype=np.int64)
+            for x, y in zip(xs[b], ys[b]):
+                naive[x, y] += 1
+            assert np.array_equal(counts[b], naive)
 
 
 def test_searchsorted_convention_matches_numpy():

@@ -111,7 +111,7 @@ class TestKoopmanMatrix:
         pi = sys.pi
         flux = pi[:, None] * P
         assert np.allclose(flux, flux.T, atol=1e-12)
-        assert sys.is_reversible()
+        assert np.max(np.abs(flux - flux.T)) <= 1e-10
         # pi-self-adjoint: <Kf, g>_pi = <f, Kg>_pi for basis functions
         for i in range(3):
             for j in range(3):
@@ -157,9 +157,72 @@ class TestErgodicSampling:
             systems.sample_ergodic(sys, 10, seed=0)
 
 
+def _noisy_linear(A):
+    A = np.asarray(A)
+    return systems.NoisyMapSystem(lambda x: x @ A.T,
+                                  lambda g, shape: 0.1 * g.standard_normal(shape), len(A))
+
+
+# one system per class, with an initial-measure sampler for the i.i.d. regime
+SAMPLED = {
+    "chain": (lambda: systems.FiniteMarkovSystem(
+        [[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]),
+              lambda sys: systems.categorical_sampler(sys.pi)),
+    "circle": (systems.golden_rotation, lambda sys: lambda g, m: g.random(m)),
+    "noisy_map_1d": (lambda: _noisy_linear([[0.6]]),
+                     lambda sys: lambda g, m: g.standard_normal((m, 1))),
+    "noisy_map_2d": (lambda: _noisy_linear([[0.5, 0.1], [0.0, 0.4]]),
+                     lambda sys: lambda g, m: g.standard_normal((m, 2))),
+    "sde": (lambda: systems.SdeSystem(lambda x: -x, lambda x: 0.5 * np.ones_like(x), 1,
+                                      lag=0.1, integrator_dt=0.02),
+            lambda sys: lambda g, m: g.standard_normal((m, 1))),
+}
+
+
+class TestOneSamplerPerRegime:
+    """sample_ergodic and sample_iid are trial 0 of the batched samplers."""
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLED))
+    @pytest.mark.parametrize("m, seed", [(1, 0), (17, 5)])
+    def test_ergodic_is_chunk_row_zero(self, kind, m, seed):
+        sys = SAMPLED[kind][0]()
+        pairs = systems.sample_ergodic(sys, m, seed=seed)
+        block = systems.ergodic_chunk(sys, m, seed, 0, 1)
+        assert block.shape[:2] == (1, m + 1)
+        assert np.array_equal(pairs.xs, block[0, :m])
+        assert np.array_equal(pairs.ys, block[0, 1:])
+        assert pairs.regime is systems.Regime.ERGODIC and pairs.m == m
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLED))
+    @pytest.mark.parametrize("m, seed", [(1, 0), (17, 5)])
+    def test_iid_is_chunk_row_zero(self, kind, m, seed):
+        make, mu0 = SAMPLED[kind]
+        sys = make()
+        pairs = systems.sample_iid(sys, mu0(sys), m, seed=seed)
+        xs, ys = systems.iid_chunk(sys, mu0(sys), m, seed, 1, 1)
+        assert np.array_equal(pairs.xs, xs[0]) and np.array_equal(pairs.ys, ys[0])
+        assert pairs.regime is systems.Regime.IID and pairs.m == m
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_noisy_map_chunk_keeps_state_axis(self, dim):
+        sys = _noisy_linear(0.5 * np.eye(dim))
+        block = systems.ergodic_chunk(sys, 6, 3, 0, 4)
+        assert block.shape == (4, 7, dim)
+        # trials draw from one stream but are distinct trajectories
+        assert not np.array_equal(block[0], block[1])
+
+    def test_m_must_be_positive(self, two_state_chain):
+        with pytest.raises(ConfigError):
+            systems.sample_ergodic(two_state_chain, 0)
+        with pytest.raises(ConfigError):
+            systems.sample_iid(two_state_chain, systems.categorical_sampler([0.5, 0.5]), 0)
+
+
 class TestIidSampling:
     def test_point_mass_deterministic_map(self, golden):
-        mu0 = systems.point_mass_sampler(0.25)
+        def mu0(gen, m):
+            return np.full(m, 0.25)
+
         pairs = systems.sample_iid(golden, mu0, 3, seed=0)
         assert np.allclose(pairs.xs, 0.25)
         assert np.allclose(pairs.ys, np.mod(0.25 + golden.t0, 1.0))
@@ -224,15 +287,19 @@ class TestCirclePreservesMeasure:
 
 class TestNoisyMapAndSde:
     def test_zero_noise_equals_deterministic_orbit(self):
-        def tent(x):
-            return 1.0 - 2.0 * np.abs(x - 0.5)
+        # the logistic map, not the tent map: a float tent orbit reaches 0
+        # within about 55 steps, well inside the 10 m burn-in
+        def logistic(x):
+            return 3.9 * x * (1.0 - x)
 
-        sysA = systems.NoisyMapSystem(tent, lambda g, s: np.zeros(s), 1, x0=[0.2])
-        a = systems.sample_ergodic(sysA, 20, burn_in=0, seed=0)
+        sysA = systems.NoisyMapSystem(logistic, lambda g, s: np.zeros(s), 1, x0=[0.2])
+        a = systems.sample_ergodic(sysA, 20, seed=0)
         x = np.array([0.2])
+        for _ in range(10 * 20):  # the sampler's burn-in
+            x = logistic(x)
         expect = [x.copy()]
         for _ in range(20):
-            x = tent(x)
+            x = logistic(x)
             expect.append(x.copy())
         expect = np.array(expect)
         assert np.array_equal(a.xs[:, 0], expect[:20, 0])
