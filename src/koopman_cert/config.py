@@ -33,23 +33,31 @@ def _number(cfg, key, default, path, cast=float):
         raise ConfigError(f"{path}.{key} must be a number, got {value!r}") from exc
 
 
+def _array(cfg, key, path):
+    """cfg[key] as a float array; a missing key or a value that is not an
+    array of numbers raises ConfigError naming path.key."""
+    if key not in cfg:
+        raise ConfigError(f"{path}.{key} is required")
+    try:
+        return np.asarray(cfg[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.{key} must be an array of numbers, got {cfg[key]!r}") from exc
+
+
 def system_from_config(cfg):
     """Build a system from {"type": ..., ...}."""
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ConfigError("system config must be an object with a 'type' key")
     kind = cfg["type"]
     if kind == "finite_chain":
-        if "transition" not in cfg:
-            raise ConfigError("system.transition is required for a finite_chain")
-        return FiniteMarkovSystem(np.asarray(cfg["transition"], dtype=np.float64))
+        return FiniteMarkovSystem(_array(cfg, "transition", "system"))
     if kind == "circle_rotation":
         t0 = cfg.get("t0")
         if isinstance(t0, dict):
             if t0.get("form") != "quadratic":
                 raise ConfigError("t0 object must have form='quadratic'")
-            return CircleRotationSystem(
-                QuadraticIrrational(t0["a"], t0["b"], t0["c"], t0["d"])
-            )
+            return CircleRotationSystem(QuadraticIrrational(
+                *(_number(t0, k, None, "system.t0", int) for k in "abcd")))
         if t0 is None:
             raise ConfigError("circle_rotation needs t0")
         return CircleRotationSystem(_number(cfg, "t0", None, "system"))
@@ -62,6 +70,8 @@ def system_from_config(cfg):
 
 def _noisy_map_from_config(cfg):
     spec = cfg.get("map", {})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"system.map must be an object, got {spec!r}")
     name = spec.get("name")
     if name == "logistic":
         r = _number(spec, "r", 3.9, "system.map")
@@ -71,7 +81,9 @@ def _noisy_map_from_config(cfg):
 
         dim = 1
     elif name == "linear":
-        A = np.asarray(spec["matrix"], dtype=np.float64)
+        A = _array(spec, "matrix", "system.map")
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ConfigError(f"system.map.matrix must be square, got shape {A.shape}")
 
         def map_fn(x):
             return x @ A.T
@@ -145,10 +157,16 @@ def dictionary_from_config(cfg, system=None):
         return dicts.monomial(_number(cfg, "degree", 2, "dictionary", int),
                               _number(cfg, "scale", 1.0, "dictionary"))
     if kind == "rff":
+        # chain and circle states are scalars
+        state_dim = getattr(system, "state_dim", 1)
+        dim = _number(cfg, "dim", state_dim, "dictionary", int)
+        if system is not None and dim != state_dim:
+            raise ConfigError(f"dictionary.dim is {dim}, but the system's states "
+                              f"have {state_dim} coordinates")
+        seed = _number(cfg, "seed", 0, "dictionary", int)
+        if seed < 0:
+            raise ConfigError(f"dictionary.seed must be an integer >= 0, got {seed}")
         return dicts.random_fourier(
             _number(cfg, "n_features", 100, "dictionary", int),
-            _number(cfg, "bandwidth", 1.0, "dictionary"),
-            _number(cfg, "seed", 0, "dictionary", int),
-            dim=_number(cfg, "dim", 1, "dictionary", int),
-        )
+            _number(cfg, "bandwidth", 1.0, "dictionary"), seed, dim=dim)
     raise ConfigError(f"unknown dictionary kind {kind!r}")

@@ -164,7 +164,7 @@ def check_mu_linear_independence(dictionary, sys):
     column vanishes on that state), while real trigonometric polynomials
     vanish on finite, hence null, sets.
     """
-    from .galerkin import is_singular, quadrature_mass_circle
+    from .galerkin import is_singular, quadrature_gram_circle
     from .systems import CircleRotationSystem, FiniteMarkovSystem
 
     if isinstance(sys, FiniteMarkovSystem):
@@ -179,7 +179,7 @@ def check_mu_linear_independence(dictionary, sys):
         return IndependenceLevel.INDEPENDENT
 
     if isinstance(sys, CircleRotationSystem):
-        C = quadrature_mass_circle(dictionary)
+        C = quadrature_gram_circle(sys, dictionary).C
         if is_singular(C):
             return IndependenceLevel.DEPENDENT
         if dictionary.kind in (DictionaryKind.FOURIER, DictionaryKind.RANDOM_FOURIER):

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, SingularEmpiricalMass
-from .galerkin import GramPair, KoopmanGalerkinMatrix, Provenance, is_singular
+from .galerkin import GramPair, KoopmanGalerkinMatrix, Provenance, gram_block, is_singular
 from .systems import FiniteMarkovSystem, Regime, SamplePairs
 
 
@@ -23,21 +23,12 @@ class EdmdEstimate:
         return d
 
 
-def empirical_gram(dictionary, pairs: SamplePairs, ridge=0.0) -> GramPair:
-    """C_hat = Psi_X Psi_X^T / m, C_hat_plus = Psi_X Psi_Y^T / m.
-
-    No regularization by default; `ridge` adds eps*I for exploratory use
-    only (certification paths always run with ridge=0).
-    """
-    psi_x = dictionary.evaluate(pairs.xs)
-    psi_y = dictionary.evaluate(pairs.ys)
-    m = pairs.m
-    C = psi_x @ psi_x.T / m
-    C = 0.5 * (C + C.T)
-    if ridge:
-        C = C + ridge * np.eye(C.shape[0])
-    Cplus = psi_x @ psi_y.T / m
-    return GramPair(C, Cplus, Provenance("empirical", m=m, seed=pairs.seed))
+def empirical_gram(dictionary, pairs: SamplePairs) -> GramPair:
+    """C_hat = Psi_X Psi_X^T / m, C_hat_plus = Psi_X Psi_Y^T / m: the B = 1
+    case of `galerkin.gram_block`, unregularized."""
+    C, Cplus = gram_block(dictionary.evaluate(pairs.xs).T[None],
+                          dictionary.evaluate(pairs.ys).T[None], pairs.m)
+    return GramPair(C[0], Cplus[0], Provenance("empirical", m=pairs.m, seed=pairs.seed))
 
 
 def solve_khat(C, Cplus):
@@ -50,8 +41,8 @@ def solve_khat(C, Cplus):
     return np.linalg.solve(C, Cplus)
 
 
-def edmd_estimate(dictionary, pairs: SamplePairs, ridge=0.0) -> EdmdEstimate:
-    gram = empirical_gram(dictionary, pairs, ridge=ridge)
+def edmd_estimate(dictionary, pairs: SamplePairs) -> EdmdEstimate:
+    gram = empirical_gram(dictionary, pairs)
     Khat = solve_khat(gram.C, gram.Cplus)
     return EdmdEstimate(gram, Khat, pairs.m, pairs.regime)
 

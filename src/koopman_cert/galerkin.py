@@ -1,4 +1,5 @@
-"""Gram pairs, the singularity gate, and the Galerkin matrix K_V = C^{-1} C_+.
+"""Gram pairs, the one empirical Gram estimator (`gram_block`), the
+singularity gate, and the Galerkin matrix K_V = C^{-1} C_+.
 
 The exact pair of a finite chain or a Fourier circle is built once with its
 representation (`variance.build_rep`); this module adds quadrature pairs for
@@ -59,22 +60,25 @@ def is_singular(C):
     return s[..., -1] <= SINGULAR_RTOL * s[..., 0]
 
 
-def quadrature_mass_circle(dictionary, nodes=QUADRATURE_NODES):
-    """Composite-trapezoid mass matrix on the circle (periodic: plain mean)."""
-    t = np.arange(nodes) / nodes
-    vals = dictionary.evaluate(t)
-    return (vals @ vals.T) / nodes
+def gram_block(psi_x, psi_y, m):
+    """C_hat = psi_x^T psi_x / m and C_hat_plus = psi_x^T psi_y / m, batched.
+
+    psi_x and psi_y are (B, m, N) dictionary values at the pairs' first and
+    second states; the result is two (B, N, N) stacks, each from one batched
+    matmul.  C_hat is symmetrised.
+    """
+    xt = np.swapaxes(psi_x, 1, 2)
+    C = (xt @ psi_x) / m
+    return 0.5 * (C + np.swapaxes(C, 1, 2)), (xt @ psi_y) / m
 
 
 def quadrature_gram_circle(sys, dictionary, nodes=QUADRATURE_NODES):
-    """Quadrature C and C_+ for arbitrary circle observables (tol ~1e-10)."""
+    """Quadrature C and C_+ for arbitrary circle observables (tol ~1e-10):
+    the empirical Gram pair of the equispaced node pairs (t, t + t0)."""
     t = np.arange(nodes) / nodes
-    vals = dictionary.evaluate(t)
-    kvals = dictionary.evaluate(np.mod(t + sys.t0, 1.0))
-    C = (vals @ vals.T) / nodes
-    Cplus = (vals @ kvals.T) / nodes
-    C = 0.5 * (C + C.T)
-    return GramPair(C, Cplus, Provenance("exact"))
+    C, Cplus = gram_block(dictionary.evaluate(t).T[None],
+                          dictionary.evaluate(np.mod(t + sys.t0, 1.0)).T[None], nodes)
+    return GramPair(C[0], Cplus[0], Provenance("exact"))
 
 
 def galerkin_matrix(gram: GramPair) -> KoopmanGalerkinMatrix:

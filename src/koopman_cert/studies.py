@@ -16,7 +16,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import kernels, rng
 from .errors import ConfigError, InsufficientPoints, UnsupportedSystem
-from .galerkin import galerkin_matrix, is_singular
+from .galerkin import galerkin_matrix, gram_block, is_singular
 from .systems import (
     CircleRotationSystem,
     FiniteMarkovSystem,
@@ -52,8 +52,7 @@ _SLICE_BUDGET = 4_000_000
 
 
 def _gram_errors_block(psi_x, psi_y, ref, m):
-    Chat = np.einsum("bki,bkj->bij", psi_x, psi_x) / m
-    Cphat = np.einsum("bki,bkj->bij", psi_x, psi_y) / m
+    Chat, Cphat = gram_block(psi_x, psi_y, m)
     C, Cplus, KV = ref
     err_C = np.sqrt(np.sum((Chat - C) ** 2, axis=(1, 2)))
     err_Cp = np.sqrt(np.sum((Cphat - Cplus) ** 2, axis=(1, 2)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, rng
-from .errors import ConfigError, NonErgodicChain
+from .errors import ConfigError, DomainError, NonErgodicChain
 
 
 class Regime(enum.Enum):
@@ -279,11 +279,13 @@ def categorical_sampler(weights):
 
 
 def _step(sys, xs, gen):
-    """Draw y ~ rho(x, .) for each x in a batch of continuous states."""
+    """Draw y ~ rho(x, .) for each x in a batch of continuous states; ys
+    have the shape of xs, and (m,) scalar states step as (m, 1)."""
+    xs = np.asarray(xs, dtype=np.float64)
     if isinstance(sys, CircleRotationSystem):
-        return np.mod(np.asarray(xs, dtype=np.float64) + sys.t0, 1.0)
+        return np.mod(xs + sys.t0, 1.0)
     if isinstance(sys, (NoisyMapSystem, SdeSystem)):
-        return sys.step(np.asarray(xs, dtype=np.float64), gen)
+        return sys.step(xs.reshape(len(xs), -1), gen).reshape(xs.shape)
     raise ConfigError(f"unknown system type {type(sys).__name__}")
 
 
@@ -293,9 +295,10 @@ def ergodic_chunk(sys, m, seed, chunk_index, count):
     States are (count, m+1) for chains and the circle, and (count, m+1,
     state_dim) for noisy maps and SDEs.  Chains start from their invariant
     distribution and the circle from arc length; noisy maps and SDEs start
-    at x0 and burn in 10 m lags.  The block is a pure function of (seed,
-    chunk_index); Monte-Carlo drivers may therefore evaluate chunks in any
-    order or in parallel.
+    at x0 and burn in 10 m lags; a non-finite state raises DomainError
+    naming its lag.  The block is a pure function of (seed, chunk_index);
+    Monte-Carlo drivers may therefore evaluate chunks in any order or in
+    parallel.
     """
     gen = rng.stream(seed, chunk_index)
     if isinstance(sys, FiniteMarkovSystem):
@@ -313,16 +316,33 @@ def ergodic_chunk(sys, m, seed, chunk_index, count):
         steps = sys.t0 * np.arange(m + 1)
         return np.mod(x0[:, None] + steps[None, :], 1.0)
     if isinstance(sys, (NoisyMapSystem, SdeSystem)):
-        x = np.tile(np.atleast_2d(sys.x0), (count, 1))
-        for _ in range(10 * m):
-            x = sys.step(x, gen)
-        traj = np.empty((count, m + 1, sys.state_dim))
-        traj[:, 0] = x
-        for k in range(m):
-            x = sys.step(x, gen)
-            traj[:, k + 1] = x
+        traj = _stepped_block(sys, m, gen, count)
+        if not np.all(np.isfinite(traj)):
+            # the block is a pure function of its stream: replay it, checking
+            # every lag, to name the first non-finite one
+            _stepped_block(sys, m, rng.stream(seed, chunk_index), count, check=True)
         return traj
     raise ConfigError(f"no batched ergodic sampler for {type(sys).__name__}")
+
+
+def _stepped_block(sys, m, gen, count, check=False):
+    """(count, m+1, state_dim) states from x0 after a burn-in of 10 m lags.
+
+    With check, raise DomainError at the first lag (counted from x0, burn-in
+    included) at which a state has a non-finite coordinate.
+    """
+    burn = 10 * m
+    x = np.tile(np.atleast_2d(sys.x0), (count, 1))
+    traj = np.empty((count, m + 1, sys.state_dim))
+    for lag in range(burn + m + 1):
+        if lag:
+            x = sys.step(x, gen)
+        if check and not np.all(np.isfinite(x)):
+            raise DomainError(f"non-finite state at lag {lag}; lags 1..{burn} are "
+                              "the burn-in")
+        if lag >= burn:
+            traj[:, lag - burn] = x
+    return traj
 
 
 def iid_chunk(sys, mu0_sampler, m, seed, chunk_index, count):

@@ -17,7 +17,8 @@ S_k = sum_{j<k} K0^j, so p_m(K0) = (2/m) sum_{k=1}^{m-1} S_k.
 
 Only p_m(K0) depends on m.  `build_rep` builds everything else once per
 (system, dictionary): the embedded dictionary, the product family psi_i psi_j
-and psi_i K psi_j, the exact Gram pair C, C_+, and the constants E_0, E_+.
+and psi_i K psi_j with its reduced mean-zero stacks, the exact Gram pair C,
+C_+, and the constants E_0, E_+.
 It is the package's one exact reference for finite chains and Fourier
 circles.  The Monte-Carlo oracle that checks these values lives in `studies`.
 """
@@ -140,8 +141,10 @@ class KoopmanMatrixRep:
 
     Construction also builds, once and eagerly (the Monte-Carlo pools share
     the rep across threads): `psi`, the dictionary as rows in natural
-    coordinates; `family`, its product family (`function_family`); `gram`,
-    the exact GramPair with C symmetrised; and `E_plus`, `E_zero`.
+    coordinates; `family`, its product family (`function_family`);
+    `reduced`, the family's g_ij, gs_ij and psi_ij stacks as (dim-1, N^2)
+    reduced coordinates; `gram`, the exact GramPair with C symmetrised; and
+    `E_plus`, `E_zero`.
     """
 
     def __init__(self, kind, system, dictionary, K, Kstar, weights, one, meta):
@@ -167,6 +170,9 @@ class KoopmanMatrixRep:
 
         self.psi = embed_dictionary(self)
         self.family = function_family(self)
+        N2 = self.psi.shape[0] ** 2
+        self.reduced = {key: self.to_reduced(self.family[key].reshape(N2, self.dim).T)
+                        for key in ("g_ij", "gs_ij", "psi_ij")}
         w = self.psi * weights
         C = w @ self.psi.T
         self.gram = GramPair(0.5 * (C + C.T), w @ (K @ self.psi.T), Provenance("exact"))
@@ -414,14 +420,7 @@ def exact_variance(rep, m) -> VarianceReport:
     sigma2_zero = E_zero + sum_ij <K0 p_m(K0) Q psi_ij, Q psi_ij>.
     """
     m = int(m)
-    fam = rep.family
-    N = fam["psi"].shape[0]
-    d = rep.dim
-
-    U = rep.to_reduced(fam["g_ij"].reshape(N * N, d).T)
-    Us = rep.to_reduced(fam["gs_ij"].reshape(N * N, d).T)
-    V = rep.to_reduced(fam["psi_ij"].reshape(N * N, d).T)
-
+    U, Us, V = (rep.reduced[key] for key in ("g_ij", "gs_ij", "psi_ij"))
     PU = pm_apply_vectors(rep.M, U, m)
     sigma2_plus = rep.E_plus + float(np.sum(PU * Us))
     PV = pm_apply_vectors(rep.M, V, m)
@@ -463,12 +462,7 @@ def fejer_variance(rep, m, rtol=1e-9) -> VarianceReport:
     if not rep.unitary:
         raise NotUnitary("Fejer variance requires a unitary representation")
     m = int(m)
-    fam = rep.family
-    N = fam["psi"].shape[0]
-    d = rep.dim
-    U = rep.to_reduced(fam["g_ij"].reshape(N * N, d).T)
-    V = rep.to_reduced(fam["psi_ij"].reshape(N * N, d).T)
-
+    U, V = rep.reduced["g_ij"], rep.reduced["psi_ij"]
     var_plus, var_plus_spec = _family_fejer_forms(rep, U, m)
     var_zero, var_zero_spec = _family_fejer_forms(rep, V, m)
     for a, b in ((var_plus, var_plus_spec), (var_zero, var_zero_spec)):

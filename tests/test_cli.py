@@ -383,3 +383,60 @@ def test_linear_2d_rff_study(tmp_path):
     rows = json.loads((tmp_path / "convergence.json").read_text())
     assert [r["m"] for r in rows] == [20, 40]
     assert all(math.isfinite(r["rmse_C"]) for r in rows)
+
+
+LINEAR_2D = {"type": "noisy_map", "noise_sigma": 0.1,
+             "map": {"name": "linear", "matrix": [[0.5, 0.1], [0.0, 0.4]]}}
+
+
+class TestMalformedStructure:
+    @pytest.mark.parametrize(
+        "command, cfg, path",
+        [("simulate", {"system": {"type": "noisy_map", "map": {"name": "linear"}}},
+          "system.map.matrix"),
+         ("simulate", {"system": {"type": "finite_chain",
+                                  "transition": [["a", 1.0], [0.5, 0.5]]}},
+          "system.transition"),
+         ("simulate", {"system": {"type": "noisy_map",
+                                  "map": {"name": "linear", "matrix": [[0.5, "x"]]}}},
+          "system.map.matrix"),
+         ("simulate", {"system": {"type": "noisy_map",
+                                  "map": {"name": "linear", "matrix": [[0.5, 0.1]]}}},
+          "system.map.matrix"),
+         ("simulate", {"system": {"type": "circle_rotation",
+                                  "t0": {"form": "quadratic", "a": -1, "c": 2, "d": 5}}},
+          "system.t0.b"),
+         ("simulate", {"system": {"type": "noisy_map", "map": "x"}}, "system.map"),
+         ("estimate", {"system": LINEAR_2D,
+                       "dictionary": {"kind": "rff", "n_features": 6, "dim": 3}},
+          "dictionary.dim"),
+         ("study", {"system": GOLDEN, "dictionary": {"kind": "rff", "n_features": 4,
+                                                     "seed": -1},
+                    "m_grid": [10, 20], "n_trials": 30}, "dictionary.seed")],
+        ids=["linear_without_matrix", "transition_not_numeric", "matrix_not_numeric",
+             "matrix_not_square", "t0_without_b", "map_not_object", "rff_dim_mismatch",
+             "rff_negative_seed"],
+    )
+    def test_named_key_exit_2(self, tmp_path, capsys, command, cfg, path):
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and path in err and "Traceback" not in err
+
+    def test_rff_dim_defaults_to_state_dim(self, tmp_path):
+        cfg = {"system": LINEAR_2D, "dictionary": {"kind": "rff", "n_features": 6}}
+        out = tmp_path / "estimate.json"
+        rc = cli.main(["estimate", "--config", write_cfg(tmp_path, cfg), "--m", "50",
+                       "--out", str(out)])
+        assert rc == 0
+        assert len(json.loads(out.read_text())["Khat"]) == 6
+
+    def test_non_finite_state_names_lag_exit_3(self, tmp_path, capsys):
+        system = {"type": "noisy_map", "map": {"name": "logistic", "r": 5},
+                  "noise_sigma": 0.01, "x0": 0.2}
+        cfg = {"system": system, "dictionary": {"kind": "monomial", "degree": 2},
+               "m_grid": [10, 20], "n_trials": 30}
+        rc = cli.main(["study", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "non-finite state at lag" in err

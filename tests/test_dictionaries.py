@@ -62,11 +62,11 @@ class TestPhi:
 
 
 class TestOrthonormality:
-    def test_fourier_exact_mass_is_identity(self):
-        from koopman_cert.galerkin import quadrature_mass_circle
+    def test_fourier_exact_mass_is_identity(self, golden):
+        from koopman_cert.galerkin import quadrature_gram_circle
 
         d = dictionaries.fourier(4)
-        C = quadrature_mass_circle(d)
+        C = quadrature_gram_circle(golden, d).C
         assert np.max(np.abs(C - np.eye(d.size))) < 1e-10
 
     def test_indicator_mass_is_diag_pi(self, five_state_chain):

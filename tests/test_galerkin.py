@@ -77,6 +77,47 @@ class TestCircleGram:
             assert min(abs(ev - e) for e in expected) < 1e-10
 
 
+class TestGramBlock:
+    @pytest.mark.parametrize("B, m, N", [(1, 1, 1), (1, 7, 3), (4, 1, 5), (3, 50, 4),
+                                         (2, 2201, 9)])
+    def test_matches_naive_loop(self, B, m, N):
+        g = np.random.default_rng(B * 1000 + m)
+        x, y = g.standard_normal((B, m, N)), g.standard_normal((B, m, N))
+        C, Cplus = galerkin.gram_block(x, y, m)
+        assert C.shape == Cplus.shape == (B, N, N)
+        for b in range(B):
+            naive_C, naive_Cp = x[b].T @ x[b] / m, x[b].T @ y[b] / m
+            scale = max(np.max(np.abs(naive_C)), 1.0)
+            assert np.max(np.abs(C[b] - naive_C)) <= 1e-14 * scale
+            assert np.max(np.abs(Cplus[b] - naive_Cp)) <= 1e-14 * scale
+
+    def test_chat_exactly_symmetric(self):
+        # a strided block, as the Monte-Carlo engine passes it
+        psi = np.random.default_rng(1).standard_normal((5, 301, 6))
+        C, _ = galerkin.gram_block(psi[:, :300], psi[:, 1:], 300)
+        assert np.array_equal(C, np.swapaxes(C, 1, 2))
+
+    def test_empirical_gram_is_row_zero(self, five_state_chain, monomial3):
+        pairs = systems.sample_ergodic(five_state_chain, 40, seed=2)
+        C, Cplus = galerkin.gram_block(monomial3.evaluate(pairs.xs).T[None],
+                                       monomial3.evaluate(pairs.ys).T[None], 40)
+        gram = edmd.empirical_gram(monomial3, pairs)
+        assert np.array_equal(gram.C, C[0]) and np.array_equal(gram.Cplus, Cplus[0])
+
+    @pytest.mark.parametrize("dictionary", [dictionaries.fourier(3),
+                                            dictionaries.random_fourier(6, 0.5, 2)],
+                             ids=["fourier", "rff"])
+    def test_quadrature_matches_direct_formula(self, golden, dictionary):
+        nodes = galerkin.QUADRATURE_NODES
+        t = np.arange(nodes) / nodes
+        vals = dictionary.evaluate(t)
+        kvals = dictionary.evaluate(np.mod(t + golden.t0, 1.0))
+        C = vals @ vals.T / nodes
+        gram = galerkin.quadrature_gram_circle(golden, dictionary)
+        assert np.max(np.abs(gram.C - 0.5 * (C + C.T))) <= 1e-14
+        assert np.max(np.abs(gram.Cplus - vals @ kvals.T / nodes)) <= 1e-14
+
+
 class TestGalerkinMatrix:
     def test_identity_mass_returns_stiffness(self):
         C = np.eye(3)

@@ -1,6 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import koopman_cert
 from koopman_cert import bounds, dictionaries, studies, variance
 from koopman_cert.errors import ConfigError, InsufficientPoints
 
@@ -50,6 +56,13 @@ CHAIN_CFG = {
 }
 
 
+ROTATION_CFG = {
+    "system": {"type": "circle_rotation",
+               "t0": {"form": "quadratic", "a": -1, "b": 1, "c": 2, "d": 5}},
+    "dictionary": {"kind": "fourier", "max_freq": 4},
+}
+
+
 class TestConvergenceStudy:
     def test_chain_ergodic_half_rate(self):
         cfg = studies.StudyConfig(
@@ -82,6 +95,25 @@ class TestConvergenceStudy:
         r1, _ = studies.run_convergence_study(base)
         r2, _ = studies.run_convergence_study(threaded)
         assert r1 == r2
+        # more than one trial chunk of a Fourier rotation: the streamed Gram path
+        rotation = dict(ROTATION_CFG, m_grid=[20, 40, 80, 160], n_trials=1100, seed=3)
+        r1, _ = studies.run_convergence_study(studies.StudyConfig(**rotation))
+        r2, _ = studies.run_convergence_study(studies.StudyConfig(**rotation, threads=2))
+        assert r1 == r2
+
+    def test_blas_threads_do_not_change_bytes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(ROTATION_CFG, m_grid=[500, 2000], n_trials=1100)))
+        outputs = []
+        for blas in ("1", "2"):
+            out = tmp_path / blas
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(koopman_cert.__file__)))
+            subprocess.run([sys.executable, "-m", "koopman_cert.cli", "study",
+                            "--config", str(cfg), "--out", str(out), "--threads", "2"],
+                           env=env, check=True)
+            outputs.append((out / "convergence.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_quantile_columns(self):
         cfg = studies.StudyConfig(

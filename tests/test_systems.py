@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from koopman_cert import dictionaries, galerkin, systems
-from koopman_cert.errors import ConfigError, NonErgodicChain
+from koopman_cert.errors import ConfigError, DomainError, NonErgodicChain
 
 
 class TestInvariantMeasure:
@@ -211,6 +211,19 @@ class TestOneSamplerPerRegime:
         # trials draw from one stream but are distinct trajectories
         assert not np.array_equal(block[0], block[1])
 
+    @pytest.mark.parametrize("kind", ["noisy_map_1d", "sde"])
+    def test_scalar_sampler_same_pairs_as_column(self, kind):
+        # a sampler of (m,) scalar states steps them as (m, 1), and ys keep
+        # the shape of xs
+        sys = SAMPLED[kind][0]()
+        xa, ya = systems.iid_chunk(sys, lambda g, m: g.standard_normal(m), 5, 3, 0, 2)
+        xb, yb = systems.iid_chunk(sys, lambda g, m: g.standard_normal((m, 1)), 5, 3, 0, 2)
+        assert xa.shape == ya.shape == (2, 5)
+        assert xb.shape == yb.shape == (2, 5, 1)
+        assert np.array_equal(xa, xb[..., 0]) and np.array_equal(ya, yb[..., 0])
+        pairs = systems.sample_iid(sys, lambda g, m: g.standard_normal(m), 5, seed=3)
+        assert pairs.xs.shape == pairs.ys.shape == (5,)
+
     def test_m_must_be_positive(self, two_state_chain):
         with pytest.raises(ConfigError):
             systems.sample_ergodic(two_state_chain, 0)
@@ -281,8 +294,8 @@ class TestCirclePreservesMeasure:
             def evaluate(states):
                 return d.evaluate(np.mod(np.asarray(states) + golden.t0, 1.0))
 
-        gram2 = galerkin.quadrature_mass_circle(Composed())
-        assert np.allclose(gram2, gram.C, atol=1e-10)
+        gram2 = galerkin.quadrature_gram_circle(golden, Composed())
+        assert np.allclose(gram2.C, gram.C, atol=1e-10)
 
 
 class TestNoisyMapAndSde:
@@ -304,6 +317,23 @@ class TestNoisyMapAndSde:
         expect = np.array(expect)
         assert np.array_equal(a.xs[:, 0], expect[:20, 0])
         assert np.array_equal(a.ys[:, 0], expect[1:, 0])
+
+    @pytest.mark.parametrize("m", [100, 200])
+    def test_first_non_finite_lag_named(self, m):
+        # x -> 2x from x0 = 1 first overflows at lag 1024: inside the burn-in
+        # of 10 m = 2000 lags at m = 200, among the kept lags 1000..1100 at
+        # m = 100
+        sys = systems.NoisyMapSystem(lambda x: 2.0 * x, lambda g, s: np.zeros(s), 1,
+                                     x0=[1.0])
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match=r"lag 1024;"):
+                systems.ergodic_chunk(sys, m, 0, 0, 3)
+
+    def test_non_finite_start_is_lag_zero(self):
+        sys = systems.NoisyMapSystem(lambda x: x, lambda g, s: np.zeros(s), 1,
+                                     x0=[np.nan])
+        with pytest.raises(DomainError, match=r"lag 0;"):
+            systems.sample_ergodic(sys, 4, seed=0)
 
     def test_sde_substep_count(self):
         calls = {"n": 0}
