@@ -24,24 +24,33 @@ def load_json(path):
 
 
 def _number(cfg, key, default, path, cast=float):
-    """cfg[key], or default when absent, through cast; a value cast rejects
-    raises ConfigError naming path.key."""
+    """cfg[key], or default when absent, through cast; a boolean, a value
+    cast rejects, or one an int cast would change (1.5, "3") raises
+    ConfigError naming path.key."""
     value = cfg.get(key, default)
     try:
-        return cast(value)
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        out = cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.{key} must be a number, got {value!r}") from exc
+    if cast is int and out != value:
+        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
+    return out
 
 
 def _array(cfg, key, path):
     """cfg[key] as a float array; a missing key or a value that is not an
-    array of numbers raises ConfigError naming path.key."""
+    array of finite numbers raises ConfigError naming path.key."""
     if key not in cfg:
         raise ConfigError(f"{path}.{key} is required")
     try:
-        return np.asarray(cfg[key], dtype=np.float64)
+        arr = np.asarray(cfg[key], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.{key} must be an array of numbers, got {cfg[key]!r}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path}.{key} must hold finite numbers, got {cfg[key]!r}")
+    return arr
 
 
 def system_from_config(cfg):
@@ -98,7 +107,12 @@ def _noisy_map_from_config(cfg):
             return np.zeros(shape)
         return sigma * gen.standard_normal(shape)
 
-    x0 = cfg.get("x0")
+    x0 = None
+    if "x0" in cfg:
+        x0 = _array(cfg, "x0", "system")
+        # a scalar start is accepted for a 1-d map
+        if x0.shape != (dim,) and not (dim == 1 and x0.ndim == 0):
+            raise ConfigError(f"system.x0 must hold {dim} coordinates, got shape {x0.shape}")
     return NoisyMapSystem(map_fn, noise, dim, x0=x0)
 
 

@@ -38,37 +38,40 @@ CSV_SCHEMAS = {
 # Monte-Carlo error engine
 # ---------------------------------------------------------------------------
 
-def _psi_on_states(sys, dictionary, states):
-    """(B, k, N) dictionary values on a (B, k) or (B, k, state_dim) state block."""
-    if isinstance(sys, FiniteMarkovSystem):
-        table = dictionary.evaluate(np.arange(sys.n_states)).T
-        return table[np.asarray(states, dtype=np.int64)]
+def _psi_on_states(dictionary, states):
+    """(B, k, N) dictionary values on a (B, k) or (B, k, state_dim) block of
+    continuous states."""
     B, k = states.shape[:2]
     flat = dictionary.evaluate(states.reshape(B * k, *states.shape[2:]))
     return flat.T.reshape(B, k, -1)
 
+
 # cap on feature-block floats per slice (keeps peak memory ~tens of MB)
 _SLICE_BUDGET = 4_000_000
 
+# orbit steps per block of a rotation's phase sums
+_PHASE_BLOCK = 1 << 16
 
-def _gram_errors_block(psi_x, psi_y, ref, m):
-    Chat, Cphat = gram_block(psi_x, psi_y, m)
+
+def _gram_errors_block(Chat, Cphat, ref):
+    """Per-trial Frobenius errors (err_C, err_Cplus, err_K) of (B, N, N)
+    Gram stacks against ref = (C, C_plus, K_V); err_K is NaN where
+    `galerkin.is_singular(C_hat)`."""
     C, Cplus, KV = ref
     err_C = np.sqrt(np.sum((Chat - C) ** 2, axis=(1, 2)))
     err_Cp = np.sqrt(np.sum((Cphat - Cplus) ** 2, axis=(1, 2)))
     good = ~is_singular(Chat)
-    err_K = np.full(len(psi_x), np.nan)
+    err_K = np.full(len(Chat), np.nan)
     if np.any(good):
         Khat = np.linalg.solve(Chat[good], Cphat[good])
         err_K[good] = np.sqrt(np.sum((Khat - KV) ** 2, axis=(1, 2)))
     return err_C, err_Cp, err_K
 
 
-def _indicator_errors(xs, ys, ref, m, n):
-    """Closed-form indicator estimates from the transition counts of a
-    (B, m) pair block."""
+def _indicator_errors(counts, ref, m):
+    """Closed-form indicator estimates from (B, n, n) transition counts."""
     C, Cplus, KV = ref
-    counts = kernels.pair_counts(xs, ys, n).astype(np.float64)
+    counts = counts.astype(np.float64)
     visits = counts.sum(axis=2)
     Cp_hat = counts / m
     err_Cp = np.sqrt(np.sum((Cp_hat - Cplus) ** 2, axis=(1, 2)))
@@ -82,41 +85,124 @@ def _indicator_errors(xs, ys, ref, m, n):
     return err_C, err_Cp, err_K
 
 
+def count_grams(table, counts, m):
+    """C_hat = Psi^T diag(visits) Psi / m (symmetrised) and C_hat_plus =
+    Psi^T counts Psi / m from (B, n, n) transition counts, with Psi the
+    (n, N) dictionary table and visits the counts' row sums."""
+    counts = counts.astype(np.float64)
+    C = (table.T * counts.sum(axis=2)[:, None, :]) @ table / m
+    return 0.5 * (C + np.swapaxes(C, 1, 2)), table.T @ counts @ table / m
+
+
+def iid_chain_counts(sys, weights, m, gen, count):
+    """(count, n, n) transition counts of m i.i.d. pairs x ~ weights,
+    y ~ P(x, .): one Multinomial(m, weights_i P_ij) draw per trial."""
+    law = (np.asarray(weights, dtype=np.float64)[:, None] * sys.transition).ravel()
+    n = sys.n_states
+    return gen.multinomial(m, law / law.sum(), size=count).reshape(count, n, n)
+
+
+def _chain_count_slices(sys, m, seed, chunk, count, regime, mu0_sampler):
+    """The chunk's (rows, n, n) transition counts, a slice of trials at a
+    time: i.i.d. counts drawn from their multinomial law, ergodic counts
+    tallied on the chunk's trajectories."""
+    n = sys.n_states
+    rows = max(1, _SLICE_BUDGET // n**2)
+    if regime is Regime.IID:
+        gen = rng.stream(seed, chunk)
+        for lo in range(0, count, rows):
+            yield iid_chain_counts(sys, mu0_sampler.weights, m, gen, min(rows, count - lo))
+    else:
+        paths = ergodic_chunk(sys, m, seed, chunk, count)
+        for lo in range(0, count, rows):
+            block = paths[lo : lo + rows]
+            yield kernels.pair_counts(block[:, :-1], block[:, 1:], n)
+
+
+def _fourier_modes(dictionary, F):
+    """(N, 2F+1) complex A with psi = A e, e_q = e^{2 pi i q x} for q =
+    -F..F, for a dictionary of trigonometric polynomials of degree <= F:
+    the discrete Fourier transform of its values at the nodes a / (2F+1)."""
+    x = np.arange(2 * F + 1) / (2 * F + 1)
+    waves = np.exp(-2j * np.pi * np.outer(x, np.arange(-F, F + 1)))
+    return dictionary.evaluate(x) @ waves / (2 * F + 1)
+
+
+def rotation_phase_means(t0, m, Q):
+    """G(q) = (1/m) sum_{k<m} e^{2 pi i q (k t0 mod 1)} for q = 0..Q, summed
+    in blocks of at most _PHASE_BLOCK steps (memory stays bounded in m)."""
+    q = np.arange(Q + 1)
+    G = np.zeros(Q + 1, dtype=complex)
+    for lo in range(0, m, _PHASE_BLOCK):
+        steps = np.mod(np.arange(lo, min(lo + _PHASE_BLOCK, m)) * t0, 1.0)
+        G += np.exp(2j * np.pi * steps[:, None] * q).sum(axis=0)
+    return G / m
+
+
+def phase_grams(dictionary, t0, G, x0):
+    """C_hat and C_hat_plus of a fourier(F) dictionary, psi = A e, on the
+    rotation orbits x0 + k t0, k <= m, from the phase means G = G(0..2F) of
+    `rotation_phase_means`: with D(q) = e^{2 pi i q x0} G(q) and H[a, b] =
+    D(a + b), C_hat = Re(A H A^T) (symmetrised) and C_hat_plus =
+    Re(A H diag(e^{2 pi i b t0}) A^T)."""
+    F = (len(G) - 1) // 2
+    D = np.exp(2j * np.pi * np.outer(x0, np.arange(2 * F + 1))) * G
+    # D(-q) = conj(D(q)); columns run over q = -2F..2F
+    D = np.concatenate([np.conj(D[:, :0:-1]), D], axis=1)
+    i = np.arange(2 * F + 1)
+    H = D[:, i[:, None] + i[None, :]]
+    A = _fourier_modes(dictionary, F)
+    shift = np.exp(2j * np.pi * (i - F) * t0)
+    C = (A @ H @ A.T).real
+    return 0.5 * (C + np.swapaxes(C, 1, 2)), (A @ (H * shift) @ A.T).real
+
+
 def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime,
                         mu0_sampler=None):
     """Per-trial Frobenius errors (err_C, err_Cplus, err_K) for one chunk.
 
     err_K is NaN for trials whose empirical mass matrix is numerically
-    singular.  Indicator dictionaries use the transition-count closed form;
-    other dictionaries stream feature blocks under a fixed memory budget.
+    singular.  Where a trial's estimates depend on it only through a small
+    statistic, that statistic is sampled.  Chains use transition counts:
+    i.i.d. trials draw them from their multinomial law, ergodic trials
+    tally them on their trajectories, and indicator dictionaries take the
+    counts' closed form.  Ergodic rotations with a Fourier dictionary use
+    phase sums.  Every other case streams feature blocks into `gram_block`
+    under a fixed memory budget.
     """
     from .dictionaries import DictionaryKind
 
-    indicator = (
-        isinstance(sys, FiniteMarkovSystem)
-        and dictionary.kind is DictionaryKind.INDICATOR
-        and dictionary.size == sys.n_states
-    )
-    if regime is Regime.ERGODIC:
-        paths = ergodic_chunk(sys, m, seed, chunk, count)
-        if indicator:
-            return _indicator_errors(paths[:, :-1], paths[:, 1:], ref, m, sys.n_states)
-        rows = max(1, _SLICE_BUDGET // ((m + 1) * dictionary.size))
-        parts = []
+    parts = []
+    if isinstance(sys, FiniteMarkovSystem):
+        indicator = (dictionary.kind is DictionaryKind.INDICATOR
+                     and dictionary.size == sys.n_states)
+        table = dictionary.evaluate(np.arange(sys.n_states)).T
+        for counts in _chain_count_slices(sys, m, seed, chunk, count, regime, mu0_sampler):
+            parts.append(_indicator_errors(counts, ref, m) if indicator else
+                         _gram_errors_block(*count_grams(table, counts, m), ref))
+    elif (regime is Regime.ERGODIC and isinstance(sys, CircleRotationSystem)
+          and dictionary.kind is DictionaryKind.FOURIER):
+        # the x0 that `ergodic_chunk` draws first on this stream
+        x0 = rng.stream(seed, chunk).random(count)
+        F = dictionary.metadata["max_freq"]
+        G = rotation_phase_means(sys.t0, m, 2 * F)
+        rows = max(1, _SLICE_BUDGET // (2 * F + 1) ** 2)
         for lo in range(0, count, rows):
-            block = paths[lo : lo + rows]
-            psi = _psi_on_states(sys, dictionary, block)
-            parts.append(_gram_errors_block(psi[:, :m], psi[:, 1:], ref, m))
+            grams = phase_grams(dictionary, sys.t0, G, x0[lo : lo + rows])
+            parts.append(_gram_errors_block(*grams, ref))
+    elif regime is Regime.ERGODIC:
+        paths = ergodic_chunk(sys, m, seed, chunk, count)
+        rows = max(1, _SLICE_BUDGET // ((m + 1) * dictionary.size))
+        for lo in range(0, count, rows):
+            psi = _psi_on_states(dictionary, paths[lo : lo + rows])
+            parts.append(_gram_errors_block(*gram_block(psi[:, :m], psi[:, 1:], m), ref))
     else:
         xs, ys = iid_chunk(sys, mu0_sampler, m, seed, chunk, count)
-        if indicator:
-            return _indicator_errors(xs, ys, ref, m, sys.n_states)
         rows = max(1, _SLICE_BUDGET // (2 * m * dictionary.size))
-        parts = []
         for lo in range(0, count, rows):
-            psi_x = _psi_on_states(sys, dictionary, xs[lo : lo + rows])
-            psi_y = _psi_on_states(sys, dictionary, ys[lo : lo + rows])
-            parts.append(_gram_errors_block(psi_x, psi_y, ref, m))
+            psi_x = _psi_on_states(dictionary, xs[lo : lo + rows])
+            psi_y = _psi_on_states(dictionary, ys[lo : lo + rows])
+            parts.append(_gram_errors_block(*gram_block(psi_x, psi_y, m), ref))
     return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
 
 
@@ -164,13 +250,15 @@ def _mean_stderr(x):
     return mean, float(np.std(x, ddof=1) / np.sqrt(len(x)))
 
 
-def montecarlo_variance_oracle(rep, m, n_trials, seed, threads=1) -> OracleResult:
+def montecarlo_variance_oracle(rep, m, n_trials, seed, threads=1,
+                               regime=Regime.ERGODIC) -> OracleResult:
     """Sample mean of ||C - C_hat||_F^2 (and the C_+ analogue) over
-    independent stationary trajectories of the rep's system, with standard
-    errors."""
+    independent trials of the rep's system, with standard errors: stationary
+    trajectories, or i.i.d. pairs from the invariant law."""
+    mu0 = _default_mu0(rep.system) if regime is Regime.IID else None
     err_C, err_Cp, _ = mc_trial_errors(
         rep.system, rep.dictionary, exact_reference(rep.gram), int(m), int(n_trials),
-        seed, Regime.ERGODIC, threads=threads,
+        seed, regime, mu0, threads,
     )
     vc, sc = _mean_stderr(err_C**2)
     vp, sp = _mean_stderr(err_Cp**2)
@@ -412,7 +500,7 @@ def run_convergence_study(cfg: StudyConfig, sys=None, dictionary=None):
             row[f"{tag}_Cplus"] = float(np.quantile(err_Cp, q))
             row[f"{tag}_K"] = float(np.quantile(err_K[good], q)) if good.any() else float("nan")
         if rep is not None:
-            vr = exact_variance(rep, int(m))
+            vr = exact_variance(rep, int(m), regime)
             row["pred_rmse_C"] = math.sqrt(max(vr.var_C, 0.0))
             row["pred_rmse_Cplus"] = math.sqrt(max(vr.var_Cplus, 0.0))
         else:
@@ -440,18 +528,20 @@ def _derived_seed(seed, index):
 
 
 def run_variance_check(cfg: StudyConfig, sys=None, dictionary=None):
-    """Exact variances vs the Monte-Carlo oracle, flagged at 3 stderr."""
+    """Exact variances vs the Monte-Carlo oracle in the config's regime,
+    flagged at 3 stderr."""
     from .config import dictionary_from_config, system_from_config
 
     sys = system_from_config(cfg.system) if sys is None else sys
     dictionary = dictionary_from_config(cfg.dictionary, system=sys) if dictionary is None else dictionary
     rep = build_rep(sys, dictionary)
+    regime = Regime(cfg.regime)
     trace_C = float(np.trace(rep.gram.C))
     rows = []
     for mi, m in enumerate(cfg.m_grid):
-        vr = exact_variance(rep, int(m))
+        vr = exact_variance(rep, int(m), regime)
         oracle = montecarlo_variance_oracle(
-            rep, int(m), cfg.n_trials, _derived_seed(cfg.seed, mi), threads=cfg.threads,
+            rep, int(m), cfg.n_trials, _derived_seed(cfg.seed, mi), cfg.threads, regime,
         )
 
         # degenerate trials (constant error) have zero stderr, so the

@@ -265,7 +265,8 @@ def _check_m(m):
 
 
 def categorical_sampler(weights):
-    """mu0 sampler drawing state indices from the given probability vector."""
+    """mu0 sampler drawing state indices from the given probability vector,
+    which it keeps as its `weights`."""
     weights = np.asarray(weights, dtype=np.float64)
     cdf = np.cumsum(weights)
     cdf[-1] = max(cdf[-1], 1.0)
@@ -275,6 +276,8 @@ def categorical_sampler(weights):
             np.searchsorted(cdf, gen.random(m), side="right"), len(weights) - 1
         ).astype(np.int64)
 
+    # the law itself, for samplers of sufficient statistics
+    sampler.weights = weights
     return sampler
 
 

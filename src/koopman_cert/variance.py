@@ -30,7 +30,7 @@ import numpy as np
 from .dictionaries import DictionaryKind, fourier
 from .errors import NotUnitary, NumericalError, SingularMass, UnsupportedSystem
 from .galerkin import GramPair, Provenance, is_singular, quadrature_gram_circle
-from .systems import CircleRotationSystem, FiniteMarkovSystem
+from .systems import CircleRotationSystem, FiniteMarkovSystem, Regime
 
 GAP_THRESHOLD = 1e-10
 UNITARY_TOL = 1e-8
@@ -413,13 +413,19 @@ def variance_constants(rep):
     return E_plus, E_zero
 
 
-def exact_variance(rep, m) -> VarianceReport:
+def exact_variance(rep, m, regime=Regime.ERGODIC) -> VarianceReport:
     """Exact E||C - C_hat||_F^2 = sigma2_zero / m and the C_+ analogue.
 
+    Under ergodic sampling
     sigma2_plus = E_plus + sum_ij <p_m(K0) Q g_ij, Q g*_ji> and
     sigma2_zero = E_zero + sum_ij <K0 p_m(K0) Q psi_ij, Q psi_ij>.
+    Under i.i.d. sampling from the invariant law the m summands are
+    independent, so sigma2 = E: the p_m = 0 case.
     """
     m = int(m)
+    if regime is Regime.IID:
+        return VarianceReport(m, rep.E_plus, rep.E_zero, rep.E_plus, rep.E_zero,
+                              rep.E_plus / m, rep.E_zero / m)
     U, Us, V = (rep.reduced[key] for key in ("g_ij", "gs_ij", "psi_ij"))
     PU = pm_apply_vectors(rep.M, U, m)
     sigma2_plus = rep.E_plus + float(np.sum(PU * Us))

@@ -412,16 +412,53 @@ class TestMalformedStructure:
           "dictionary.dim"),
          ("study", {"system": GOLDEN, "dictionary": {"kind": "rff", "n_features": 4,
                                                      "seed": -1},
-                    "m_grid": [10, 20], "n_trials": 30}, "dictionary.seed")],
+                    "m_grid": [10, 20], "n_trials": 30}, "dictionary.seed"),
+         ("simulate", {"system": {"type": "noisy_map", "map": {"name": "logistic"},
+                                  "x0": "abc"}}, "system.x0"),
+         ("simulate", {"system": dict(LINEAR_2D, x0=[1, 2, 3])}, "system.x0"),
+         ("simulate", {"system": dict(LINEAR_2D, x0=[0.1, float("nan")])}, "system.x0"),
+         ("simulate", {"system": {"type": "circle_rotation",
+                                  "t0": {"form": "quadratic", "a": -1, "b": 1.5, "c": 2,
+                                         "d": 5}}},
+          "system.t0.b"),
+         ("study", {"system": OU_SYSTEM, "dictionary": {"kind": "monomial", "degree": 2.5},
+                    "m_grid": [10, 20], "n_trials": 30}, "dictionary.degree"),
+         ("study", {"system": dict(OU_SYSTEM, rate=True),
+                    "dictionary": {"kind": "monomial", "degree": 2},
+                    "m_grid": [10, 20], "n_trials": 30}, "system.rate")],
         ids=["linear_without_matrix", "transition_not_numeric", "matrix_not_numeric",
              "matrix_not_square", "t0_without_b", "map_not_object", "rff_dim_mismatch",
-             "rff_negative_seed"],
+             "rff_negative_seed", "x0_not_numeric", "x0_wrong_dimension", "x0_not_finite",
+             "t0_b_not_integral", "degree_not_integral", "rate_boolean"],
     )
     def test_named_key_exit_2(self, tmp_path, capsys, command, cfg, path):
         rc = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and path in err and "Traceback" not in err
+
+    def test_integral_float_and_scalar_x0_accepted(self, tmp_path, capsys):
+        system = {"type": "noisy_map", "map": {"name": "logistic"}, "noise_sigma": 0.01,
+                  "x0": 0.2}
+        cfg = write_cfg(tmp_path, {"system": system, "seed": 1})
+        assert cli.main(["simulate", "--config", cfg, "--m", "5", "--format", "json"]) == 0
+        golden = dict(GOLDEN, t0=dict(GOLDEN["t0"], b=1.0))
+        cfg = write_cfg(tmp_path, {"system": golden, "seed": 1})
+        assert cli.main(["simulate", "--config", cfg, "--m", "5", "--format", "json"]) == 0
+
+    def test_iid_variance_reports_iid_numbers(self, tmp_path):
+        cfg = {"system": {"type": "finite_chain",
+                          "transition": [[0.9, 0.1, 0.0], [0.05, 0.9, 0.05],
+                                         [0.0, 0.2, 0.8]]},
+               "dictionary": {"kind": "monomial", "degree": 2}, "regime": "iid",
+               "m_grid": [100, 400], "n_trials": 2000, "seed": 3}
+        rc = cli.main(["variance", "--config", write_cfg(tmp_path, cfg),
+                       "--out", str(tmp_path), "--format", "json"])
+        assert rc == 0
+        rows = json.loads((tmp_path / "variance_check.json").read_text())
+        # ergodic sampling of this chain gives 4.357 at m = 100; i.i.d. gives E_0 / m
+        assert rows[0]["var_C_exact"] < 1.0
+        assert all(r["within_3sigma_C"] and r["within_3sigma_Cplus"] for r in rows)
 
     def test_rff_dim_defaults_to_state_dim(self, tmp_path):
         cfg = {"system": LINEAR_2D, "dictionary": {"kind": "rff", "n_features": 6}}

@@ -192,7 +192,8 @@ class TestSingularityGate:
         }
         # one trial of m = 1 whose C_hat is diag(diag)
         psi = np.diag(np.sqrt(diag))[None]
-        _, _, err_K = studies._gram_errors_block(psi, psi, (C, C, np.eye(2)), 1)
+        grams = galerkin.gram_block(psi, psi, 1)
+        _, _, err_K = studies._gram_errors_block(*grams, (C, C, np.eye(2)))
         verdicts["_gram_errors_block"] = bool(np.isnan(err_K[0]))
         # pi = (1/2, 1/2), so the exact mass matrix is diag(diag)
         table = np.diag(np.sqrt(2.0 * np.asarray(diag)))

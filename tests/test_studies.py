@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import koopman_cert
-from koopman_cert import bounds, dictionaries, studies, variance
+from koopman_cert import bounds, config, dictionaries, studies, systems, variance
 from koopman_cert.errors import ConfigError, InsufficientPoints
 
 
@@ -184,8 +184,8 @@ class TestVarianceCheck:
             slack = studies._roundoff_slack(m, cfg.n_trials, d.size, trace_C, mc)
             return mc + 3.0 * se + 2.0 * slack
 
-        def perturbed(rep, m):
-            vr = variance.exact_variance(rep, m)
+        def perturbed(rep, m, regime):
+            vr = variance.exact_variance(rep, m, regime)
             vr.var_C, vr.var_Cplus = beyond(m, "C"), beyond(m, "Cplus")
             return vr
 
@@ -193,6 +193,58 @@ class TestVarianceCheck:
         for r in studies.run_variance_check(cfg):
             assert r["var_C_exact"] - r["var_C_mc"] < 1e-6 * r["var_C_mc"]
             assert not r["within_3sigma_C"] and not r["within_3sigma_Cplus"]
+
+
+THREE_STATE = {"type": "finite_chain",
+               "transition": [[0.9, 0.1, 0.0], [0.05, 0.9, 0.05], [0.0, 0.2, 0.8]]}
+GOLDEN = {"type": "circle_rotation",
+          "t0": {"form": "quadratic", "a": -1, "b": 1, "c": 2, "d": 5}}
+IID_CASES = pytest.mark.parametrize(
+    "system, dictionary, m_grid, n_trials",
+    [(THREE_STATE, {"kind": "monomial", "degree": 2}, [100, 400, 1600], 4000),
+     (GOLDEN, {"kind": "fourier", "max_freq": 2}, [10, 40, 160], 2000)],
+    ids=["chain_monomial2", "golden_fourier2"],
+)
+
+
+class TestIidRegime:
+    """Under i.i.d. sampling the exact variance is E / m (no p_m term)."""
+
+    @IID_CASES
+    def test_study_prediction_within_3_stderr(self, system, dictionary, m_grid, n_trials):
+        cfg = studies.StudyConfig(system=system, dictionary=dictionary, regime="iid",
+                                  m_grid=m_grid, n_trials=n_trials, seed=3)
+        rows, _ = studies.run_convergence_study(cfg)
+        sys_ = config.system_from_config(system)
+        d = config.dictionary_from_config(dictionary, system=sys_)
+        rep = variance.build_rep(sys_, d)
+        ref = studies.exact_reference(rep.gram)
+        for mi, (m, row) in enumerate(zip(m_grid, rows)):
+            err_C, err_Cp, _ = studies.mc_trial_errors(
+                sys_, d, ref, m, n_trials, studies._derived_seed(3, mi),
+                systems.Regime.IID, studies._default_mu0(sys_))
+            for err, key in ((err_C, "C"), (err_Cp, "Cplus")):
+                mse = np.mean(err**2)
+                assert row[f"rmse_{key}"] == np.sqrt(mse)
+                se = np.std(err**2, ddof=1) / np.sqrt(n_trials)
+                assert abs(row[f"pred_rmse_{key}"] ** 2 - mse) <= 3.0 * se, (m, key)
+
+    @IID_CASES
+    def test_variance_check_flags_pass(self, system, dictionary, m_grid, n_trials):
+        cfg = studies.StudyConfig(system=system, dictionary=dictionary, regime="iid",
+                                  m_grid=m_grid, n_trials=n_trials, seed=5)
+        sys_ = config.system_from_config(system)
+        rep = variance.build_rep(sys_, config.dictionary_from_config(dictionary, system=sys_))
+        for m, r in zip(m_grid, studies.run_variance_check(cfg)):
+            assert r["var_C_exact"] == rep.E_zero / m
+            assert r["var_Cplus_exact"] == rep.E_plus / m
+            assert r["within_3sigma_C"] and r["within_3sigma_Cplus"], r
+
+    def test_exact_variance_is_e_over_m(self, five_state_chain, monomial3):
+        rep = variance.build_rep(five_state_chain, monomial3)
+        vr = variance.exact_variance(rep, 50, systems.Regime.IID)
+        assert (vr.sigma2_zero, vr.sigma2_plus) == (rep.E_zero, rep.E_plus)
+        assert (vr.var_C, vr.var_Cplus) == (rep.E_zero / 50, rep.E_plus / 50)
 
 
 class TestBoundValidity:
