@@ -12,6 +12,7 @@ from .systems import (
     NoisyMapSystem,
     QuadraticIrrational,
     SdeSystem,
+    gaussian_ar1,
 )
 
 
@@ -113,7 +114,11 @@ def _noisy_map_from_config(cfg):
         # a scalar start is accepted for a 1-d map
         if x0.shape != (dim,) and not (dim == 1 and x0.ndim == 0):
             raise ConfigError(f"system.x0 must hold {dim} coordinates, got shape {x0.shape}")
-    return NoisyMapSystem(map_fn, noise, dim, x0=x0)
+    system = NoisyMapSystem(map_fn, noise, dim, x0=x0)
+    if name == "linear" and dim == 1 and sigma > 0 and abs(A[0, 0]) < 1.0:
+        a = float(A[0, 0])
+        system.law = gaussian_ar1(a, sigma**2 / (1.0 - a * a))
+    return system
 
 
 def _sde_from_config(cfg):
@@ -145,7 +150,15 @@ def _sde_from_config(cfg):
     dt = None
     if cfg.get("integrator_dt") is not None:
         dt = _number(cfg, "integrator_dt", None, "system")
-    return SdeSystem(drift, diffusion, dim, lag, integrator_dt=dt)
+    system = SdeSystem(drift, diffusion, dim, lag, integrator_dt=dt)
+    if name == "ornstein_uhlenbeck" and sigma > 0:
+        # each substep is x -> a x + sigma sqrt(dt) xi, so a lag of s
+        # substeps is a Gaussian AR(1) step with rho = a^s
+        a = 1.0 - rate * system.integrator_dt
+        if abs(a) < 1.0:
+            system.law = gaussian_ar1(a**system.substeps,
+                                      sigma**2 * system.integrator_dt / (1.0 - a * a))
+    return system
 
 
 def dictionary_from_config(cfg, system=None):
@@ -157,6 +170,11 @@ def dictionary_from_config(cfg, system=None):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("dictionary config must be an object with a 'kind' key")
     kind = cfg["kind"]
+    # chain and circle states are scalars
+    state_dim = getattr(system, "state_dim", 1)
+    if kind in ("indicator", "fourier", "monomial") and state_dim != 1:
+        raise ConfigError(f"the {kind} dictionary needs scalar states, but the "
+                          f"system's states have {state_dim} coordinates")
     if kind == "indicator":
         if cfg.get("n_states") is not None:
             return dicts.indicator(_number(cfg, "n_states", None, "dictionary", int))
@@ -171,8 +189,6 @@ def dictionary_from_config(cfg, system=None):
         return dicts.monomial(_number(cfg, "degree", 2, "dictionary", int),
                               _number(cfg, "scale", 1.0, "dictionary"))
     if kind == "rff":
-        # chain and circle states are scalars
-        state_dim = getattr(system, "state_dim", 1)
         dim = _number(cfg, "dim", state_dim, "dictionary", int)
         if system is not None and dim != state_dim:
             raise ConfigError(f"dictionary.dim is {dim}, but the system's states "

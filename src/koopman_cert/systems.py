@@ -2,7 +2,9 @@
 
 Four system classes are provided: finite Markov chains (the exactly
 computable reference class), circle rotations by an irrational angle, noisy
-iterated maps, and Euler-Maruyama discretizations of SDEs.  There is one
+iterated maps, and Euler-Maruyama discretizations of SDEs.  A noisy map or
+SDE whose lag is exactly a Gaussian AR(1) step carries that law
+(`GaussianAR1`) and is sampled from it directly.  There is one
 batched sampler per regime, always on explicit seeds: `ergodic_chunk` draws
 stationary trajectories (ergodic regime) and `iid_chunk` independent pairs
 (i.i.d. regime).  `sample_ergodic` and `sample_iid` return a single
@@ -177,13 +179,32 @@ def golden_rotation():
     return CircleRotationSystem.from_quadratic(-1, 1, 2, 5)
 
 
+@dataclass(frozen=True)
+class GaussianAR1:
+    """The Gaussian AR(1) law x' = rho x + sqrt(v (1 - rho^2)) xi, xi ~ N(0, 1),
+    in each coordinate: |rho| < 1 and stationary law N(0, v)."""
+
+    rho: float
+    v: float
+
+
+def gaussian_ar1(rho, v):
+    """GaussianAR1(rho, v), or None unless |rho| < 1 and 0 < v < inf."""
+    if abs(rho) < 1.0 and 0.0 < v < math.inf:
+        return GaussianAR1(float(rho), float(v))
+    return None
+
+
 class NoisyMapSystem:
     """x_{n+1} = T(x_n) + eps_n with i.i.d. noise from a seeded sampler.
 
     map_fn maps (m, d) state arrays to (m, d) arrays; noise_sampler takes
     (generator, shape) and returns increments of that shape.  With zero
-    noise the trajectory equals the deterministic orbit bit for bit.
+    noise the trajectory equals the deterministic orbit bit for bit.  `law`
+    is the GaussianAR1 one step follows exactly, or None.
     """
+
+    law = None
 
     def __init__(self, map_fn, noise_sampler, state_dim, x0=None):
         self.map_fn = map_fn
@@ -206,8 +227,11 @@ class SdeSystem:
     """Euler-Maruyama discretization of dY = f(Y) dt + sigma(Y) dW.
 
     One Koopman-lag sample advances by exactly lag / integrator_dt
-    Euler-Maruyama substeps.
+    Euler-Maruyama substeps.  `law` is the GaussianAR1 one lag follows
+    exactly, or None.
     """
+
+    law = None
 
     def __init__(self, drift, diffusion, state_dim, lag, integrator_dt=None):
         self.drift = drift
@@ -297,11 +321,12 @@ def ergodic_chunk(sys, m, seed, chunk_index, count):
 
     States are (count, m+1) for chains and the circle, and (count, m+1,
     state_dim) for noisy maps and SDEs.  Chains start from their invariant
-    distribution and the circle from arc length; noisy maps and SDEs start
-    at x0 and burn in 10 m lags; a non-finite state raises DomainError
-    naming its lag.  The block is a pure function of (seed, chunk_index);
-    Monte-Carlo drivers may therefore evaluate chunks in any order or in
-    parallel.
+    distribution and the circle from arc length.  A noisy map or SDE with a
+    Gaussian AR(1) law starts from N(0, v) and steps by that law; any other
+    starts at x0 and burns in 10 m lags, and a non-finite state raises
+    DomainError naming its lag.  The block is a pure function of (seed,
+    chunk_index); Monte-Carlo drivers may therefore evaluate chunks in any
+    order or in parallel.
     """
     gen = rng.stream(seed, chunk_index)
     if isinstance(sys, FiniteMarkovSystem):
@@ -319,6 +344,8 @@ def ergodic_chunk(sys, m, seed, chunk_index, count):
         steps = sys.t0 * np.arange(m + 1)
         return np.mod(x0[:, None] + steps[None, :], 1.0)
     if isinstance(sys, (NoisyMapSystem, SdeSystem)):
+        if sys.law is not None:
+            return _ar1_block(sys.law, m, gen, count, sys.state_dim)
         traj = _stepped_block(sys, m, gen, count)
         if not np.all(np.isfinite(traj)):
             # the block is a pure function of its stream: replay it, checking
@@ -326,6 +353,17 @@ def ergodic_chunk(sys, m, seed, chunk_index, count):
             _stepped_block(sys, m, rng.stream(seed, chunk_index), count, check=True)
         return traj
     raise ConfigError(f"no batched ergodic sampler for {type(sys).__name__}")
+
+
+def _ar1_block(law, m, gen, count, dim):
+    """(count, m+1, dim) stationary states of a Gaussian AR(1) law: x_0 ~
+    N(0, v), then one (count, dim) Gaussian block per lag."""
+    traj = np.empty((count, m + 1, dim))
+    traj[:, 0] = math.sqrt(law.v) * gen.standard_normal((count, dim))
+    sd = math.sqrt(law.v * (1.0 - law.rho**2))
+    for k in range(1, m + 1):
+        traj[:, k] = law.rho * traj[:, k - 1] + sd * gen.standard_normal((count, dim))
+    return traj
 
 
 def _stepped_block(sys, m, gen, count, check=False):

@@ -19,10 +19,12 @@ Only p_m(K0) depends on m.  `build_rep` builds everything else once per
 (system, dictionary): the embedded dictionary, the product family psi_i psi_j
 and psi_i K psi_j with its reduced mean-zero stacks, the exact Gram pair C,
 C_+, and the constants E_0, E_+.
-It is the package's one exact reference for finite chains and Fourier
-circles.  The Monte-Carlo oracle that checks these values lives in `studies`.
+It is the package's one exact reference for finite chains, Fourier circles
+and monomials on a 1-d Gaussian AR(1) system (Hermite polynomials).  The
+Monte-Carlo oracle that checks these values lives in `studies`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +137,11 @@ class KoopmanMatrixRep:
 
     Functions are coefficient vectors in natural coordinates: values on
     states for finite chains, real Fourier coefficients (constant, then
-    sqrt2-normalized cos/sin pairs) for the circle.  `M` is K0 expressed in
+    sqrt2-normalized cos/sin pairs) for the circle, and coefficients in the
+    Hermite basis orthonormal in N(0, v) for a Gaussian AR(1) system.
+    Outside chains, `nodes` = (points, E, back) maps coefficients to values
+    at quadrature nodes (values = coefficients @ E.T) and back (coefficients
+    = values @ back), exactly for the rep's products.  `M` is K0 expressed in
     an orthonormal basis of the mean-zero subspace, so Euclidean geometry on
     reduced coordinates equals the weighted L2 geometry.
 
@@ -147,8 +153,10 @@ class KoopmanMatrixRep:
     `E_plus`, `E_zero`.
     """
 
-    def __init__(self, kind, system, dictionary, K, Kstar, weights, one, meta):
+    def __init__(self, kind, system, dictionary, K, Kstar, weights, one, meta,
+                 nodes=None):
         self.kind = kind
+        self.nodes = nodes
         self.system = system
         self.dictionary = dictionary
         self.K = K
@@ -305,8 +313,10 @@ def build_rep(sys, dictionary):
     and all of their products.
 
     Finite chains represent every function exactly; the circle uses the
-    Fourier space truncated at twice the dictionary's maximal frequency
-    (products of dictionary elements close at the doubled degree).
+    Fourier space truncated at twice the dictionary's maximal frequency, and
+    a 1-d Gaussian AR(1) system with a monomial(d) dictionary the
+    polynomials of degree <= 2d (products of dictionary elements close at
+    the doubled degree).
     """
     if isinstance(sys, FiniteMarkovSystem):
         pi = sys.pi
@@ -322,6 +332,10 @@ def build_rep(sys, dictionary):
         F = dictionary.metadata["max_freq"]
         R = 2 * F
         d = 2 * R + 1
+        # a function of degree <= R is determined by its values at the d
+        # nodes a / d
+        nodes = np.arange(d) / d
+        E = fourier(R).evaluate(nodes).T
         K = np.zeros((d, d))
         K[0, 0] = 1.0
         for k in range(1, R + 1):
@@ -334,44 +348,82 @@ def build_rep(sys, dictionary):
         one[0] = 1.0
         weights = np.ones(d)
         return KoopmanMatrixRep(
-            "circle", sys, dictionary, K, K.T, weights, one, {"t0": sys.t0, "R": R}
+            "circle", sys, dictionary, K, K.T, weights, one, {"t0": sys.t0, "R": R},
+            (nodes, E, E / d),
         )
-    raise UnsupportedSystem(
-        f"no exact representation for {type(sys).__name__}"
+    law = getattr(sys, "law", None)
+    if law is None or sys.state_dim != 1:
+        raise UnsupportedSystem(
+            f"no exact representation for {type(sys).__name__}"
+        )
+    if dictionary.kind is not DictionaryKind.MONOMIAL:
+        raise UnsupportedSystem(
+            "Gaussian AR(1) representations require a monomial dictionary"
+        )
+    # Mehler: K h_k = rho^k h_k on the Hermite basis orthonormal in N(0, v)
+    R = 2 * dictionary.metadata["degree"]
+    K = np.diag(law.rho ** np.arange(R + 1))
+    one = np.zeros(R + 1)
+    one[0] = 1.0
+    return KoopmanMatrixRep(
+        "hermite", sys, dictionary, K, K, np.ones(R + 1), one,
+        {"rho": law.rho, "v": law.v, "R": R}, hermite_nodes(R, law.v),
     )
+
+
+def hermite_nodes(R, v):
+    """(points, E, back) for polynomials of degree <= R in the basis h_k(x) =
+    He_k(x / sqrt v) / sqrt(k!), orthonormal in N(0, v).
+
+    The R + 1 Gauss-Hermite nodes z_j and weights w_j come from the Jacobi
+    matrix of the recurrence z h_k = sqrt(k+1) h_{k+1} + sqrt(k) h_{k-1}
+    (Golub-Welsch): its eigenvalues, and the squared first components of
+    its eigenvectors.  E[j, k] = h_k at node j and back = diag(w) E, which
+    recovers the coefficients of any polynomial of degree <= R (the rule is
+    exact up to degree 2R + 1).
+    """
+    off = np.sqrt(np.arange(1.0, R + 1))
+    z, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    h = [np.zeros(R + 1), np.ones(R + 1)]
+    for k in range(R):
+        h.append((z * h[-1] - math.sqrt(k) * h[-2]) / off[k])
+    E = np.stack(h[1:], axis=1)
+    return math.sqrt(v) * z, E, vecs[0, :, None] ** 2 * E
 
 
 def embed_dictionary(rep):
     """The rep's dictionary as rows of an (N, dim) natural-coordinate array.
 
-    On the circle the Fourier dictionary is the leading block of the
-    representation's own basis.
+    Chain coordinates are values on states.  On the circle the Fourier
+    dictionary is the leading block of the representation's own basis;
+    otherwise its values at the rep's nodes are mapped back.
     """
-    if rep.kind == "chain":
+    if rep.nodes is None:
         return rep.dictionary.evaluate(np.arange(rep.dim))
-    return np.eye(rep.dictionary.size, rep.dim)
+    if rep.kind == "circle":
+        return np.eye(rep.dictionary.size, rep.dim)
+    points, _, back = rep.nodes
+    return rep.dictionary.evaluate(points) @ back
 
 
 def function_family(rep):
     """psi_ij = psi_i psi_j, g_ij = psi_i K psi_j, gs[i,j] = psi_j K* psi_i,
     and phi = sum_j psi_j^2, all in natural coordinates.
 
-    Products are pointwise on values.  Chain coordinates are values; a
-    circle function has degree <= R, so its values at the d = 2R + 1 nodes
-    a/d determine it: E maps coefficients to those values, E.T / d back.
+    Products are pointwise on values.  Chain coordinates are values; other
+    reps map coefficients to values at their nodes and back (`rep.nodes`),
+    which is exact because the products stay in the rep's space.
     """
     psis = rep.psi
     N = psis.shape[0]
     kpsis = (rep.K @ psis.T).T
     kstar_psis = (rep.Kstar @ psis.T).T
-    if rep.kind == "chain":
+    if rep.nodes is None:
         psi_ij = psis[:, None, :] * psis[None, :, :]
         g_ij = psis[:, None, :] * kpsis[None, :, :]
         gs_ij = kstar_psis[:, None, :] * psis[None, :, :]
     else:
-        d = rep.dim
-        E = fourier(rep.meta["R"]).evaluate(np.arange(d) / d).T
-        back = E / d
+        _, E, back = rep.nodes
         v, kv, ksv = psis @ E.T, kpsis @ E.T, kstar_psis @ E.T
         psi_ij = (v[:, None, :] * v[None, :, :]) @ back
         g_ij = (v[:, None, :] * kv[None, :, :]) @ back
@@ -483,8 +535,8 @@ def fejer_variance(rep, m, rtol=1e-9) -> VarianceReport:
 
 
 def exact_reference_gram(sys, dictionary):
-    """Exact GramPair: the rep's pair for finite chains and Fourier circles,
-    quadrature for other circle dictionaries, UnsupportedSystem otherwise."""
+    """Exact GramPair: the rep's pair where `build_rep` has one, quadrature
+    for other circle dictionaries, UnsupportedSystem otherwise."""
     circle = isinstance(sys, CircleRotationSystem)
     if circle and dictionary.kind is not DictionaryKind.FOURIER:
         gram = quadrature_gram_circle(sys, dictionary)

@@ -298,11 +298,13 @@ class TestEntryPoint:
 
 OU_SYSTEM = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,
              "integrator_dt": 0.01}
+# an SDE with no exact reference: studies run in reference-model mode
+DOUBLE_WELL = {"type": "sde", "model": "double_well", "lag": 0.1, "integrator_dt": 0.01}
 
 
 class TestJsonOutput:
     def test_study_without_exact_reference_writes_null(self, tmp_path):
-        cfg = write_cfg(tmp_path, {"system": OU_SYSTEM,
+        cfg = write_cfg(tmp_path, {"system": DOUBLE_WELL,
                                    "dictionary": {"kind": "monomial", "degree": 2},
                                    "m_grid": [4, 8], "n_trials": 30, "seed": 3})
         rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path), "--format", "json"])
@@ -317,6 +319,58 @@ class TestJsonOutput:
         rows = json.loads((tmp_path / "convergence.json").read_text())
         assert all(r["pred_rmse_C"] is None and r["pred_rmse_Cplus"] is None for r in rows)
         assert all(isinstance(r["rmse_C"], float) for r in rows)
+
+
+LINEAR_1D = {"type": "noisy_map", "noise_sigma": 0.5,
+             "map": {"name": "linear", "matrix": [[0.8]]}}
+
+
+class TestGaussianAR1:
+    """OU and the 1-d linear noisy map have an exact Hermite reference."""
+
+    @pytest.mark.parametrize("system", [OU_SYSTEM, LINEAR_1D], ids=["ou", "linear"])
+    def test_variance_within_3_sigma(self, tmp_path, capsys, system):
+        # the squared errors are heavy-tailed at rho = 0.8: at 2000 trials
+        # 8 of 180 flags (30 seeds) failed, all with the oracle's mean below
+        # the exact value; at 10000 trials the z-scores are N(0, 1)
+        cfg = write_cfg(tmp_path, {"system": system,
+                                   "dictionary": {"kind": "monomial", "degree": 2},
+                                   "m_grid": [10, 100, 1000], "n_trials": 10000, "seed": 0})
+        rc = cli.main(["variance", "--config", cfg, "--format", "json"])
+        assert rc == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["m"] for r in rows] == [10, 100, 1000]
+        for r in rows:
+            assert r["within_3sigma_C"] and r["within_3sigma_Cplus"], r
+
+    def test_study_same_bytes_at_one_and_two_threads(self, tmp_path, capsys):
+        # 1100 trials are two trial chunks, so two threads run the pool
+        cfg = write_cfg(tmp_path, {"system": OU_SYSTEM,
+                                   "dictionary": {"kind": "monomial", "degree": 2},
+                                   "m_grid": [4, 8, 16, 32], "n_trials": 1100, "seed": 2})
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            rc = cli.main(["study", "--config", cfg, "--out", str(out), "--threads", threads])
+            assert rc == 0
+            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outs[0] == outs[1]
+        # an exact reference: predictions are finite and nothing is reported
+        rows = outs[0]["convergence.csv"].decode().splitlines()[2:]
+        assert all("nan" not in row for row in rows)
+        assert capsys.readouterr().err == ""
+
+    def test_reference_model_fallback_is_reported(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"system": DOUBLE_WELL,
+                                   "dictionary": {"kind": "monomial", "degree": 2},
+                                   "m_grid": [4, 8], "n_trials": 30, "seed": 3})
+        rc = cli.main(["study", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "sde double_well" in lines[0] and "80 lags" in lines[0]
 
 
 class TestInputAtFault:
@@ -343,7 +397,7 @@ class TestInputAtFault:
         "argv, cfg",
         [(["study"], dict(STUDY, system={"type": "finite_chain",
                                          "transition": [[0.0, 1.0], [1.0, 0.0]]})),
-         (["variance"], dict(STUDY, system=OU_SYSTEM,
+         (["variance"], dict(STUDY, system=DOUBLE_WELL,
                              dictionary={"kind": "monomial", "degree": 2})),
          (["simulate", "--regime", "iid"], {"system": OU_SYSTEM})],
         ids=["periodic_chain_study", "sde_variance", "sde_iid_simulate"],
@@ -353,6 +407,21 @@ class TestInputAtFault:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "dictionary",
+        [{"kind": "indicator", "n_states": 2}, {"kind": "fourier", "max_freq": 1},
+         {"kind": "monomial", "degree": 2}],
+        ids=["indicator", "fourier", "monomial"],
+    )
+    def test_scalar_dictionary_on_vector_states_exit_2(self, tmp_path, capsys, dictionary):
+        # found by the CLI fuzz test: on 2-d states the indicator and
+        # Fourier dictionaries raised a numpy broadcasting error (exit 1)
+        cfg = dict(self.STUDY, system=dict(OU_SYSTEM, state_dim=2), dictionary=dictionary)
+        rc = cli.main(["study", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "scalar states" in err
 
     @pytest.mark.parametrize(
         "system, dictionary, path",

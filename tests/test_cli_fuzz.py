@@ -1,0 +1,96 @@
+"""Property test: every generated config gets exit code 0, 2 or 3 from
+`cli.main`, and never a traceback."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from koopman_cert import cli  # noqa: E402
+
+BRANCHES = ["ergodic_linear", "ergodic_superlinear", "ergodic_kappa_zero",
+            "iid_markov", "iid_hoeffding"]
+small = st.floats(0.0, 1.0)
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n))
+    # most rows are normalized, so most chains are valid; raw rows test the gate
+    if draw(st.sampled_from([True, True, True, False])):
+        rows = [[x / sum(r) for x in r] if sum(r) > 0 else r for r in rows]
+    return {"type": "finite_chain", "transition": rows}
+
+
+circles = st.one_of(
+    st.builds(lambda t0: {"type": "circle_rotation", "t0": t0}, small),
+    st.builds(lambda a, b, c, d: {"type": "circle_rotation",
+                                  "t0": {"form": "quadratic", "a": a, "b": b, "c": c, "d": d}},
+              st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3), st.integers(0, 6)),
+)
+sdes = st.builds(
+    lambda model, rate, sigma, lag, dim: {
+        "type": "sde", "model": model, "rate": rate, "sigma": sigma, "lag": lag,
+        "integrator_dt": 0.05, "state_dim": dim},
+    st.sampled_from(["ornstein_uhlenbeck", "double_well"]), st.floats(0.0, 50.0),
+    st.floats(0.0, 2.0), st.sampled_from([0.05, 0.1]), st.integers(1, 2),
+)
+noisy_maps = st.one_of(
+    st.builds(lambda r, sigma, x0: {"type": "noisy_map", "noise_sigma": sigma, "x0": x0,
+                                    "map": {"name": "logistic", "r": r}},
+              st.floats(0.0, 4.0), st.floats(0.0, 0.1), small),
+    st.builds(lambda A, sigma: {"type": "noisy_map", "noise_sigma": sigma,
+                                "map": {"name": "linear", "matrix": A}},
+              st.sampled_from([1, 2]).flatmap(lambda n: st.lists(
+                  st.lists(st.floats(-1.2, 1.2), min_size=n, max_size=n),
+                  min_size=n, max_size=n)),
+              st.floats(0.0, 1.0)),
+)
+dictionaries = st.one_of(
+    st.just({"kind": "indicator"}),
+    st.builds(lambda n: {"kind": "indicator", "n_states": n}, st.integers(1, 3)),
+    st.builds(lambda F: {"kind": "fourier", "max_freq": F}, st.integers(0, 2)),
+    st.builds(lambda d, s: {"kind": "monomial", "degree": d, "scale": s},
+              st.integers(0, 3), st.floats(0.1, 2.0)),
+    st.builds(lambda n, b, dim: {"kind": "rff", "n_features": n, "bandwidth": b, "dim": dim},
+              st.sampled_from([2, 4]), st.floats(0.5, 2.0), st.integers(1, 2)),
+)
+
+
+@st.composite
+def runs(draw):
+    """(argv after the config path, config) for one small CLI run."""
+    system = draw(st.one_of(chains(), circles, sdes, noisy_maps))
+    cfg = {"system": system, "dictionary": draw(dictionaries), "seed": draw(st.integers(0, 9))}
+    command = draw(st.sampled_from(["simulate", "estimate", "variance", "bounds", "study"]))
+    regime = draw(st.sampled_from(["ergodic", "iid"]))
+    if command in ("simulate", "estimate"):
+        return [command, "--m", "6", "--regime", regime], cfg
+    if command == "bounds":
+        cfg.update(branch=draw(st.sampled_from(BRANCHES)), m_grid=[20], n_trials=20,
+                   epsilons=[1.0], thin={"alpha": 1.5, "theta": 0.2})
+        return [command], cfg
+    cfg.update(regime=regime, m_grid=[4, 8], n_trials=30)
+    return [command], cfg
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(runs())
+def test_cli_exits_0_2_or_3_without_traceback(run):
+    argv, cfg = run
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main([argv[0], "--config", path, "--out", tmp, *argv[1:]])
+    assert rc in (0, 2, 3), (rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -78,12 +78,12 @@ class TestDictionaryConfigs:
 
 
 class TestReferenceModelMode:
-    def test_ou_study_runs_without_exact_reference(self):
+    def test_double_well_study_runs_without_exact_reference(self):
         from koopman_cert import studies
 
         cfg = studies.StudyConfig(
-            system={"type": "sde", "model": "ornstein_uhlenbeck", "rate": 1.0,
-                    "sigma": 1.0, "lag": 0.5, "integrator_dt": 0.05},
+            system={"type": "sde", "model": "double_well", "sigma": 1.0, "lag": 0.5,
+                    "integrator_dt": 0.05},
             dictionary={"kind": "monomial", "degree": 2},
             regime="ergodic", m_grid=[30, 60, 120, 240], n_trials=30, seed=4,
         )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koopman_cert import dictionaries, galerkin, systems
+from koopman_cert import config, dictionaries, galerkin, rng, systems
 from koopman_cert.errors import ConfigError, DomainError, NonErgodicChain
 
 
@@ -353,6 +353,72 @@ class TestNoisyMapAndSde:
         with pytest.raises(ConfigError):
             systems.SdeSystem(lambda x: -x, lambda x: np.ones_like(x), 1,
                               lag=0.5, integrator_dt=0.3)
+
+
+OU = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,
+      "integrator_dt": 0.01}
+
+
+def _linear_1d(a, sigma):
+    return {"type": "noisy_map", "map": {"name": "linear", "matrix": [[a]]},
+            "noise_sigma": sigma}
+
+
+class TestGaussianAR1:
+    """OU under Euler-Maruyama and the 1-d linear noisy map are exactly
+    Gaussian AR(1) chains, sampled from that law."""
+
+    @pytest.mark.parametrize("cfg, rho, v", [
+        (OU, 0.9**10, 0.01 / (1 - 0.81)),
+        (dict(OU, sigma=0.5, state_dim=2), 0.9**10, 0.25 * 0.01 / (1 - 0.81)),
+        (_linear_1d(0.6, 0.1), 0.6, 0.01 / (1 - 0.36)),
+        (_linear_1d(-0.5, 1.0), -0.5, 1 / (1 - 0.25)),
+    ], ids=["ou", "ou_2d", "linear", "linear_negative"])
+    def test_config_attaches_law(self, cfg, rho, v):
+        law = config.system_from_config(cfg).law
+        assert law.rho == pytest.approx(rho, rel=1e-12)
+        assert law.v == pytest.approx(v, rel=1e-12)
+
+    @pytest.mark.parametrize("cfg", [
+        {"type": "sde", "model": "double_well"},
+        dict(OU, sigma=0.0),
+        dict(OU, rate=200.0),  # a = 1 - rate dt = -1
+        _linear_1d(1.0, 0.1),
+        _linear_1d(0.5, 0.0),
+        {"type": "noisy_map", "noise_sigma": 0.1,
+         "map": {"name": "linear", "matrix": [[0.5, 0.0], [0.0, 0.5]]}},
+        {"type": "noisy_map", "noise_sigma": 0.1, "map": {"name": "logistic"}},
+    ], ids=["double_well", "ou_no_noise", "ou_a_minus_one", "linear_unit_root",
+            "linear_no_noise", "linear_2d", "logistic"])
+    def test_no_law(self, cfg):
+        assert config.system_from_config(cfg).law is None
+
+    @pytest.mark.parametrize("cfg", [OU, _linear_1d(-0.5, 1.0)], ids=["ou", "linear"])
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_pair_moments(self, cfg, k):
+        # (x_k, x_{k+1}) across independent trials: mean 0, variance v and
+        # lag-1 covariance rho v, each within 3 standard errors
+        sys = config.system_from_config(cfg)
+        law = sys.law
+        traj = systems.ergodic_chunk(sys, 5, 11, 0, 20000)
+        assert traj.shape == (20000, 6, 1)
+        x, y = traj[:, k, 0], traj[:, k + 1, 0]
+        for sample, want in ((x, 0.0), (x * x, law.v), (x * y, law.rho * law.v)):
+            se = sample.std(ddof=1) / np.sqrt(len(sample))
+            assert abs(sample.mean() - want) <= 3 * se, (sample.mean(), want, se)
+
+    def test_no_burn_in_and_one_block_per_lag(self):
+        # x_0 ~ N(0, v), then one (count, state_dim) Gaussian block per lag
+        sys = config.system_from_config(dict(OU, state_dim=2))
+        law = sys.law
+        traj = systems.ergodic_chunk(sys, 3, 5, 2, 4)
+        gen = rng.stream(5, 2)
+        x = np.sqrt(law.v) * gen.standard_normal((4, 2))
+        expect = [x]
+        for _ in range(3):
+            x = law.rho * x + np.sqrt(law.v * (1 - law.rho**2)) * gen.standard_normal((4, 2))
+            expect.append(x)
+        assert np.array_equal(traj, np.stack(expect, axis=1))
 
 
 class TestQuadraticIrrational:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koopman_cert import dictionaries, studies, systems, variance
+from koopman_cert import config, dictionaries, studies, systems, variance
 from koopman_cert.errors import NotUnitary, UnsupportedSystem
 
 
@@ -168,6 +168,64 @@ class TestBuildRep:
             variance.build_rep(sde, dictionaries.monomial(1))
         with pytest.raises(UnsupportedSystem):
             variance.build_rep(systems.golden_rotation(), dictionaries.monomial(1))
+
+
+OU = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,
+      "integrator_dt": 0.01}
+
+
+class TestGaussianAR1Rep:
+    """Hermite representation of a 1-d Gaussian AR(1) system (Mehler)."""
+
+    @pytest.mark.parametrize("R, v", [(1, 1.0), (4, 0.05), (10, 3.0)])
+    def test_hermite_nodes_orthonormal(self, R, v):
+        points, E, back = variance.hermite_nodes(R, v)
+        # back recovers coefficients from values: back.T E = I
+        assert np.allclose(back.T @ E, np.eye(R + 1), atol=1e-10)
+        # h_0 = 1 and h_1 = x / sqrt(v)
+        assert np.allclose(E[:, 0], 1.0) and np.allclose(E[:, 1] * np.sqrt(v), points)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_closed_form_grams(self, scale):
+        sys = config.system_from_config(OU)
+        rho, v = sys.law.rho, sys.law.v
+        rep = variance.build_rep(sys, dictionaries.monomial(2, scale))
+        assert rep.kind == "hermite" and rep.dim == 5
+        # E[x^2] = v, E[x^4] = 3 v^2, E[x x'] = rho v, E[x^2 x'^2] = v^2 (1 + 2 rho^2)
+        S = np.diag([1.0, scale, scale**2])
+        C = S @ np.array([[1, 0, v], [0, v, 0], [v, 0, 3 * v * v]]) @ S
+        Cp = S @ np.array([[1, 0, v], [0, rho * v, 0],
+                           [v, 0, v * v * (1 + 2 * rho**2)]]) @ S
+        assert np.allclose(rep.gram.C, C, atol=1e-15, rtol=1e-13)
+        assert np.allclose(rep.gram.Cplus, Cp, atol=1e-15, rtol=1e-13)
+        assert rep.gram.Cplus[1, 1] == pytest.approx(scale**2 * 0.018351496847368,
+                                                     rel=1e-12)
+
+    def test_matches_euler_maruyama(self):
+        # same law, old stream: a plain Euler-Maruyama system (burn-in and
+        # substeps, no law) against the exact variance of the Hermite rep
+        ou = config.system_from_config(OU)
+        em = systems.SdeSystem(ou.drift, ou.diffusion, 1, ou.lag, ou.integrator_dt)
+        assert em.law is None
+        rep = variance.build_rep(ou, dictionaries.monomial(2))
+        m, n = 32, 3000
+        err_C, err_Cp, _ = studies.mc_trial_errors(
+            em, rep.dictionary, studies.exact_reference(rep.gram), m, n, 21,
+            systems.Regime.ERGODIC)
+        vr = variance.exact_variance(rep, m)
+        for errs, exact in ((err_C, vr.var_C), (err_Cp, vr.var_Cplus)):
+            sq = errs**2
+            se = sq.std(ddof=1) / np.sqrt(n)
+            assert abs(sq.mean() - exact) <= 3 * se, (sq.mean(), exact, se)
+
+    @pytest.mark.parametrize("cfg, dictionary", [
+        (OU, dictionaries.random_fourier(4, 1.0, 0)),
+        (dict(OU, state_dim=2), dictionaries.monomial(2)),
+        (dict(OU, sigma=0.0), dictionaries.monomial(2)),
+    ], ids=["rff", "two_dim", "no_noise"])
+    def test_unsupported(self, cfg, dictionary):
+        with pytest.raises(UnsupportedSystem):
+            variance.build_rep(config.system_from_config(cfg), dictionary)
 
 
 class TestExactVariance:
