@@ -73,16 +73,17 @@ def bound_inputs_from_exact(rep, L=None, thin_params=None) -> BoundInputs:
 
     thin_params, when given, is (alpha, theta): thin-measure certificates
     are computed for the whole product family and aggregated (worst kappa).
-    L defaults to 1 for i.i.d. sampling from the invariant measure of a
-    finite chain or from arc length on the circle.
+    L defaults to 1 for i.i.d. sampling from the invariant measure, which
+    every system's `initial_law` is.
     """
     phi = phi_function(rep.dictionary)
     norm_phi = math.sqrt(float(np.sum(rep.weights * rep.family["phi"] ** 2)))
     sup_phi = phi.sup_bound
-    if sup_phi is None and rep.kind == "chain":
+    if sup_phi is None and rep.nodes is None:
+        # values on finitely many states: the sup is a max
         sup_phi = float(np.max(phi.evaluate(np.arange(rep.dim))))
     if L is None:
-        L = 1.0  # sampling from the invariant measure of the chain or circle
+        L = 1.0  # sampling from the invariant measure
     try:
         r_plus, r_zero = rep.resolvent_norms()
     except NoSpectralGap:
@@ -246,8 +247,8 @@ def superlinear_bound(inputs: BoundInputs, m, epsilon) -> BoundReport:
     )
 
 
-def iid_bounds(inputs: BoundInputs, m, epsilon):
-    """(Markov branch, Hoeffding branch) for i.i.d. sampling."""
+def iid_markov_bound(inputs: BoundInputs, m, epsilon) -> BoundReport:
+    """Markov branch for i.i.d. sampling."""
     if inputs.norm_Cplus <= 0:
         raise ConfigError("i.i.d. bounds require C_+ != 0")
     if inputs.L is None:
@@ -258,7 +259,7 @@ def iid_bounds(inputs: BoundInputs, m, epsilon):
     phi2 = inputs.norm_phi_L2**2
     sigma = 2.0 * a * b + float(epsilon)
     bracket = (L / b**2 + a**2) * phi2 - 2.0
-    markov = _power_report(
+    return _power_report(
         sigma**2 * bracket,
         1.0,
         BRANCH_IID_MARKOV,
@@ -266,17 +267,24 @@ def iid_bounds(inputs: BoundInputs, m, epsilon):
         epsilon,
         {"sigma": sigma, "bracket": bracket, "L": L},
     )
+
+
+def iid_hoeffding_bound(inputs: BoundInputs, m, epsilon) -> BoundReport:
+    """Hoeffding branch for i.i.d. sampling, with the Markov branch's sigma;
+    requires ||phi||_inf."""
+    sigma = iid_markov_bound(inputs, m, epsilon).constants_used["sigma"]
     if inputs.sup_phi is None:
         raise MissingSupBound("Hoeffding branch requires ||phi||_inf")
+    L = inputs.L
     tau = sigma * inputs.sup_phi
     fam = {
         "kind": "hoeffding",
         "c1": 2.0,
-        "r1": b**2 / (2.0 * tau**2 * (1.0 + L) ** 2),
+        "r1": inputs.norm_Cplus**2 / (2.0 * tau**2 * (1.0 + L) ** 2),
         "c2": 2.0,
-        "r2": 1.0 / (8.0 * tau**2 * a**2),
+        "r2": 1.0 / (8.0 * tau**2 * inputs.norm_Cinv**2),
     }
-    hoeffding = BoundReport(
+    return BoundReport(
         float(epsilon),
         int(m),
         evaluate_family(fam, m, epsilon),
@@ -284,7 +292,11 @@ def iid_bounds(inputs: BoundInputs, m, epsilon):
         {"tau": tau, "sigma": sigma, "L": L},
         fam,
     )
-    return markov, hoeffding
+
+
+def iid_bounds(inputs: BoundInputs, m, epsilon):
+    """(Markov branch, Hoeffding branch) for i.i.d. sampling."""
+    return iid_markov_bound(inputs, m, epsilon), iid_hoeffding_bound(inputs, m, epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -95,12 +95,7 @@ def cmd_simulate(args):
     cfg = load_json(args.config)
     system = system_from_config(_required(cfg, "system"))
     seed = _seed(args, cfg)
-    if args.regime == "ergodic":
-        pairs = sample_ergodic(system, args.m, seed=seed)
-    else:
-        from .studies import _default_mu0
-
-        pairs = sample_iid(system, _default_mu0(system), args.m, seed=seed)
+    pairs = _sample(system, args, seed)
     if args.format == "csv":
         lines = ["k,x,y"]
         for k, (x, y) in enumerate(zip(np.asarray(pairs.xs), np.asarray(pairs.ys))):
@@ -125,6 +120,13 @@ def cmd_simulate(args):
     return 0
 
 
+def _sample(system, args, seed):
+    """The pairs of `simulate` and `estimate`, in the --regime asked for."""
+    if args.regime == "ergodic":
+        return sample_ergodic(system, args.m, seed=seed)
+    return sample_iid(system, system.initial_law(), args.m, seed=seed)
+
+
 def _scalar(v):
     return ";".join(repr(x) for x in np.ravel(v).tolist())
 
@@ -134,12 +136,7 @@ def cmd_estimate(args):
     system = system_from_config(_required(cfg, "system"))
     dictionary = dictionary_from_config(_required(cfg, "dictionary"), system=system)
     seed = _seed(args, cfg)
-    if args.regime == "ergodic":
-        pairs = sample_ergodic(system, args.m, seed=seed)
-    else:
-        from .studies import _default_mu0
-
-        pairs = sample_iid(system, _default_mu0(system), args.m, seed=seed)
+    pairs = _sample(system, args, seed)
     est = edmd_estimate(dictionary, pairs)
     payload = est.to_json_dict()
     payload["seed"] = seed

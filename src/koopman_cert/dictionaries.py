@@ -1,4 +1,4 @@
-"""Observable dictionaries: evaluation, phi = sum psi_j^2, independence checks."""
+"""Observable dictionaries: evaluation and phi = sum psi_j^2."""
 
 import enum
 from dataclasses import dataclass, field
@@ -15,12 +15,6 @@ class DictionaryKind(enum.Enum):
     FOURIER = "fourier"
     MONOMIAL = "monomial"
     RANDOM_FOURIER = "rff"
-
-
-class IndependenceLevel(enum.Enum):
-    DEPENDENT = "dependent"
-    INDEPENDENT = "independent"
-    STRONGLY_INDEPENDENT = "strongly_independent"
 
 
 @dataclass
@@ -152,39 +146,3 @@ def random_fourier(n_features, bandwidth, seed, dim=1):
         "sup_phi": float(n_freq),
     }
     return Dictionary(N, DictionaryKind.RANDOM_FOURIER, _eval, meta)
-
-
-def check_mu_linear_independence(dictionary, sys):
-    """Classify the dictionary against the system's exact invariant measure.
-
-    Dependent when the exact mass matrix is numerically singular
-    (`galerkin.is_singular`).  Strong independence additionally requires
-    every nonzero combination to be nonzero almost everywhere; on a finite
-    chain with N >= 2 this always fails (a combination orthogonal to one
-    column vanishes on that state), while real trigonometric polynomials
-    vanish on finite, hence null, sets.
-    """
-    from .galerkin import is_singular, quadrature_gram_circle
-    from .systems import CircleRotationSystem, FiniteMarkovSystem
-
-    if isinstance(sys, FiniteMarkovSystem):
-        vals = dictionary.evaluate(np.arange(sys.n_states))
-        C = (vals * sys.pi) @ vals.T
-        if is_singular(C):
-            return IndependenceLevel.DEPENDENT
-        if dictionary.size == 1:
-            if np.all(np.abs(vals[0]) > 0):
-                return IndependenceLevel.STRONGLY_INDEPENDENT
-            return IndependenceLevel.INDEPENDENT
-        return IndependenceLevel.INDEPENDENT
-
-    if isinstance(sys, CircleRotationSystem):
-        C = quadrature_gram_circle(sys, dictionary).C
-        if is_singular(C):
-            return IndependenceLevel.DEPENDENT
-        if dictionary.kind in (DictionaryKind.FOURIER, DictionaryKind.RANDOM_FOURIER):
-            # nonzero trig polynomials have finitely many zeros on the circle
-            return IndependenceLevel.STRONGLY_INDEPENDENT
-        return IndependenceLevel.INDEPENDENT
-
-    raise ConfigError("independence check needs an exactly computable measure")

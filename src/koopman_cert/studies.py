@@ -22,7 +22,6 @@ from .systems import (
     CircleRotationSystem,
     FiniteMarkovSystem,
     Regime,
-    categorical_sampler,
     ergodic_chunk,
     iid_chunk,
 )
@@ -256,7 +255,7 @@ def montecarlo_variance_oracle(rep, m, n_trials, seed, threads=1,
     """Sample mean of ||C - C_hat||_F^2 (and the C_+ analogue) over
     independent trials of the rep's system, with standard errors: stationary
     trajectories, or i.i.d. pairs from the invariant law."""
-    mu0 = _default_mu0(rep.system) if regime is Regime.IID else None
+    mu0 = rep.system.initial_law() if regime is Regime.IID else None
     err_C, err_Cp, _ = mc_trial_errors(
         rep.system, rep.dictionary, exact_reference(rep.gram), int(m), int(n_trials),
         seed, regime, mu0, threads,
@@ -431,14 +430,6 @@ def fit_rate(m_values, rmse_values) -> RateFit:
 # studies
 # ---------------------------------------------------------------------------
 
-def _default_mu0(sys):
-    if isinstance(sys, FiniteMarkovSystem):
-        return categorical_sampler(sys.pi)
-    if isinstance(sys, CircleRotationSystem):
-        return lambda gen, m: gen.random(m)
-    raise UnsupportedSystem("i.i.d. studies need an initial-measure sampler")
-
-
 def run_convergence_study(cfg: StudyConfig, sys=None, dictionary=None):
     """RMSE of the three estimation errors per m, with rate fits.
 
@@ -451,6 +442,8 @@ def run_convergence_study(cfg: StudyConfig, sys=None, dictionary=None):
     sys = system_from_config(cfg.system) if sys is None else sys
     dictionary = dictionary_from_config(cfg.dictionary, system=sys) if dictionary is None else dictionary
     regime = Regime(cfg.regime)
+    # before any reference is built: a system without an i.i.d. law fails fast
+    mu0 = sys.initial_law() if regime is Regime.IID else None
     try:
         rep = build_rep(sys, dictionary)
     except UnsupportedSystem:
@@ -466,7 +459,6 @@ def run_convergence_study(cfg: StudyConfig, sys=None, dictionary=None):
         print(f"note: no exact reference for {_system_name(cfg.system)}; errors are "
               f"measured against a reference model learned from {m_ref} lags",
               file=_sys.stderr)
-    mu0 = _default_mu0(sys) if regime is Regime.IID else None
 
     tail_report = None  # without exact constants the tail column stays NaN
     if cfg.tail_epsilon is not None and cfg.tail_branch is not None and rep is not None:
@@ -611,9 +603,9 @@ def _branch_bound(inputs, branch, m, epsilon):
     if branch in (bounds_mod.BRANCH_ERGODIC_SUPERLINEAR, bounds_mod.BRANCH_ERGODIC_KAPPA_ZERO):
         return bounds_mod.superlinear_bound(inputs, m, epsilon)
     if branch == bounds_mod.BRANCH_IID_MARKOV:
-        return bounds_mod.iid_bounds(inputs, m, epsilon)[0]
+        return bounds_mod.iid_markov_bound(inputs, m, epsilon)
     if branch == bounds_mod.BRANCH_IID_HOEFFDING:
-        return bounds_mod.iid_bounds(inputs, m, epsilon)[1]
+        return bounds_mod.iid_hoeffding_bound(inputs, m, epsilon)
     raise ConfigError(f"unknown branch {branch}")
 
 
@@ -632,7 +624,7 @@ def run_bound_validity(rep, inputs, branch, m_values, epsilons, n_trials, seed,
         else Regime.ERGODIC
     )
     ref = exact_reference(rep.gram)
-    mu0 = _default_mu0(rep.system) if regime is Regime.IID else None
+    mu0 = rep.system.initial_law() if regime is Regime.IID else None
     rows = []
     for gi, m in enumerate(m_values):
         err_C, err_Cp, err_K = mc_trial_errors(

@@ -4,13 +4,13 @@ Four system classes are provided: finite Markov chains (the exactly
 computable reference class), circle rotations by an irrational angle, noisy
 iterated maps, and Euler-Maruyama discretizations of SDEs.  A noisy map or
 SDE whose lag is exactly a Gaussian AR(1) step carries that law
-(`GaussianAR1`) and is sampled from it directly.  There is one
-batched sampler per regime, always on explicit seeds: `ergodic_chunk` draws
-stationary trajectories (ergodic regime) and `iid_chunk` independent pairs
-(i.i.d. regime).  `sample_ergodic` and `sample_iid` return a single
+(`GaussianAR1`) and is sampled from it directly.  Every class implements
+one protocol (`System`).  `ergodic_chunk` and `iid_chunk` run its blocks on
+explicit seeds, and `sample_ergodic` and `sample_iid` return a single
 trajectory or pair set: the block's one-trial case.
 """
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, rng
-from .errors import ConfigError, DomainError, NonErgodicChain
+from .dictionaries import DictionaryKind, fourier
+from .errors import ConfigError, DomainError, NonErgodicChain, UnsupportedSystem
 
 
 class Regime(enum.Enum):
@@ -76,11 +77,44 @@ def _period(support, levels):
     return int(np.gcd.reduce(levels[i] + 1 - levels[j]))
 
 
-class FiniteMarkovSystem:
+class System:
+    """The protocol of a system class, with its defaults.  A class provides
+    `ergodic_block(m, gen, count)`, (count, m+1, ...) stationary states, and
+    `step(x, gen)`, y ~ rho(x, .) for a batch of states, or its own
+    `iid_block`."""
+
+    def initial_law(self):
+        """The i.i.d. start law as a sampler (gen, m) -> m states."""
+        raise UnsupportedSystem("i.i.d. sampling needs an initial-measure sampler; "
+                                f"{type(self).__name__} has none")
+
+    def koopman_space(self, dictionary):
+        """The finite space on which K acts exactly, as the keyword arguments
+        of `variance.KoopmanMatrixRep`: K, Kstar, weights, one, psi (the
+        dictionary in the space's coordinates) and optionally nodes and eigs."""
+        raise UnsupportedSystem(f"no exact representation for {type(self).__name__}")
+
+    def iid_block(self, mu0, m, gen, count):
+        """(xs, ys): count independent sets of m pairs x ~ mu0, y ~ rho(x, .),
+        stepped one pair set at a time; (m,) scalar states step as (m, 1)."""
+        xs = _starts(mu0, m, gen, count)
+        ys = np.stack([self.step(row.reshape(m, -1), gen).reshape(row.shape)
+                       for row in xs])
+        return xs, ys
+
+
+def _starts(mu0, m, gen, count):
+    """(count, m, ...) states from one mu0 draw of count * m."""
+    xs = mu0(gen, count * m)
+    return xs.reshape((count, m) + xs.shape[1:])
+
+
+class FiniteMarkovSystem(System):
     """Finite-state Markov chain given by a row-stochastic transition matrix.
 
     The invariant distribution is computed (never user-supplied) and is only
-    defined when the chain is ergodic (irreducible and aperiodic).
+    defined when the chain is ergodic (irreducible and aperiodic).  Functions
+    on the chain are their values on the states.
     """
 
     def __init__(self, transition):
@@ -124,6 +158,26 @@ class FiniteMarkovSystem:
             )
         return self._pi
 
+    def initial_law(self):
+        return categorical_sampler(self.pi)
+
+    def ergodic_block(self, m, gen, count):
+        if not self.is_ergodic:
+            raise NonErgodicChain("ergodic sampling requires an ergodic chain")
+        x0 = self.initial_law()(gen, count)
+        return kernels.chain_paths(self._cdf, x0, gen.random((count, m)))
+
+    def iid_block(self, mu0, m, gen, count):
+        xs = _starts(mu0, m, gen, count)
+        u = gen.random((count * m, 1))
+        ys = kernels.chain_paths(self._cdf, xs.ravel(), u)[:, 1].reshape(count, m)
+        return xs, ys
+
+    def koopman_space(self, dictionary):
+        pi, P, states = self.pi, self.transition, np.arange(self.n_states)
+        return {"K": P.copy(), "Kstar": (pi[None, :] * P.T) / pi[:, None], "weights": pi,
+                "one": np.ones(self.n_states), "psi": dictionary.evaluate(states)}
+
 
 @dataclass(frozen=True)
 class QuadraticIrrational:
@@ -146,12 +200,13 @@ class QuadraticIrrational:
         return (self.a + self.b * math.sqrt(self.d)) / self.c
 
 
-class CircleRotationSystem:
+class CircleRotationSystem(System):
     """Rotation t -> (t + t0) mod 1 on the circle, t0 in revolutions.
 
     Arc length is the ergodic invariant measure when t0 is irrational.  t0
     should be given as a QuadraticIrrational; a plain float is accepted for
-    unit tests with rational angles.
+    unit tests with rational angles.  Functions are real Fourier
+    coefficients (constant, then sqrt2-normalized cos/sin pairs).
     """
 
     def __init__(self, t0):
@@ -169,9 +224,50 @@ class CircleRotationSystem:
     def from_quadratic(cls, a, b, c, d):
         return cls(QuadraticIrrational(a, b, c, d))
 
-    def orbit(self, x0, n):
-        """States x0, T(x0), ..., T^n(x0)."""
-        return np.mod(float(x0) + self.t0 * np.arange(n + 1), 1.0)
+    def step(self, x, gen):
+        return np.mod(np.asarray(x, dtype=np.float64) + self.t0, 1.0)
+
+    def initial_law(self):
+        return lambda gen, m: gen.random(m)
+
+    def ergodic_block(self, m, gen, count):
+        x0 = self.initial_law()(gen, count)
+        return np.mod(x0[:, None] + self.t0 * np.arange(m + 1)[None, :], 1.0)
+
+    def koopman_space(self, dictionary):
+        """The Fourier space truncated at twice the dictionary's maximal
+        frequency R, which carries the products of dictionary elements; a
+        function of degree <= R is determined by its values at the 2R+1 nodes
+        a / (2R+1).  The eigenpairs of K0 are enumerated analytically."""
+        if dictionary.kind is not DictionaryKind.FOURIER:
+            raise UnsupportedSystem("circle representations require a Fourier dictionary")
+        R = 2 * dictionary.metadata["max_freq"]
+        d = 2 * R + 1
+        nodes = np.arange(d) / d
+        E = fourier(R).evaluate(nodes).T
+        K = np.zeros((d, d))
+        K[0, 0] = 1.0
+        ts = np.empty(2 * R)
+        V = np.zeros((d - 1, 2 * R), dtype=complex)
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        for k in range(1, R + 1):
+            ang = 2.0 * np.pi * k * self.t0
+            c, s = np.cos(ang), np.sin(ang)
+            i = 2 * k - 1
+            # K maps coefficient pairs by the transposed rotation block
+            K[i : i + 2, i : i + 2] = [[c, s], [-s, c]]
+            # reduced coords drop the constant: block k sits at 2k-2, 2k-1
+            ts[i - 1], ts[i] = wrap_angle(k * self.t0), wrap_angle(-k * self.t0)
+            V[i - 1, i - 1 : i + 1] = inv_sqrt2
+            V[i, i - 1 : i + 1] = [1j * inv_sqrt2, -1j * inv_sqrt2]
+        return {"K": K, "Kstar": K.T, "weights": np.ones(d), "one": np.eye(1, d)[0],
+                "psi": np.eye(dictionary.size, d), "nodes": (nodes, E, E / d),
+                "eigs": (ts, V)}
+
+
+def wrap_angle(t):
+    """Map revolutions to the principal interval [-1/2, 1/2)."""
+    return (np.asarray(t) + 0.5) % 1.0 - 0.5
 
 
 def golden_rotation():
@@ -195,16 +291,91 @@ def gaussian_ar1(rho, v):
     return None
 
 
-class NoisyMapSystem:
+class SteppedSystem(System):
+    """A system advanced by its own `step`: a noisy map or an SDE.  `law` is
+    the GaussianAR1 one step follows exactly, or None; without one there is
+    no i.i.d. start law or exact space."""
+
+    law = None
+
+    def initial_law(self):
+        if self.law is None:
+            return super().initial_law()
+        sd, dim = math.sqrt(self.law.v), self.state_dim
+        return lambda gen, m: sd * gen.standard_normal((m, dim))
+
+    def ergodic_block(self, m, gen, count):
+        """With a law: x_0 ~ N(0, v), then one Gaussian block per lag.
+        Without: `_stepped_block`; a non-finite block is replayed from a copy
+        of `gen` to name its first non-finite lag."""
+        law = self.law
+        if law is not None:
+            traj = np.empty((count, m + 1, self.state_dim))
+            traj[:, 0] = self.initial_law()(gen, count)
+            sd = math.sqrt(law.v * (1.0 - law.rho**2))
+            for k in range(1, m + 1):
+                xi = gen.standard_normal((count, self.state_dim))
+                traj[:, k] = law.rho * traj[:, k - 1] + sd * xi
+            return traj
+        start = copy.deepcopy(gen)
+        traj = _stepped_block(self, m, gen, count)
+        if not np.all(np.isfinite(traj)):
+            _stepped_block(self, m, start, count, check=True)
+        return traj
+
+    def iid_block(self, mu0, m, gen, count):
+        if self.law is None:
+            return super().iid_block(mu0, m, gen, count)
+        xs = _starts(mu0, m, gen, count)
+        rho, v = self.law.rho, self.law.v
+        return xs, rho * xs + math.sqrt(v * (1.0 - rho**2)) * gen.standard_normal(xs.shape)
+
+    def koopman_space(self, dictionary):
+        """For a 1-d law and a monomial(d) dictionary: the polynomials of
+        degree <= 2d (products of dictionary elements close at the doubled
+        degree) in the Hermite basis orthonormal in N(0, v), on which K acts
+        by Mehler's formula K h_k = rho^k h_k."""
+        law = self.law
+        if law is None or self.state_dim != 1:
+            return super().koopman_space(dictionary)
+        if dictionary.kind is not DictionaryKind.MONOMIAL:
+            raise UnsupportedSystem("Gaussian AR(1) representations require a "
+                                    "monomial dictionary")
+        R = 2 * dictionary.metadata["degree"]
+        K = np.diag(law.rho ** np.arange(R + 1))
+        nodes = hermite_nodes(R, law.v)
+        points, _, back = nodes
+        return {"K": K, "Kstar": K, "weights": np.ones(R + 1), "one": np.eye(1, R + 1)[0],
+                "psi": dictionary.evaluate(points) @ back, "nodes": nodes}
+
+
+def hermite_nodes(R, v):
+    """(points, E, back) for polynomials of degree <= R in the basis h_k(x) =
+    He_k(x / sqrt v) / sqrt(k!), orthonormal in N(0, v).
+
+    The R + 1 Gauss-Hermite nodes z_j and weights w_j come from the Jacobi
+    matrix of the recurrence z h_k = sqrt(k+1) h_{k+1} + sqrt(k) h_{k-1}
+    (Golub-Welsch): its eigenvalues, and the squared first components of
+    its eigenvectors.  E[j, k] = h_k at node j and back = diag(w) E, which
+    recovers the coefficients of any polynomial of degree <= R (the rule is
+    exact up to degree 2R + 1).
+    """
+    off = np.sqrt(np.arange(1.0, R + 1))
+    z, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    h = [np.zeros(R + 1), np.ones(R + 1)]
+    for k in range(R):
+        h.append((z * h[-1] - math.sqrt(k) * h[-2]) / off[k])
+    E = np.stack(h[1:], axis=1)
+    return math.sqrt(v) * z, E, vecs[0, :, None] ** 2 * E
+
+
+class NoisyMapSystem(SteppedSystem):
     """x_{n+1} = T(x_n) + eps_n with i.i.d. noise from a seeded sampler.
 
     map_fn maps (m, d) state arrays to (m, d) arrays; noise_sampler takes
     (generator, shape) and returns increments of that shape.  With zero
-    noise the trajectory equals the deterministic orbit bit for bit.  `law`
-    is the GaussianAR1 one step follows exactly, or None.
+    noise the trajectory equals the deterministic orbit bit for bit.
     """
-
-    law = None
 
     def __init__(self, map_fn, noise_sampler, state_dim, x0=None):
         self.map_fn = map_fn
@@ -223,15 +394,12 @@ class NoisyMapSystem:
         return nxt
 
 
-class SdeSystem:
+class SdeSystem(SteppedSystem):
     """Euler-Maruyama discretization of dY = f(Y) dt + sigma(Y) dW.
 
     One Koopman-lag sample advances by exactly lag / integrator_dt
-    Euler-Maruyama substeps.  `law` is the GaussianAR1 one lag follows
-    exactly, or None.
+    Euler-Maruyama substeps.
     """
-
-    law = None
 
     def __init__(self, drift, diffusion, state_dim, lag, integrator_dt=None):
         self.drift = drift
@@ -305,65 +473,16 @@ def categorical_sampler(weights):
     return sampler
 
 
-def _step(sys, xs, gen):
-    """Draw y ~ rho(x, .) for each x in a batch of continuous states; ys
-    have the shape of xs, and (m,) scalar states step as (m, 1)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if isinstance(sys, CircleRotationSystem):
-        return np.mod(xs + sys.t0, 1.0)
-    if isinstance(sys, (NoisyMapSystem, SdeSystem)):
-        return sys.step(xs.reshape(len(xs), -1), gen).reshape(xs.shape)
-    raise ConfigError(f"unknown system type {type(sys).__name__}")
-
-
 def ergodic_chunk(sys, m, seed, chunk_index, count):
-    """One block of `count` independent stationary trajectories.
+    """One block of `count` independent stationary trajectories on stream
+    (seed, chunk_index): `sys.ergodic_block`.
 
     States are (count, m+1) for chains and the circle, and (count, m+1,
-    state_dim) for noisy maps and SDEs.  Chains start from their invariant
-    distribution and the circle from arc length.  A noisy map or SDE with a
-    Gaussian AR(1) law starts from N(0, v) and steps by that law; any other
-    starts at x0 and burns in 10 m lags, and a non-finite state raises
-    DomainError naming its lag.  The block is a pure function of (seed,
-    chunk_index); Monte-Carlo drivers may therefore evaluate chunks in any
-    order or in parallel.
+    state_dim) for noisy maps and SDEs.  The block is a pure function of
+    (seed, chunk_index); Monte-Carlo drivers may therefore evaluate chunks in
+    any order or in parallel.
     """
-    gen = rng.stream(seed, chunk_index)
-    if isinstance(sys, FiniteMarkovSystem):
-        if not sys.is_ergodic:
-            raise NonErgodicChain("ergodic sampling requires an ergodic chain")
-        pi_cdf = np.cumsum(sys.pi)
-        x0 = np.minimum(
-            np.searchsorted(pi_cdf, gen.random(count), side="right"),
-            sys.n_states - 1,
-        ).astype(np.int64)
-        u = gen.random((count, m))
-        return kernels.chain_paths(sys._cdf, x0, u)
-    if isinstance(sys, CircleRotationSystem):
-        x0 = gen.random(count)
-        steps = sys.t0 * np.arange(m + 1)
-        return np.mod(x0[:, None] + steps[None, :], 1.0)
-    if isinstance(sys, (NoisyMapSystem, SdeSystem)):
-        if sys.law is not None:
-            return _ar1_block(sys.law, m, gen, count, sys.state_dim)
-        traj = _stepped_block(sys, m, gen, count)
-        if not np.all(np.isfinite(traj)):
-            # the block is a pure function of its stream: replay it, checking
-            # every lag, to name the first non-finite one
-            _stepped_block(sys, m, rng.stream(seed, chunk_index), count, check=True)
-        return traj
-    raise ConfigError(f"no batched ergodic sampler for {type(sys).__name__}")
-
-
-def _ar1_block(law, m, gen, count, dim):
-    """(count, m+1, dim) stationary states of a Gaussian AR(1) law: x_0 ~
-    N(0, v), then one (count, dim) Gaussian block per lag."""
-    traj = np.empty((count, m + 1, dim))
-    traj[:, 0] = math.sqrt(law.v) * gen.standard_normal((count, dim))
-    sd = math.sqrt(law.v * (1.0 - law.rho**2))
-    for k in range(1, m + 1):
-        traj[:, k] = law.rho * traj[:, k - 1] + sd * gen.standard_normal((count, dim))
-    return traj
+    return sys.ergodic_block(m, rng.stream(seed, chunk_index), count)
 
 
 def _stepped_block(sys, m, gen, count, check=False):
@@ -387,13 +506,6 @@ def _stepped_block(sys, m, gen, count, check=False):
 
 
 def iid_chunk(sys, mu0_sampler, m, seed, chunk_index, count):
-    """One block of `count` independent i.i.d. pair sets: (xs, ys), (count, m)."""
-    gen = rng.stream(seed, chunk_index)
-    if isinstance(sys, FiniteMarkovSystem):
-        xs = mu0_sampler(gen, count * m).reshape(count, m)
-        u = gen.random((count * m, 1))
-        ys = kernels.chain_paths(sys._cdf, xs.ravel(), u)[:, 1].reshape(count, m)
-    else:
-        xs = np.stack([mu0_sampler(gen, m) for _ in range(count)])
-        ys = np.stack([_step(sys, row, gen) for row in xs])
-    return xs, ys
+    """One block of `count` independent i.i.d. pair sets on stream (seed,
+    chunk_index): `sys.iid_block`; xs and ys are (count, m, ...)."""
+    return sys.iid_block(mu0_sampler, m, rng.stream(seed, chunk_index), count)

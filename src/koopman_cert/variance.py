@@ -16,23 +16,21 @@ the top block row of T^m is [K0^m, S_m, sum_{k=1}^{m-1} S_k] with
 S_k = sum_{j<k} K0^j, so p_m(K0) = (2/m) sum_{k=1}^{m-1} S_k.
 
 Only p_m(K0) depends on m.  `build_rep` builds everything else once per
-(system, dictionary): the embedded dictionary, the product family psi_i psi_j
-and psi_i K psi_j with its reduced mean-zero stacks, the exact Gram pair C,
-C_+, and the constants E_0, E_+.
+(system, dictionary) on the system's `koopman_space`: the product family
+psi_i psi_j and psi_i K psi_j with its reduced mean-zero stacks, the exact
+Gram pair C, C_+, and the constants E_0, E_+.
 It is the package's one exact reference for finite chains, Fourier circles
 and monomials on a 1-d Gaussian AR(1) system (Hermite polynomials).  The
 Monte-Carlo oracle that checks these values lives in `studies`.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import DictionaryKind, fourier
 from .errors import NotUnitary, NumericalError, SingularMass, UnsupportedSystem
 from .galerkin import GramPair, Provenance, is_singular, quadrature_gram_circle
-from .systems import CircleRotationSystem, FiniteMarkovSystem, Regime
+from .systems import Regime, wrap_angle
 
 GAP_THRESHOLD = 1e-10
 UNITARY_TOL = 1e-8
@@ -135,35 +133,34 @@ class KoopmanMatrixRep:
     """K, its weighted adjoint, and the mean-zero compression K0 on a
     computable function space, with the exact quantities of one dictionary.
 
-    Functions are coefficient vectors in natural coordinates: values on
-    states for finite chains, real Fourier coefficients (constant, then
-    sqrt2-normalized cos/sin pairs) for the circle, and coefficients in the
-    Hermite basis orthonormal in N(0, v) for a Gaussian AR(1) system.
-    Outside chains, `nodes` = (points, E, back) maps coefficients to values
-    at quadrature nodes (values = coefficients @ E.T) and back (coefficients
-    = values @ back), exactly for the rep's products.  `M` is K0 expressed in
-    an orthonormal basis of the mean-zero subspace, so Euclidean geometry on
-    reduced coordinates equals the weighted L2 geometry.
+    The space is the system's `koopman_space`: functions are coefficient
+    vectors in its natural coordinates, with the dictionary as the rows of
+    `psi`.  `nodes` is None where coefficients are values on finitely many
+    states; otherwise (points, E, back) maps coefficients to values at
+    quadrature nodes (values = coefficients @ E.T) and back (coefficients =
+    values @ back), exactly for the rep's products.  `eigs` are closed-form
+    eigenpairs, or None.  `M` is K0 expressed in an orthonormal basis of the
+    mean-zero subspace, so Euclidean geometry on reduced coordinates equals
+    the weighted L2 geometry.
 
     Construction also builds, once and eagerly (the Monte-Carlo pools share
-    the rep across threads): `psi`, the dictionary as rows in natural
-    coordinates; `family`, its product family (`function_family`);
-    `reduced`, the family's g_ij, gs_ij and psi_ij stacks as (dim-1, N^2)
-    reduced coordinates; `gram`, the exact GramPair with C symmetrised; and
-    `E_plus`, `E_zero`.
+    the rep across threads): `family`, the dictionary's product family
+    (`function_family`); `reduced`, the family's g_ij, gs_ij and psi_ij
+    stacks as (dim-1, N^2) reduced coordinates; `gram`, the exact GramPair
+    with C symmetrised; and `E_plus`, `E_zero`.
     """
 
-    def __init__(self, kind, system, dictionary, K, Kstar, weights, one, meta,
-                 nodes=None):
-        self.kind = kind
-        self.nodes = nodes
+    def __init__(self, system, dictionary, K, Kstar, weights, one, psi, nodes=None,
+                 eigs=None):
         self.system = system
         self.dictionary = dictionary
         self.K = K
         self.Kstar = Kstar
         self.weights = weights
         self.one = one
-        self.meta = meta
+        self.psi = psi
+        self.nodes = nodes
+        self.eigs = eigs
         self.dim = K.shape[0]
         sqrtw = np.sqrt(weights)
         self.sqrtw = sqrtw
@@ -176,7 +173,6 @@ class KoopmanMatrixRep:
         self.unitary = bool(np.linalg.norm(G.T @ G - np.eye(self.dim)) <= UNITARY_TOL)
         self.Q = np.eye(self.dim) - np.outer(one, weights * one)
 
-        self.psi = embed_dictionary(self)
         self.family = function_family(self)
         N2 = self.psi.shape[0] ** 2
         self.reduced = {key: self.to_reduced(self.family[key].reshape(N2, self.dim).T)
@@ -237,43 +233,20 @@ class KoopmanMatrixRep:
         """Unitary eigen-decomposition of the mean-zero compression.
 
         Returns (ts, V): angles in revolutions within [-1/2, 1/2) and an
-        orthonormal complex eigenvector matrix in reduced coordinates.  The
-        circle representation is enumerated analytically; generic unitary
-        representations fall back to a numerical eigensolver.
+        orthonormal complex eigenvector matrix in reduced coordinates: the
+        space's closed-form `eigs` where it has them (the circle), else a
+        numerical eigensolver.
         """
         if not self.unitary:
             raise NotUnitary("eigen-system on the unit circle requires a unitary K")
-        if self.kind == "circle":
-            return self._circle_eigs()
+        if self.eigs is not None:
+            return self.eigs
         lam, V = np.linalg.eig(self.M)
         V = V / np.linalg.norm(V, axis=0)
         if np.linalg.norm(V.conj().T @ V - np.eye(V.shape[1])) > 1e-8:
             V = _orthonormalize_clusters(lam, V)
         ts = wrap_angle(np.angle(lam) / (2.0 * np.pi))
         return ts, V
-
-    def _circle_eigs(self):
-        t0 = self.meta["t0"]
-        R = self.meta["R"]
-        d0 = self.dim - 1
-        ts = np.empty(2 * R)
-        V = np.zeros((d0, 2 * R), dtype=complex)
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        for k in range(1, R + 1):
-            # reduced coords drop the constant: block k sits at 2k-2, 2k-1
-            i = 2 * (k - 1)
-            ts[i] = wrap_angle(k * t0)
-            V[2 * k - 2, i] = inv_sqrt2
-            V[2 * k - 1, i] = 1j * inv_sqrt2
-            ts[i + 1] = wrap_angle(-k * t0)
-            V[2 * k - 2, i + 1] = inv_sqrt2
-            V[2 * k - 1, i + 1] = -1j * inv_sqrt2
-        return ts, V
-
-
-def wrap_angle(t):
-    """Map revolutions to the principal interval [-1/2, 1/2)."""
-    return (np.asarray(t) + 0.5) % 1.0 - 0.5
 
 
 def _complement_basis(e):
@@ -309,101 +282,9 @@ def _orthonormalize_clusters(lam, V, tol=1e-9):
 
 
 def build_rep(sys, dictionary):
-    """The exact representation of (sys, dictionary), carrying 1, all psi_i,
-    and all of their products.
-
-    Finite chains represent every function exactly; the circle uses the
-    Fourier space truncated at twice the dictionary's maximal frequency, and
-    a 1-d Gaussian AR(1) system with a monomial(d) dictionary the
-    polynomials of degree <= 2d (products of dictionary elements close at
-    the doubled degree).
-    """
-    if isinstance(sys, FiniteMarkovSystem):
-        pi = sys.pi
-        K = sys.transition.copy()
-        Kstar = (pi[None, :] * sys.transition.T) / pi[:, None]
-        one = np.ones(sys.n_states)
-        return KoopmanMatrixRep("chain", sys, dictionary, K, Kstar, pi, one, {})
-    if isinstance(sys, CircleRotationSystem):
-        if dictionary.kind is not DictionaryKind.FOURIER:
-            raise UnsupportedSystem(
-                "circle representations require a Fourier dictionary"
-            )
-        F = dictionary.metadata["max_freq"]
-        R = 2 * F
-        d = 2 * R + 1
-        # a function of degree <= R is determined by its values at the d
-        # nodes a / d
-        nodes = np.arange(d) / d
-        E = fourier(R).evaluate(nodes).T
-        K = np.zeros((d, d))
-        K[0, 0] = 1.0
-        for k in range(1, R + 1):
-            ang = 2.0 * np.pi * k * sys.t0
-            c, s = np.cos(ang), np.sin(ang)
-            i = 2 * k - 1
-            # K maps coefficient pairs by the transposed rotation block
-            K[i : i + 2, i : i + 2] = [[c, s], [-s, c]]
-        one = np.zeros(d)
-        one[0] = 1.0
-        weights = np.ones(d)
-        return KoopmanMatrixRep(
-            "circle", sys, dictionary, K, K.T, weights, one, {"t0": sys.t0, "R": R},
-            (nodes, E, E / d),
-        )
-    law = getattr(sys, "law", None)
-    if law is None or sys.state_dim != 1:
-        raise UnsupportedSystem(
-            f"no exact representation for {type(sys).__name__}"
-        )
-    if dictionary.kind is not DictionaryKind.MONOMIAL:
-        raise UnsupportedSystem(
-            "Gaussian AR(1) representations require a monomial dictionary"
-        )
-    # Mehler: K h_k = rho^k h_k on the Hermite basis orthonormal in N(0, v)
-    R = 2 * dictionary.metadata["degree"]
-    K = np.diag(law.rho ** np.arange(R + 1))
-    one = np.zeros(R + 1)
-    one[0] = 1.0
-    return KoopmanMatrixRep(
-        "hermite", sys, dictionary, K, K, np.ones(R + 1), one,
-        {"rho": law.rho, "v": law.v, "R": R}, hermite_nodes(R, law.v),
-    )
-
-
-def hermite_nodes(R, v):
-    """(points, E, back) for polynomials of degree <= R in the basis h_k(x) =
-    He_k(x / sqrt v) / sqrt(k!), orthonormal in N(0, v).
-
-    The R + 1 Gauss-Hermite nodes z_j and weights w_j come from the Jacobi
-    matrix of the recurrence z h_k = sqrt(k+1) h_{k+1} + sqrt(k) h_{k-1}
-    (Golub-Welsch): its eigenvalues, and the squared first components of
-    its eigenvectors.  E[j, k] = h_k at node j and back = diag(w) E, which
-    recovers the coefficients of any polynomial of degree <= R (the rule is
-    exact up to degree 2R + 1).
-    """
-    off = np.sqrt(np.arange(1.0, R + 1))
-    z, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    h = [np.zeros(R + 1), np.ones(R + 1)]
-    for k in range(R):
-        h.append((z * h[-1] - math.sqrt(k) * h[-2]) / off[k])
-    E = np.stack(h[1:], axis=1)
-    return math.sqrt(v) * z, E, vecs[0, :, None] ** 2 * E
-
-
-def embed_dictionary(rep):
-    """The rep's dictionary as rows of an (N, dim) natural-coordinate array.
-
-    Chain coordinates are values on states.  On the circle the Fourier
-    dictionary is the leading block of the representation's own basis;
-    otherwise its values at the rep's nodes are mapped back.
-    """
-    if rep.nodes is None:
-        return rep.dictionary.evaluate(np.arange(rep.dim))
-    if rep.kind == "circle":
-        return np.eye(rep.dictionary.size, rep.dim)
-    points, _, back = rep.nodes
-    return rep.dictionary.evaluate(points) @ back
+    """The exact representation of (sys, dictionary) on the system's
+    `koopman_space`, which carries 1, all psi_i, and all of their products."""
+    return KoopmanMatrixRep(sys, dictionary, **sys.koopman_space(dictionary))
 
 
 def function_family(rep):
@@ -536,12 +417,14 @@ def fejer_variance(rep, m, rtol=1e-9) -> VarianceReport:
 
 def exact_reference_gram(sys, dictionary):
     """Exact GramPair: the rep's pair where `build_rep` has one, quadrature
-    for other circle dictionaries, UnsupportedSystem otherwise."""
-    circle = isinstance(sys, CircleRotationSystem)
-    if circle and dictionary.kind is not DictionaryKind.FOURIER:
-        gram = quadrature_gram_circle(sys, dictionary)
-    else:
+    for other dictionaries on a rotation, UnsupportedSystem otherwise."""
+    try:
         gram = build_rep(sys, dictionary).gram
+    except UnsupportedSystem:
+        # a rotation (the one system with an angle t0) has arc-length quadrature
+        if getattr(sys, "t0", None) is None:
+            raise
+        gram = quadrature_gram_circle(sys, dictionary)
     if is_singular(gram.C):
         raise SingularMass("exact mass matrix is numerically singular")
     return gram

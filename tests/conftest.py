@@ -1,7 +1,10 @@
+import enum
+
 import numpy as np
 import pytest
 
-from koopman_cert import dictionaries, systems
+from koopman_cert import dictionaries, galerkin, systems
+from koopman_cert.errors import ConfigError
 
 
 @pytest.fixture
@@ -34,3 +37,43 @@ def monomial3():
 @pytest.fixture
 def golden():
     return systems.golden_rotation()
+
+
+class IndependenceLevel(enum.Enum):
+    DEPENDENT = "dependent"
+    INDEPENDENT = "independent"
+    STRONGLY_INDEPENDENT = "strongly_independent"
+
+
+def check_mu_linear_independence(dictionary, sys):
+    """Classify the dictionary against the system's exact invariant measure.
+
+    Dependent when the exact mass matrix is numerically singular
+    (`galerkin.is_singular`).  Strong independence additionally requires
+    every nonzero combination to be nonzero almost everywhere; on a finite
+    chain with N >= 2 this always fails (a combination orthogonal to one
+    column vanishes on that state), while real trigonometric polynomials
+    vanish on finite, hence null, sets.
+    """
+    if isinstance(sys, systems.FiniteMarkovSystem):
+        vals = dictionary.evaluate(np.arange(sys.n_states))
+        C = (vals * sys.pi) @ vals.T
+        if galerkin.is_singular(C):
+            return IndependenceLevel.DEPENDENT
+        if dictionary.size == 1:
+            if np.all(np.abs(vals[0]) > 0):
+                return IndependenceLevel.STRONGLY_INDEPENDENT
+            return IndependenceLevel.INDEPENDENT
+        return IndependenceLevel.INDEPENDENT
+
+    if isinstance(sys, systems.CircleRotationSystem):
+        C = galerkin.quadrature_gram_circle(sys, dictionary).C
+        if galerkin.is_singular(C):
+            return IndependenceLevel.DEPENDENT
+        if dictionary.kind in (dictionaries.DictionaryKind.FOURIER,
+                               dictionaries.DictionaryKind.RANDOM_FOURIER):
+            # nonzero trig polynomials have finitely many zeros on the circle
+            return IndependenceLevel.STRONGLY_INDEPENDENT
+        return IndependenceLevel.INDEPENDENT
+
+    raise ConfigError("independence check needs an exactly computable measure")

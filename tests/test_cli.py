@@ -360,6 +360,23 @@ class TestGaussianAR1:
         assert all("nan" not in row for row in rows)
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("branch, code", [("iid_markov", 0), ("iid_hoeffding", 3)])
+    def test_iid_bounds_need_sup_only_for_hoeffding(self, tmp_path, capsys, branch, code):
+        # monomials on the real line have no finite ||phi||_inf
+        cfg = write_cfg(tmp_path, {"system": OU_SYSTEM,
+                                   "dictionary": {"kind": "monomial", "degree": 2},
+                                   "branch": branch, "m_grid": [100, 1000],
+                                   "n_trials": 200, "seed": 0})
+        rc = cli.main(["bounds", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == code
+        if code == 0:
+            lines = (tmp_path / "bound_grid.csv").read_text().splitlines()[1:]
+            rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+            assert len(rows) == 2
+            assert all(r[k] == "true" for r in rows for k in ("ok", "ok_C", "ok_Cplus"))
+        else:
+            assert "||phi||_inf" in capsys.readouterr().err
+
     def test_reference_model_fallback_is_reported(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"system": DOUBLE_WELL,
                                    "dictionary": {"kind": "monomial", "degree": 2},
@@ -399,8 +416,11 @@ class TestInputAtFault:
                                          "transition": [[0.0, 1.0], [1.0, 0.0]]})),
          (["variance"], dict(STUDY, system=DOUBLE_WELL,
                              dictionary={"kind": "monomial", "degree": 2})),
-         (["simulate", "--regime", "iid"], {"system": OU_SYSTEM})],
-        ids=["periodic_chain_study", "sde_variance", "sde_iid_simulate"],
+         (["simulate", "--regime", "iid"], {"system": DOUBLE_WELL}),
+         # fails before learning a reference model, so no note precedes the error
+         (["study"], dict(STUDY, system=DOUBLE_WELL, regime="iid",
+                          dictionary={"kind": "monomial", "degree": 2}))],
+        ids=["periodic_chain_study", "sde_variance", "sde_iid_simulate", "sde_iid_study"],
     )
     def test_input_at_fault_exit_2(self, tmp_path, capsys, argv, cfg):
         rc = cli.main([*argv, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from koopman_cert import dictionaries
-from koopman_cert.dictionaries import IndependenceLevel
 from koopman_cert.errors import DomainError
+
+from conftest import IndependenceLevel, check_mu_linear_independence
 
 
 class TestEvaluation:
@@ -80,7 +81,7 @@ class TestOrthonormality:
 class TestIndependence:
     def test_indicator_independent_not_strong(self, five_state_chain):
         d = dictionaries.indicator(5)
-        level = dictionaries.check_mu_linear_independence(d, five_state_chain)
+        level = check_mu_linear_independence(d, five_state_chain)
         assert level is IndependenceLevel.INDEPENDENT
 
     def test_duplicate_observable_dependent(self, two_state_chain):
@@ -91,12 +92,12 @@ class TestIndependence:
             return np.vstack([v[0], v[0]])
 
         d = dictionaries.Dictionary(2, base.kind, dup_eval)
-        level = dictionaries.check_mu_linear_independence(d, two_state_chain)
+        level = check_mu_linear_independence(d, two_state_chain)
         assert level is IndependenceLevel.DEPENDENT
 
     def test_fourier_strongly_independent(self, golden):
         d = dictionaries.fourier(2)
-        level = dictionaries.check_mu_linear_independence(d, golden)
+        level = check_mu_linear_independence(d, golden)
         assert level is IndependenceLevel.STRONGLY_INDEPENDENT
         # zero-set scan: random combinations vanish on a negligible grid share
         g = np.random.Generator(np.random.Philox(5))
@@ -110,7 +111,7 @@ class TestIndependence:
 
     def test_single_nonvanishing_observable_strong(self, two_state_chain):
         d = dictionaries.monomial(0)  # just the constant
-        level = dictionaries.check_mu_linear_independence(d, two_state_chain)
+        level = check_mu_linear_independence(d, two_state_chain)
         assert level is IndependenceLevel.STRONGLY_INDEPENDENT
 
 

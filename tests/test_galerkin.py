@@ -6,6 +6,8 @@ import pytest
 from koopman_cert import dictionaries, edmd, galerkin, studies, systems, variance
 from koopman_cert.errors import SingularEmpiricalMass, SingularMass
 
+from conftest import IndependenceLevel, check_mu_linear_independence
+
 
 class TestExactGram:
     def test_two_state_indicator_by_hand(self, two_state_chain, indicator2):
@@ -199,9 +201,9 @@ class TestSingularityGate:
         table = np.diag(np.sqrt(2.0 * np.asarray(diag)))
         d = dictionaries.Dictionary(2, dictionaries.DictionaryKind.MONOMIAL,
                                     lambda states: table[:, states])
-        level = dictionaries.check_mu_linear_independence(d, two_state_chain)
+        level = check_mu_linear_independence(d, two_state_chain)
         verdicts["check_mu_linear_independence"] = (
-            level is dictionaries.IndependenceLevel.DEPENDENT
+            level is IndependenceLevel.DEPENDENT
         )
         assert verdicts == dict.fromkeys(verdicts, singular)
 

@@ -199,18 +199,30 @@ THREE_STATE = {"type": "finite_chain",
                "transition": [[0.9, 0.1, 0.0], [0.05, 0.9, 0.05], [0.0, 0.2, 0.8]]}
 GOLDEN = {"type": "circle_rotation",
           "t0": {"form": "quadratic", "a": -1, "b": 1, "c": 2, "d": 5}}
-IID_CASES = pytest.mark.parametrize(
-    "system, dictionary, m_grid, n_trials",
-    [(THREE_STATE, {"kind": "monomial", "degree": 2}, [100, 400, 1600], 4000),
-     (GOLDEN, {"kind": "fourier", "max_freq": 2}, [10, 40, 160], 2000)],
-    ids=["chain_monomial2", "golden_fourier2"],
-)
+IID_ARGS = "system, dictionary, m_grid, n_trials"
+IID_CASES = [
+    pytest.param(THREE_STATE, {"kind": "monomial", "degree": 2}, [100, 400, 1600], 4000,
+                 id="chain_monomial2"),
+    pytest.param(GOLDEN, {"kind": "fourier", "max_freq": 2}, [10, 40, 160], 2000,
+                 id="golden_fourier2"),
+]
+# Gaussian AR(1) systems draw i.i.d. pairs from their law N(0, v).  Their
+# squared errors are heavy-tailed, and 2000 trials under-cover.
+OU = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,
+      "integrator_dt": 0.01}
+LINEAR = {"type": "noisy_map", "map": {"name": "linear", "matrix": [[0.8]]},
+          "noise_sigma": 0.5}
+AR1_IID_CASES = [
+    pytest.param(system, {"kind": "monomial", "degree": 2}, [10, 100, 1000], 10000,
+                 id=f"{name}_monomial2")
+    for name, system in (("ou", OU), ("linear", LINEAR))
+]
 
 
 class TestIidRegime:
     """Under i.i.d. sampling the exact variance is E / m (no p_m term)."""
 
-    @IID_CASES
+    @pytest.mark.parametrize(IID_ARGS, IID_CASES)
     def test_study_prediction_within_3_stderr(self, system, dictionary, m_grid, n_trials):
         cfg = studies.StudyConfig(system=system, dictionary=dictionary, regime="iid",
                                   m_grid=m_grid, n_trials=n_trials, seed=3)
@@ -222,14 +234,14 @@ class TestIidRegime:
         for mi, (m, row) in enumerate(zip(m_grid, rows)):
             err_C, err_Cp, _ = studies.mc_trial_errors(
                 sys_, d, ref, m, n_trials, studies._derived_seed(3, mi),
-                systems.Regime.IID, studies._default_mu0(sys_))
+                systems.Regime.IID, sys_.initial_law())
             for err, key in ((err_C, "C"), (err_Cp, "Cplus")):
                 mse = np.mean(err**2)
                 assert row[f"rmse_{key}"] == np.sqrt(mse)
                 se = np.std(err**2, ddof=1) / np.sqrt(n_trials)
                 assert abs(row[f"pred_rmse_{key}"] ** 2 - mse) <= 3.0 * se, (m, key)
 
-    @IID_CASES
+    @pytest.mark.parametrize(IID_ARGS, IID_CASES + AR1_IID_CASES)
     def test_variance_check_flags_pass(self, system, dictionary, m_grid, n_trials):
         cfg = studies.StudyConfig(system=system, dictionary=dictionary, regime="iid",
                                   m_grid=m_grid, n_trials=n_trials, seed=5)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from koopman_cert import config, dictionaries, galerkin, rng, systems
-from koopman_cert.errors import ConfigError, DomainError, NonErgodicChain
+from koopman_cert.errors import ConfigError, DomainError, NonErgodicChain, UnsupportedSystem
 
 
 class TestInvariantMeasure:
@@ -163,12 +163,20 @@ def _noisy_linear(A):
                                   lambda g, shape: 0.1 * g.standard_normal(shape), len(A))
 
 
-# one system per class, with an initial-measure sampler for the i.i.d. regime
+OU = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,
+      "integrator_dt": 0.01}
+
+
+def _initial_law(sys):
+    return sys.initial_law()
+
+
+# one system per class, with an initial-measure sampler for the i.i.d. regime:
+# the system's own initial law where it has one
 SAMPLED = {
     "chain": (lambda: systems.FiniteMarkovSystem(
-        [[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]),
-              lambda sys: systems.categorical_sampler(sys.pi)),
-    "circle": (systems.golden_rotation, lambda sys: lambda g, m: g.random(m)),
+        [[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]), _initial_law),
+    "circle": (systems.golden_rotation, _initial_law),
     "noisy_map_1d": (lambda: _noisy_linear([[0.6]]),
                      lambda sys: lambda g, m: g.standard_normal((m, 1))),
     "noisy_map_2d": (lambda: _noisy_linear([[0.5, 0.1], [0.0, 0.4]]),
@@ -176,6 +184,7 @@ SAMPLED = {
     "sde": (lambda: systems.SdeSystem(lambda x: -x, lambda x: 0.5 * np.ones_like(x), 1,
                                       lag=0.1, integrator_dt=0.02),
             lambda sys: lambda g, m: g.standard_normal((m, 1))),
+    "ou_law": (lambda: config.system_from_config(OU), _initial_law),
 }
 
 
@@ -355,10 +364,6 @@ class TestNoisyMapAndSde:
                               lag=0.5, integrator_dt=0.3)
 
 
-OU = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,
-      "integrator_dt": 0.01}
-
-
 def _linear_1d(a, sigma):
     return {"type": "noisy_map", "map": {"name": "linear", "matrix": [[a]]},
             "noise_sigma": sigma}
@@ -407,6 +412,17 @@ class TestGaussianAR1:
             se = sample.std(ddof=1) / np.sqrt(len(sample))
             assert abs(sample.mean() - want) <= 3 * se, (sample.mean(), want, se)
 
+    def test_iid_pairs_from_the_law_in_one_block(self):
+        # x ~ N(0, v) from the initial law, then y = rho x + sqrt(v (1 - rho^2)) xi
+        sys = config.system_from_config(dict(OU, state_dim=2))
+        law = sys.law
+        xs, ys = systems.iid_chunk(sys, sys.initial_law(), 3, 5, 2, 4)
+        gen = rng.stream(5, 2)
+        x = np.sqrt(law.v) * gen.standard_normal((12, 2))
+        y = law.rho * x + np.sqrt(law.v * (1 - law.rho**2)) * gen.standard_normal((12, 2))
+        assert np.array_equal(xs, x.reshape(4, 3, 2))
+        assert np.array_equal(ys, y.reshape(4, 3, 2))
+
     def test_no_burn_in_and_one_block_per_lag(self):
         # x_0 ~ N(0, v), then one (count, state_dim) Gaussian block per lag
         sys = config.system_from_config(dict(OU, state_dim=2))
@@ -429,3 +445,18 @@ class TestQuadraticIrrational:
     def test_square_d_rejected(self):
         with pytest.raises(ConfigError):
             systems.QuadraticIrrational(0, 1, 1, 4)
+
+
+class TestSystemProtocol:
+    """A system without an i.i.d. start law or an exact space says so."""
+
+    @pytest.mark.parametrize("cfg", [
+        {"type": "sde", "model": "double_well"},
+        {"type": "noisy_map", "noise_sigma": 0.1, "map": {"name": "logistic"}},
+    ], ids=["double_well", "logistic"])
+    def test_unsupported(self, cfg):
+        sys = config.system_from_config(cfg)
+        with pytest.raises(UnsupportedSystem):
+            sys.initial_law()
+        with pytest.raises(UnsupportedSystem):
+            sys.koopman_space(dictionaries.monomial(2))
