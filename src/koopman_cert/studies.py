@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import kernels, rng
+from . import rng
 from .errors import ConfigError, InsufficientPoints, UnsupportedSystem
 from .galerkin import galerkin_matrix, gram_block, is_singular
 from .systems import (
@@ -105,18 +105,16 @@ def iid_chain_counts(sys, weights, m, gen, count):
 def _chain_count_slices(sys, m, seed, chunk, count, regime, mu0_sampler):
     """The chunk's (rows, n, n) transition counts, a slice of trials at a
     time: i.i.d. counts drawn from their multinomial law, ergodic counts
-    tallied on the chunk's trajectories."""
-    n = sys.n_states
-    rows = max(1, _SLICE_BUDGET // n**2)
+    tallied as the chunk's trajectories are stepped (`ergodic_counts`)."""
+    rows = max(1, _SLICE_BUDGET // sys.n_states**2)
+    gen = rng.stream(seed, chunk)
     if regime is Regime.IID:
-        gen = rng.stream(seed, chunk)
         for lo in range(0, count, rows):
             yield iid_chain_counts(sys, mu0_sampler.weights, m, gen, min(rows, count - lo))
     else:
-        paths = ergodic_chunk(sys, m, seed, chunk, count)
+        counts = sys.ergodic_counts(m, gen, count)
         for lo in range(0, count, rows):
-            block = paths[lo : lo + rows]
-            yield kernels.pair_counts(block[:, :-1], block[:, 1:], n)
+            yield counts[lo : lo + rows]
 
 
 def _fourier_modes(dictionary, F):
@@ -625,6 +623,11 @@ def run_bound_validity(rep, inputs, branch, m_values, epsilons, n_trials, seed,
     )
     ref = exact_reference(rep.gram)
     mu0 = rep.system.initial_law() if regime is Regime.IID else None
+    # every bound first: a branch that cannot be built fails before sampling
+    reports = [[(_branch_bound(inputs, branch, int(m), float(eps)),
+                 bounds_mod.estimator_error_bounds(inputs, int(m), float(eps), branch),
+                 bounds_mod.split_threshold(inputs, eps)) for eps in epsilons]
+               for m in m_values]
     rows = []
     for gi, m in enumerate(m_values):
         err_C, err_Cp, err_K = mc_trial_errors(
@@ -632,10 +635,7 @@ def run_bound_validity(rep, inputs, branch, m_values, epsilons, n_trials, seed,
             _derived_seed(seed, gi), regime, mu0, threads,
         )
         exceed_base = ~np.isfinite(err_K)
-        for eps in epsilons:
-            report = _branch_bound(inputs, branch, int(m), float(eps))
-            rc, rp = bounds_mod.estimator_error_bounds(inputs, int(m), float(eps), branch)
-            _, delta_p, delta_c = bounds_mod.split_threshold(inputs, eps)
+        for eps, (report, (rc, rp), (_, delta_p, delta_c)) in zip(epsilons, reports[gi]):
             frac_K = float(np.mean(np.where(exceed_base, True, err_K > float(eps))))
             frac_C = float(np.mean(err_C > delta_c))
             frac_Cp = float(np.mean(err_Cp > delta_p))

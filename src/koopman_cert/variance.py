@@ -183,13 +183,6 @@ class KoopmanMatrixRep:
         self.E_plus, self.E_zero = variance_constants(self)
 
     # -- geometry ---------------------------------------------------------
-    def inner(self, f, g):
-        """Weighted inner product; conjugate-linear in the second slot."""
-        val = np.sum(self.weights * np.asarray(f) * np.conj(np.asarray(g)))
-        if np.iscomplexobj(f) or np.iscomplexobj(g):
-            return complex(val)
-        return float(val)
-
     def norm_sq(self, f):
         return float(np.sum(self.weights * np.abs(np.asarray(f)) ** 2))
 
@@ -223,11 +216,6 @@ class KoopmanMatrixRep:
             float(np.linalg.norm(R, 2)),
             float(np.linalg.norm(self.M @ R, 2)),
         )
-
-    def pm_operator_norms(self, m):
-        """(||p_m(K0)||, ||K0 p_m(K0)||) as largest singular values."""
-        P = pm_apply_vectors(self.M, np.eye(self.dim - 1), m)
-        return float(np.linalg.norm(P, 2)), float(np.linalg.norm(self.M @ P, 2))
 
     def eigen_system(self):
         """Unitary eigen-decomposition of the mean-zero compression.
@@ -368,13 +356,6 @@ def exact_variance(rep, m, regime=Regime.ERGODIC) -> VarianceReport:
         m, sigma2_plus, sigma2_zero, rep.E_plus, rep.E_zero,
         sigma2_plus / m, sigma2_zero / m,
     )
-
-
-def ergodic_average_sq_norm(rep, f_natural, m):
-    """|| (1/m) sum_{k<m} K0^k Q f ||^2 in the weighted norm."""
-    u = rep.to_reduced(np.asarray(f_natural, dtype=np.float64))
-    v = mean_power_apply(rep.M, u[:, None], m)
-    return float(np.sum(v * v))
 
 
 def _family_fejer_forms(rep, vectors_reduced, m):

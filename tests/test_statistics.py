@@ -3,9 +3,12 @@
 Ergodic rotations with a Fourier dictionary form C_hat and C_hat_plus from
 phase sums, and i.i.d. chain trials from multinomial transition counts.
 The streamed `gram_block` sum over sampled states stays the naive
-reference for both.
+reference for both.  Ergodic chain trials tally their transition counts
+one time slice at a time; the counts of their whole paths are the naive
+reference.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -14,7 +17,9 @@ import sys
 import numpy as np
 import pytest
 
-from koopman_cert import dictionaries, galerkin, kernels, rng, studies, systems, variance
+from koopman_cert import (cli, dictionaries, galerkin, kernels, rng, studies, systems,
+                          variance)
+from koopman_cert.errors import NonErgodicChain
 
 from conftest import random_ergodic_chain
 
@@ -134,6 +139,121 @@ class TestChainCounts:
             assert a.tobytes() == b.tobytes()
 
 
+def _path_counts(sys_, m, gen, count):
+    """The naive reference: the transition counts of the whole paths."""
+    paths = sys_.ergodic_block(m, gen, count)
+    return kernels.pair_counts(paths[:, :-1], paths[:, 1:], sys_.n_states)
+
+
+def _same_state(a, b):
+    return repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+class TestErgodicCounts:
+    # one draw for the whole block, or one positioned generator per row
+    @pytest.mark.parametrize("draw_cells", [10**9, 0], ids=["one_draw", "per_row"])
+    @pytest.mark.parametrize("count, m", [(4, 0), (1, 1), (1, 301), (9, 1), (9, 701), (40, 155),
+                                          (3, 10001)])
+    @pytest.mark.parametrize("n", [1, 2, 6, 50, 70])
+    def test_match_path_counts(self, n, count, m, draw_cells, monkeypatch):
+        # 64-cell step slices: 7 steps at 9 rows, so 701 steps end mid-slice,
+        # and draw slices of 10 steps straddle them.  Slices are at least
+        # n * n steps long, so 50 and 70 states are sliced at m = 10001; 70
+        # states take the kernel's binary-search path
+        monkeypatch.setattr(systems, "_STEP_CELLS", 64)
+        monkeypatch.setattr(systems, "_ROW_DRAWS", 10)
+        monkeypatch.setattr(systems, "_DRAW_CELLS", draw_cells)
+        sys_ = random_ergodic_chain(n, n)
+        gen, ref_gen = rng.stream(3, n), rng.stream(3, n)
+        counts = sys_.ergodic_counts(m, gen, count)
+        assert counts.dtype == np.int64 and counts.shape == (count, n, n)
+        assert np.array_equal(counts, _path_counts(sys_, m, ref_gen, count))
+        assert np.all(counts.sum(axis=(1, 2)) == m)
+        # gen ends where the path sampler leaves it
+        assert _same_state(gen, ref_gen)
+
+    @pytest.mark.parametrize("draw_cells, m, per_row",
+                             [(200, 20, False), (200, 21, True), (50, 10, False),
+                              (50, 11, True)])
+    def test_either_side_of_the_draw_budget(self, draw_cells, m, per_row, monkeypatch):
+        # 10 rows of 3 states step 9 at a time and draw 10 at a time: past
+        # the budget, a block of at most 10 steps is still one draw
+        monkeypatch.setattr(systems, "_STEP_CELLS", 40)
+        monkeypatch.setattr(systems, "_ROW_DRAWS", 10)
+        monkeypatch.setattr(systems, "_DRAW_CELLS", draw_cells)
+        calls = []
+        positioned = rng.positioned
+        monkeypatch.setattr(rng, "positioned",
+                            lambda *a: calls.append(a) or positioned(*a))
+        sys_ = random_ergodic_chain(3, 4)
+        gen, ref_gen = rng.stream(8, 1), rng.stream(8, 1)
+        counts = sys_.ergodic_counts(m, gen, 10)
+        assert len(calls) == per_row
+        assert np.array_equal(counts, _path_counts(sys_, m, ref_gen, 10))
+        assert _same_state(gen, ref_gen)
+
+    def test_whole_chunk_at_the_default_budgets(self):
+        # 200 x 1e4 cells are past the draw budget: draws of 2048 steps,
+        # stepped 1310 at a time
+        sys_ = systems.FiniteMarkovSystem([[0.9, 0.1], [0.2, 0.8]])
+        assert 200 * 10**4 > systems._DRAW_CELLS
+        counts = sys_.ergodic_counts(10**4, rng.stream(0, 0), 200)
+        assert np.array_equal(counts, _path_counts(sys_, 10**4, rng.stream(0, 0), 200))
+
+    def test_nonergodic_raises(self):
+        with pytest.raises(NonErgodicChain):
+            systems.FiniteMarkovSystem(np.eye(2)).ergodic_counts(5, rng.stream(0), 2)
+
+
+class TestPositionedStreams:
+    @pytest.mark.parametrize("drawn", range(4))
+    def test_rows_of_one_draw(self, drawn):
+        # after `drawn` draws, rows of 7 start at every position mod 4
+        gen = rng.stream(5, 2)
+        gen.random(drawn)
+        before = copy.deepcopy(gen)
+        count, m = 6, 7
+        rows = rng.positioned(gen, range(0, count * m, m))
+        assert _same_state(gen, before)
+        ref = before.random((count, m))
+        for row_gen, row in zip(rows, ref):
+            assert np.array_equal(row_gen.random(m), row)
+        # the last row ends where the one draw does
+        assert _same_state(rows[-1], before)
+        # gen itself has not moved
+        assert np.array_equal(gen.random((count, m)), ref)
+
+    def test_counter_carries_across_words(self):
+        gen = rng.stream(5, 2)
+        state = gen.bit_generator.state
+        state["state"]["counter"] = np.array([2**64 - 2, 2**64 - 1, 0, 0], dtype=np.uint64)
+        gen.bit_generator.state = state
+        gen.random(3)
+        ref = copy.deepcopy(gen).random(40)
+        rows = rng.positioned(gen, [0, 5, 11, 30])
+        for row_gen, offset in zip(rows, [0, 5, 11, 30]):
+            assert np.array_equal(row_gen.random(10), ref[offset : offset + 10])
+
+
+def test_ergodic_chain_study_same_bytes_across_the_draw_budget(tmp_path, monkeypatch):
+    # 1100 trials are a 1024-trial and a 76-trial chunk; with a 2^14-cell
+    # draw budget the first crosses it at m = 30 and the second never does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": {"type": "finite_chain",
+                                          "transition": [[0.8, 0.2, 0.0], [0.1, 0.8, 0.1],
+                                                         [0.3, 0.0, 0.7]]},
+                               "dictionary": {"kind": "monomial", "degree": 2},
+                               "m_grid": [10, 30], "n_trials": 1100, "seed": 4}))
+    runs = []
+    for draw_cells, threads in ((10**9, "1"), (1 << 14, "1"), (1 << 14, "2")):
+        monkeypatch.setattr(systems, "_DRAW_CELLS", draw_cells)
+        out = tmp_path / f"out-{draw_cells}-{threads}"
+        assert cli.main(["study", "--config", str(cfg), "--out", str(out),
+                         "--threads", threads]) == 0
+        runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert runs[0] == runs[1] == runs[2]
+
+
 @pytest.mark.parametrize(
     "system, dictionary, regime",
     [({"type": "finite_chain", "transition": [[0.9, 0.1, 0.0], [0.05, 0.9, 0.05],
@@ -181,3 +301,28 @@ print(json.dumps({"s": time.perf_counter() - start, "peak_mb": hwm_kb / 1024,
     assert result["finite"]
     assert result["s"] < 20.0, result
     assert result["peak_mb"] < 200.0, result
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_chain_variance_oracle_memory_is_bounded_in_m():
+    # 2-state chain, 256 ergodic trials at m = 2e5: with whole paths the
+    # uniforms and states alone would be 256 * 2e5 * 16 bytes, 820 MB
+    script = """
+import json, time
+start = time.perf_counter()
+from koopman_cert import dictionaries, studies, systems, variance
+chain = systems.FiniteMarkovSystem([[0.9, 0.1], [0.2, 0.8]])
+rep = variance.build_rep(chain, dictionaries.indicator(2))
+oracle = studies.montecarlo_variance_oracle(rep, 200000, 256, seed=0)
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"s": time.perf_counter() - start, "peak_mb": hwm_kb / 1024,
+                  "var": oracle.var_C_hat}))
+"""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["var"] > 0
+    assert result["s"] < 30.0, result
+    assert result["peak_mb"] < 120.0, result

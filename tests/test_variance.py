@@ -4,6 +4,8 @@ import pytest
 from koopman_cert import config, dictionaries, studies, systems, variance
 from koopman_cert.errors import NotUnitary, UnsupportedSystem
 
+from conftest import ergodic_average_sq_norm, pm_operator_norms, weighted_inner
+
 
 def fejer_kernel_sum(m, t):
     """O(m) reference evaluation: 1 + 2 sum_{k=1}^{m-1} (1 - k/m) cos(kt)."""
@@ -128,8 +130,8 @@ class TestBuildRep:
         g = np.random.Generator(np.random.Philox(3))
         for _ in range(10):
             f, h = g.standard_normal((2, rep.dim))
-            lhs = rep.inner(rep.Q @ f, h)
-            rhs = rep.inner(f, rep.Q @ h)
+            lhs = weighted_inner(rep, rep.Q @ f, h)
+            rhs = weighted_inner(rep, f, rep.Q @ h)
             assert abs(lhs - rhs) < 1e-12
 
     def test_adjoint_identity_on_basis(self, five_state_chain, monomial3):
@@ -138,8 +140,8 @@ class TestBuildRep:
             for j in range(rep.dim):
                 f = np.eye(rep.dim)[i]
                 h = np.eye(rep.dim)[j]
-                lhs = rep.inner(rep.K @ f, h)
-                rhs = rep.inner(f, rep.Kstar @ h)
+                lhs = weighted_inner(rep, rep.K @ f, h)
+                rhs = weighted_inner(rep, f, rep.Kstar @ h)
                 assert abs(lhs - rhs) < 1e-12
 
     def test_contraction(self, five_state_chain, monomial3):
@@ -263,7 +265,7 @@ class TestExactVariance:
     def test_sig2_operator_norm_bounds(self, five_state_chain, monomial3, m):
         rep = variance.build_rep(five_state_chain, monomial3)
         vr = variance.exact_variance(rep, m)
-        pm_norm, kpm_norm = rep.pm_operator_norms(m)
+        pm_norm, kpm_norm = pm_operator_norms(rep, m)
         assert vr.sigma2_plus <= (1.0 + pm_norm) * vr.E_plus + 1e-10
         assert vr.sigma2_zero <= (1.0 + kpm_norm) * vr.E_zero + 1e-10
 
@@ -332,7 +334,7 @@ class TestFejerVariance:
         f = np.zeros(5)
         f[1] = 1.0  # first cosine mode, norm 1
         for m in [3, 10, 100]:
-            avg = variance.ergodic_average_sq_norm(rep, f, m)
+            avg = ergodic_average_sq_norm(rep, f, m)
             c = np.exp(2j * np.pi * golden.t0)
             analytic = abs(1 - c**m) ** 2 / (m**2 * abs(1 - c) ** 2)
             assert abs(avg - analytic) < 1e-12
