@@ -122,7 +122,7 @@ def _ranks(q, v, out, hit):
         out += hit
 
 
-def pair_counts(xs, ys, n_states):
+def pair_counts(xs, ys, n_states, out=None):
     """Per-trial transition counts of a block of pairs.
 
     Parameters
@@ -130,23 +130,27 @@ def pair_counts(xs, ys, n_states):
     xs, ys : (B, m) integer states; a trajectory block `paths` (B, m+1)
         passes `paths[:, :-1], paths[:, 1:]`
     n_states : int
+    out : (B, n, n) int64, optional
+        Counts to add these into, so that time slices of one block tally
+        in place.
 
     Returns
     -------
-    (B, n, n) int64; entry [b, i, j] counts pairs xs[b, k] = i, ys[b, k] = j.
+    (B, n, n) int64; entry [b, i, j] counts pairs xs[b, k] = i, ys[b, k] = j,
+    plus out[b, i, j] when `out` is given (and is then `out`).
     """
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
     B, m = xs.shape
     n = int(n_states)
-    counts = np.empty((B, n, n), dtype=np.int64)
+    counts = np.zeros((B, n, n), dtype=np.int64) if out is None else out
     # chunk over trials to bound the size of the flattened index array
     rows = max(1, int(2**22) // max(m, 1))
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
         flat = xs[lo:hi] * n + ys[lo:hi]
         flat += np.arange(hi - lo, dtype=np.int64)[:, None] * (n * n)
-        counts[lo:hi] = np.bincount(
+        counts[lo:hi] += np.bincount(
             flat.ravel(), minlength=(hi - lo) * n * n
         ).reshape(hi - lo, n, n)
     return counts

@@ -43,29 +43,11 @@ def positioned(gen, offsets):
     state = gen.bit_generator.state
     counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
     pos = 4 * (counter - 1) + state["buffer_pos"]
-    key = _key_sequence(state["state"]["key"])
+    key = state["state"]["key"]
     out = []
     for offset in offsets:
         p = pos + int(offset)
-        bits = np.random.Philox(key, counter=p // 4 % (1 << 256))
+        bits = np.random.Philox(key=key, counter=p // 4 % (1 << 256))
         bits.random_raw(p % 4)
         out.append(np.random.Generator(bits))
     return out
-
-
-def _key_sequence(key):
-    """A seed sequence whose state is the given Philox key.  A Philox built
-    on it has that key and, unlike `Philox(key=...)`, reads no OS entropy
-    for a seed it would not use, the larger part of building one.  The
-    class is made here, so that importing the package does not import
-    numpy.random."""
-    from numpy.random.bit_generator import ISpawnableSeedSequence
-
-    class KeySequence(ISpawnableSeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return key
-
-        def spawn(self, n_children):
-            raise NotImplementedError("a key sequence has no children")
-
-    return KeySequence()

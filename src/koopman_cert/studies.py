@@ -112,9 +112,7 @@ def _chain_count_slices(sys, m, seed, chunk, count, regime, mu0_sampler):
         for lo in range(0, count, rows):
             yield iid_chain_counts(sys, mu0_sampler.weights, m, gen, min(rows, count - lo))
     else:
-        counts = sys.ergodic_counts(m, gen, count)
-        for lo in range(0, count, rows):
-            yield counts[lo : lo + rows]
+        yield from sys.ergodic_counts(m, gen, count, rows)
 
 
 def _fourier_modes(dictionary, F):

@@ -109,12 +109,13 @@ def _starts(mu0, m, gen, count):
     return xs.reshape((count, m) + xs.shape[1:])
 
 
-# Ergodic chain counts step and count a block in time slices of _STEP_CELLS
-# (trajectory, step) cells, or of n * n steps where that is longer, so memory
-# stays bounded whatever m is.  Past _DRAW_CELLS uniforms, one positioned
-# generator per row fills a (count, draws) buffer, a row taking at least
-# _ROW_DRAWS uniforms a call so that the call's overhead stays small against
-# its draws.  A block no longer than that buffer is drawn in one call.
+# Ergodic chain counts tally a chunk in blocks of trials, and step each
+# block in time slices of _STEP_CELLS (trajectory, step) cells, or of n * n
+# steps where that is longer, so memory stays bounded whatever m is.  Past
+# _DRAW_CELLS uniforms, one positioned generator per row fills a (rows,
+# draws) buffer, a row taking at least _ROW_DRAWS uniforms a call so that the
+# call's overhead stays small against its draws.  A chunk whose uniforms fit
+# in one such buffer is drawn in one call.
 _DRAW_CELLS = 1 << 20
 _STEP_CELLS = 1 << 18
 _ROW_DRAWS = 1 << 11
@@ -178,35 +179,55 @@ class FiniteMarkovSystem(System):
         x0 = self.initial_law()(gen, count)
         return kernels.chain_paths(self._cdf, x0, gen.random((count, m)))
 
-    def ergodic_counts(self, m, gen, count):
-        """(count, n, n) int64 transition counts, bit for bit those of the
-        trajectories `ergodic_block(m, gen, count)` returns, tallied one time
-        slice at a time.  The (count, m+1) paths are held whole only when
-        they fit in one slice, and past _DRAW_CELLS the (count, m) uniforms
-        only when they fit in one row buffer.  `gen` ends where
+    def ergodic_counts(self, m, gen, count, rows):
+        """Yield the (count, n, n) int64 transition counts of the trajectories
+        `ergodic_block(m, gen, count)` returns, bit for bit, in consecutive
+        blocks of at most `rows` trials, each tallied one time slice at a
+        time.  The (count, m+1) paths are held whole only when one slice
+        takes them, and the (count, m) uniforms only while they fit the
+        draw budget or one row buffer.  Once exhausted, `gen` is where
         `ergodic_block` leaves it."""
         if not self.is_ergodic:
             raise NonErgodicChain("ergodic sampling requires an ergodic chain")
         n = self.n_states
-        cur = self.initial_law()(gen, count)
-        # counting a slice touches all count * n * n counts, whatever its length
-        span = max(1, _STEP_CELLS // max(count, 1), n * n)
+        x0 = self.initial_law()(gen, count)
+        rows = max(1, min(rows, count))
+        # counting a slice touches all rows * n * n counts, whatever its length
+        span = max(1, _STEP_CELLS // rows, n * n)
         draws = max(span, _ROW_DRAWS)
-        if count * m <= _DRAW_CELLS or m <= draws:
-            slices = [gen.random((count, m))]
-        else:
-            slices = _row_uniforms(gen, count, m, draws)
-        counts = np.zeros((count, n, n), dtype=np.int64) if m == 0 else None
-        for u in slices:
-            for t0 in range(0, u.shape[1], span):
-                paths = kernels.chain_paths(self._cdf, cur, u[:, t0 : t0 + span])
-                tally = kernels.pair_counts(paths[:, :-1], paths[:, 1:], n)
-                if counts is None:
-                    counts = tally
-                else:
-                    counts += tally
-                cur = paths[:, -1]
-        return counts
+        one_draw = count * m <= max(_DRAW_CELLS, rows * draws)
+        if one_draw and m <= span:
+            # one slice takes the whole chunk: its paths are no larger than
+            # its uniforms, and stepping all rows at once keeps the kernel's
+            # per-step overhead off small blocks
+            paths = kernels.chain_paths(self._cdf, x0, gen.random((count, m)))
+            for lo in range(0, count, rows):
+                yield kernels.pair_counts(paths[lo : lo + rows, :-1],
+                                          paths[lo : lo + rows, 1:], n)
+            return
+        if one_draw:
+            u = gen.random((count, m))
+        for lo in range(0, count, rows):
+            hi = min(lo + rows, count)
+            if one_draw:
+                slices = [u[lo:hi]]
+            else:
+                row_gens = rng.positioned(gen, range(lo * m, hi * m, m))
+                slices = _row_uniforms(row_gens, m, draws)
+            counts = np.zeros((hi - lo, n, n), dtype=np.int64)
+            cur = x0[lo:hi]
+            for us in slices:
+                for t0 in range(0, us.shape[1], span):
+                    paths = kernels.chain_paths(self._cdf, cur, us[:, t0 : t0 + span])
+                    kernels.pair_counts(paths[:, :-1], paths[:, 1:], n, out=counts)
+                    cur = paths[:, -1]
+            yield counts
+        if not one_draw:
+            # the last row's generator ends where the one draw would
+            end = row_gens[-1].bit_generator.state
+            gen.bit_generator.state = dict(gen.bit_generator.state, state=end["state"],
+                                           buffer=end["buffer"],
+                                           buffer_pos=end["buffer_pos"])
 
     def iid_block(self, mu0, m, gen, count):
         xs = _starts(mu0, m, gen, count)
@@ -220,22 +241,17 @@ class FiniteMarkovSystem(System):
                 "one": np.ones(self.n_states), "psi": dictionary.evaluate(states)}
 
 
-def _row_uniforms(gen, count, m, draws):
-    """The uniforms of `gen.random((count, m))` as (count, <= draws) time
-    slices, row b drawn by its own generator positioned b * m draws on
-    (`rng.positioned`); gen then moves to where that one draw leaves it.
-    The slices share one buffer, padded past `draws`, as a power-of-two row
-    stride would make the kernel's transposed reads alias cache sets."""
-    rows = rng.positioned(gen, range(0, count * m, m))
-    buf = np.empty((count, draws + 8))
+def _row_uniforms(row_gens, m, draws):
+    """The uniforms of m draws from each of `row_gens` as (rows, <= draws)
+    time slices.  The slices share one buffer, padded past `draws`, as a
+    power-of-two row stride would make the kernel's transposed reads alias
+    cache sets."""
+    buf = np.empty((len(row_gens), draws + 8))
     for t0 in range(0, m, draws):
         u = buf[:, : min(draws, m - t0)]
-        for row_gen, row in zip(rows, u):
+        for row_gen, row in zip(row_gens, u):
             row_gen.random(out=row)
         yield u
-    end = rows[-1].bit_generator.state
-    gen.bit_generator.state = dict(gen.bit_generator.state, state=end["state"],
-                                   buffer=end["buffer"], buffer_pos=end["buffer_pos"])
 
 
 @dataclass(frozen=True)

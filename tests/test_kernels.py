@@ -125,6 +125,16 @@ def test_pair_counts_matches_naive():
             assert np.array_equal(counts[b], naive)
 
 
+def test_pair_counts_adds_into_out():
+    cdf, x0, u, n = _random_inputs(9, B=5, m=40)
+    paths = kernels.chain_paths(cdf, x0, u)
+    out = kernels.pair_counts(paths[:, :-1], paths[:, 1:], n)
+    first = kernels.pair_counts(paths[:, :21], paths[:, 1:22], n)
+    total = kernels.pair_counts(paths[:, 21:-1], paths[:, 22:], n, out=first)
+    assert total is first
+    assert np.array_equal(total, out)
+
+
 def test_searchsorted_convention_matches_numpy():
     cdf, x0, u, n = _random_inputs(11, B=16, m=1)
     nxt = kernels.chain_paths(cdf, x0, u)[:, 1]

@@ -149,23 +149,32 @@ def _same_state(a, b):
     return repr(a.bit_generator.state) == repr(b.bit_generator.state)
 
 
+def _all_counts(sys_, m, gen, count, rows):
+    """ergodic_counts' blocks, checked to be at most `rows` trials, joined."""
+    blocks = list(sys_.ergodic_counts(m, gen, count, rows))
+    assert [len(b) for b in blocks] == [min(rows, count - lo) for lo in range(0, count, rows)]
+    return np.concatenate(blocks)
+
+
 class TestErgodicCounts:
     # one draw for the whole block, or one positioned generator per row
     @pytest.mark.parametrize("draw_cells", [10**9, 0], ids=["one_draw", "per_row"])
     @pytest.mark.parametrize("count, m", [(4, 0), (1, 1), (1, 301), (9, 1), (9, 701), (40, 155),
                                           (3, 10001)])
     @pytest.mark.parametrize("n", [1, 2, 6, 50, 70])
-    def test_match_path_counts(self, n, count, m, draw_cells, monkeypatch):
+    @pytest.mark.parametrize("rows", [1000, 4], ids=["one_block", "blocks_of_4"])
+    def test_match_path_counts(self, n, count, m, draw_cells, rows, monkeypatch):
         # 64-cell step slices: 7 steps at 9 rows, so 701 steps end mid-slice,
         # and draw slices of 10 steps straddle them.  Slices are at least
         # n * n steps long, so 50 and 70 states are sliced at m = 10001; 70
-        # states take the kernel's binary-search path
+        # states take the kernel's binary-search path.  Blocks of 4 trials
+        # leave 9 and 40 trials with a short last block
         monkeypatch.setattr(systems, "_STEP_CELLS", 64)
         monkeypatch.setattr(systems, "_ROW_DRAWS", 10)
         monkeypatch.setattr(systems, "_DRAW_CELLS", draw_cells)
         sys_ = random_ergodic_chain(n, n)
         gen, ref_gen = rng.stream(3, n), rng.stream(3, n)
-        counts = sys_.ergodic_counts(m, gen, count)
+        counts = _all_counts(sys_, m, gen, count, rows)
         assert counts.dtype == np.int64 and counts.shape == (count, n, n)
         assert np.array_equal(counts, _path_counts(sys_, m, ref_gen, count))
         assert np.all(counts.sum(axis=(1, 2)) == m)
@@ -187,22 +196,41 @@ class TestErgodicCounts:
                             lambda *a: calls.append(a) or positioned(*a))
         sys_ = random_ergodic_chain(3, 4)
         gen, ref_gen = rng.stream(8, 1), rng.stream(8, 1)
-        counts = sys_.ergodic_counts(m, gen, 10)
+        counts = _all_counts(sys_, m, gen, 10, 10)
         assert len(calls) == per_row
         assert np.array_equal(counts, _path_counts(sys_, m, ref_gen, 10))
         assert _same_state(gen, ref_gen)
 
-    def test_whole_chunk_at_the_default_budgets(self):
+    def test_positions_each_block_of_trials(self, monkeypatch):
+        # past the budget, each block of trials positions its own rows
+        monkeypatch.setattr(systems, "_STEP_CELLS", 40)
+        monkeypatch.setattr(systems, "_ROW_DRAWS", 100)
+        monkeypatch.setattr(systems, "_DRAW_CELLS", 0)
+        calls = []
+        positioned = rng.positioned
+        monkeypatch.setattr(rng, "positioned",
+                            lambda gen, offsets: calls.append(list(offsets))
+                            or positioned(gen, offsets))
+        sys_ = random_ergodic_chain(3, 5)
+        gen, ref_gen = rng.stream(2, 6), rng.stream(2, 6)
+        counts = _all_counts(sys_, 3000, gen, 10, 4)
+        assert calls == [[0, 3000, 6000, 9000], [12000, 15000, 18000, 21000],
+                         [24000, 27000]]
+        assert np.array_equal(counts, _path_counts(sys_, 3000, ref_gen, 10))
+        assert _same_state(gen, ref_gen)
+
+    @pytest.mark.parametrize("rows", [200, 64])
+    def test_whole_chunk_at_the_default_budgets(self, rows):
         # 200 x 1e4 cells are past the draw budget: draws of 2048 steps,
-        # stepped 1310 at a time
+        # stepped 1310 (4096 at 64 rows) at a time
         sys_ = systems.FiniteMarkovSystem([[0.9, 0.1], [0.2, 0.8]])
         assert 200 * 10**4 > systems._DRAW_CELLS
-        counts = sys_.ergodic_counts(10**4, rng.stream(0, 0), 200)
+        counts = _all_counts(sys_, 10**4, rng.stream(0, 0), 200, rows)
         assert np.array_equal(counts, _path_counts(sys_, 10**4, rng.stream(0, 0), 200))
 
     def test_nonergodic_raises(self):
         with pytest.raises(NonErgodicChain):
-            systems.FiniteMarkovSystem(np.eye(2)).ergodic_counts(5, rng.stream(0), 2)
+            next(systems.FiniteMarkovSystem(np.eye(2)).ergodic_counts(5, rng.stream(0), 2, 2))
 
 
 class TestPositionedStreams:
@@ -326,3 +354,29 @@ print(json.dumps({"s": time.perf_counter() - start, "peak_mb": hwm_kb / 1024,
     assert result["var"] > 0
     assert result["s"] < 30.0, result
     assert result["peak_mb"] < 120.0, result
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_many_state_chain_counts_memory_is_bounded_in_n_trials():
+    # 200 states, one 1024-trial ergodic chunk at m = 1000: the counts are
+    # tallied in blocks of 100 trials, 32 MB each; the whole chunk's
+    # (1024, 200, 200) counts would be 328 MB
+    script = """
+import json
+import numpy as np
+from koopman_cert import dictionaries, rng, studies, systems, variance
+P = rng.stream(11).random((200, 200)) + 0.05
+chain = systems.FiniteMarkovSystem(P / P.sum(axis=1, keepdims=True))
+d = dictionaries.monomial(2)
+ref = studies.exact_reference(variance.build_rep(chain, d).gram)
+errs = studies.mc_trial_errors(chain, d, ref, 1000, 1024, 0, systems.Regime.ERGODIC)
+with open("/proc/self/status") as fh:
+    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"peak_mb": hwm_kb / 1024, "finite": bool(np.isfinite(errs[0]).all())}))
+"""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["finite"]
+    assert result["peak_mb"] < 250.0, result
