@@ -13,6 +13,7 @@ trajectory or pair set: the block's one-trial case.
 import copy
 import enum
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +207,7 @@ class FiniteMarkovSystem(System):
                                           paths[lo : lo + rows, 1:], n)
             return
         if one_draw:
-            u = gen.random((count, m))
+            u = gen.random(out=_mapped((count, m)))
         for lo in range(0, count, rows):
             hi = min(lo + rows, count)
             if one_draw:
@@ -239,6 +240,18 @@ class FiniteMarkovSystem(System):
         pi, P, states = self.pi, self.transition, np.arange(self.n_states)
         return {"K": P.copy(), "Kstar": (pi[None, :] * P.T) / pi[:, None], "weights": pi,
                 "one": np.ones(self.n_states), "psi": dictionary.evaluate(states)}
+
+
+def _mapped(shape):
+    """An uninitialised float64 array in an anonymous mapping of its own,
+    whose pages go back to the OS as soon as the array is freed.  A chunk's
+    one-shot uniforms run to several MB; from malloc, once glibc has raised
+    its mmap threshold past that size, they stay cached (up to its trim
+    threshold) in the arena of the pool thread that drew them, and how many
+    arenas a run's pool threads touch varies, and with it the peak RSS."""
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, 8 * size))
+    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
 
 
 def _row_uniforms(row_gens, m, draws):

@@ -10,6 +10,7 @@ reference.
 
 import copy
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -231,6 +232,21 @@ class TestErgodicCounts:
     def test_nonergodic_raises(self):
         with pytest.raises(NonErgodicChain):
             next(systems.FiniteMarkovSystem(np.eye(2)).ergodic_counts(5, rng.stream(0), 2, 2))
+
+    def test_one_draw_uniforms_have_pages_of_their_own(self, monkeypatch):
+        # freeing the one-shot uniforms unmaps them: they are not left
+        # cached in the malloc arena of the pool thread that drew them
+        shapes = []
+        mapped = systems._mapped
+        monkeypatch.setattr(systems, "_mapped", lambda shape: shapes.append(shape) or mapped(shape))
+        monkeypatch.setattr(systems, "_STEP_CELLS", 64)
+        sys_ = random_ergodic_chain(3, 4)
+        counts = _all_counts(sys_, 100, rng.stream(1, 1), 9, 9)
+        assert shapes == [(9, 100)]
+        assert np.array_equal(counts, _path_counts(sys_, 100, rng.stream(1, 1), 9))
+        u = mapped((2, 3))
+        assert isinstance(u.base.base.obj, mmap.mmap)
+        assert u.dtype == np.float64 and u.flags.c_contiguous and u.flags.writeable
 
 
 class TestPositionedStreams:
