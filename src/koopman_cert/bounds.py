@@ -38,6 +38,12 @@ BRANCH_ERGODIC_SUPERLINEAR = "ergodic_superlinear"
 BRANCH_ERGODIC_KAPPA_ZERO = "ergodic_kappa_zero"
 BRANCH_IID_MARKOV = "iid_markov"
 BRANCH_IID_HOEFFDING = "iid_hoeffding"
+BRANCHES = (BRANCH_ERGODIC_LINEAR, BRANCH_ERGODIC_SUPERLINEAR, BRANCH_ERGODIC_KAPPA_ZERO,
+            BRANCH_IID_MARKOV, BRANCH_IID_HOEFFDING)
+
+# the constant L of the i.i.d. branches: every system's `initial_law` is its
+# invariant law, so i.i.d. trials sample the invariant measure and L = 1
+L_IID = 1.0
 
 
 @dataclass
@@ -50,7 +56,6 @@ class BoundInputs:
     E_zero: float
     norm_phi_L2: float
     sup_phi: Optional[float] = None
-    L: Optional[float] = None
     resolvent_plus: Optional[float] = None  # ||(I - K0)^{-1}||
     resolvent_zero: Optional[float] = None  # ||K0 (I - K0)^{-1}||
     thin: Optional[ThinMeasureCertificate] = None
@@ -68,13 +73,11 @@ def m_constant(norm_Cinv, norm_Cplus, E_zero, E_plus):
     return 8.0 * (1.0 + ab2) ** 2 / norm_Cplus**2 * max(E_zero, E_plus)
 
 
-def bound_inputs_from_exact(rep, L=None, thin_params=None) -> BoundInputs:
+def bound_inputs_from_exact(rep, thin_params=None) -> BoundInputs:
     """Assemble BoundInputs from an exact representation (`variance.build_rep`).
 
     thin_params, when given, is (alpha, theta): thin-measure certificates
     are computed for the whole product family and aggregated (worst kappa).
-    L defaults to 1 for i.i.d. sampling from the invariant measure, which
-    every system's `initial_law` is.
     """
     phi = phi_function(rep.dictionary)
     norm_phi = math.sqrt(float(np.sum(rep.weights * rep.family["phi"] ** 2)))
@@ -82,8 +85,6 @@ def bound_inputs_from_exact(rep, L=None, thin_params=None) -> BoundInputs:
     if sup_phi is None and rep.nodes is None:
         # values on finitely many states: the sup is a max
         sup_phi = float(np.max(phi.evaluate(np.arange(rep.dim))))
-    if L is None:
-        L = 1.0  # sampling from the invariant measure
     try:
         r_plus, r_zero = rep.resolvent_norms()
     except NoSpectralGap:
@@ -102,7 +103,6 @@ def bound_inputs_from_exact(rep, L=None, thin_params=None) -> BoundInputs:
         E_zero=rep.E_zero,
         norm_phi_L2=norm_phi,
         sup_phi=sup_phi,
-        L=L,
         resolvent_plus=r_plus,
         resolvent_zero=r_zero,
         thin=thin,
@@ -189,14 +189,6 @@ def ergodic_linear_bound(inputs: BoundInputs, m, epsilon) -> BoundReport:
     )
 
 
-def m_required(inputs: BoundInputs, delta, epsilon) -> int:
-    """Samples guaranteeing P(error > eps) <= delta under the linear branch."""
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("delta must lie in (0, 1)")
-    A = alpha_constant(inputs, epsilon)
-    return int(math.ceil(A / (delta * float(epsilon) ** 2)))
-
-
 def c_alpha(alpha) -> float:
     """Piecewise constant of the superlinear ergodic bound; 3 at alpha = 1."""
     alpha = float(alpha)
@@ -251,21 +243,18 @@ def iid_markov_bound(inputs: BoundInputs, m, epsilon) -> BoundReport:
     """Markov branch for i.i.d. sampling."""
     if inputs.norm_Cplus <= 0:
         raise ConfigError("i.i.d. bounds require C_+ != 0")
-    if inputs.L is None:
-        raise ConfigError("i.i.d. bounds require the constant L")
     a = inputs.norm_Cinv
     b = inputs.norm_Cplus
-    L = inputs.L
     phi2 = inputs.norm_phi_L2**2
     sigma = 2.0 * a * b + float(epsilon)
-    bracket = (L / b**2 + a**2) * phi2 - 2.0
+    bracket = (L_IID / b**2 + a**2) * phi2 - 2.0
     return _power_report(
         sigma**2 * bracket,
         1.0,
         BRANCH_IID_MARKOV,
         m,
         epsilon,
-        {"sigma": sigma, "bracket": bracket, "L": L},
+        {"sigma": sigma, "bracket": bracket, "L": L_IID},
     )
 
 
@@ -275,12 +264,11 @@ def iid_hoeffding_bound(inputs: BoundInputs, m, epsilon) -> BoundReport:
     sigma = iid_markov_bound(inputs, m, epsilon).constants_used["sigma"]
     if inputs.sup_phi is None:
         raise MissingSupBound("Hoeffding branch requires ||phi||_inf")
-    L = inputs.L
     tau = sigma * inputs.sup_phi
     fam = {
         "kind": "hoeffding",
         "c1": 2.0,
-        "r1": inputs.norm_Cplus**2 / (2.0 * tau**2 * (1.0 + L) ** 2),
+        "r1": inputs.norm_Cplus**2 / (2.0 * tau**2 * (1.0 + L_IID) ** 2),
         "c2": 2.0,
         "r2": 1.0 / (8.0 * tau**2 * inputs.norm_Cinv**2),
     }
@@ -289,14 +277,9 @@ def iid_hoeffding_bound(inputs: BoundInputs, m, epsilon) -> BoundReport:
         int(m),
         evaluate_family(fam, m, epsilon),
         BRANCH_IID_HOEFFDING,
-        {"tau": tau, "sigma": sigma, "L": L},
+        {"tau": tau, "sigma": sigma, "L": L_IID},
         fam,
     )
-
-
-def iid_bounds(inputs: BoundInputs, m, epsilon):
-    """(Markov branch, Hoeffding branch) for i.i.d. sampling."""
-    return iid_markov_bound(inputs, m, epsilon), iid_hoeffding_bound(inputs, m, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +295,19 @@ def estimator_error_bounds(inputs: BoundInputs, m, epsilon, branch):
     if branch == BRANCH_IID_HOEFFDING:
         if inputs.sup_phi is None:
             raise MissingSupBound("Hoeffding branch requires ||phi||_inf")
-        if inputs.L is None:
-            raise ConfigError("Hoeffding branch requires the constant L")
         S = inputs.sup_phi
         fam_c = {"kind": "hoeffding", "c1": 2.0, "r1": 1.0 / (8.0 * S**2), "c2": 0.0, "r2": 1.0}
         fam_p = {
             "kind": "hoeffding",
             "c1": 2.0,
-            "r1": 1.0 / (2.0 * (1.0 + inputs.L) ** 2 * S**2),
+            "r1": 1.0 / (2.0 * (1.0 + L_IID) ** 2 * S**2),
             "c2": 0.0,
             "r2": 1.0,
         }
         rc = BoundReport(float(epsilon), int(m), evaluate_family(fam_c, m, epsilon),
                          branch, {"sup_phi": S}, fam_c)
         rp = BoundReport(float(epsilon), int(m), evaluate_family(fam_p, m, epsilon),
-                         branch, {"sup_phi": S, "L": inputs.L}, fam_p)
+                         branch, {"sup_phi": S, "L": L_IID}, fam_p)
         return rc, rp
     if branch == BRANCH_ERGODIC_LINEAR:
         if inputs.resolvent_plus is None or inputs.resolvent_zero is None:

@@ -17,7 +17,14 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import studies
-from .config import dictionary_from_config, load_json, system_from_config
+from .config import (
+    BoundsConfig,
+    RunConfig,
+    StudyConfig,
+    dictionary_from_config,
+    read_config,
+    system_from_config,
+)
 from .edmd import edmd_estimate, estimation_error
 from .errors import ConfigError, KoopmanCertError
 from .galerkin import galerkin_matrix
@@ -28,7 +35,7 @@ from .variance import build_rep, exact_reference_gram
 def _add_common(p):
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None, help="override config threads")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None, help="output file or directory")
 
@@ -47,18 +54,6 @@ def build_parser():
         "--regime", choices=["ergodic", "iid"], default="ergodic"
     )
     return p
-
-
-def _seed(args, cfg):
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    studies.check_seed(seed)
-    return seed
-
-
-def _required(cfg, key):
-    if not isinstance(cfg, dict) or key not in cfg:
-        raise ConfigError(f"config needs {key!r}")
-    return cfg[key]
 
 
 def _json_text(payload):
@@ -92,10 +87,8 @@ def _emit(args, payload, default_name):
 
 
 def cmd_simulate(args):
-    cfg = load_json(args.config)
-    system = system_from_config(_required(cfg, "system"))
-    seed = _seed(args, cfg)
-    pairs = _sample(system, args, seed)
+    cfg = read_config(args.config, RunConfig, args.seed, args.threads)
+    pairs = _sample(system_from_config(cfg.system), args, cfg.seed)
     if args.format == "csv":
         lines = ["k,x,y"]
         for k, (x, y) in enumerate(zip(np.asarray(pairs.xs), np.asarray(pairs.ys))):
@@ -132,15 +125,14 @@ def _scalar(v):
 
 
 def cmd_estimate(args):
-    cfg = load_json(args.config)
-    system = system_from_config(_required(cfg, "system"))
-    dictionary = dictionary_from_config(_required(cfg, "dictionary"), system=system)
-    seed = _seed(args, cfg)
-    pairs = _sample(system, args, seed)
+    cfg = read_config(args.config, RunConfig, args.seed, args.threads)
+    system = system_from_config(cfg.system)
+    dictionary = dictionary_from_config(cfg.dictionary, system=system)
+    pairs = _sample(system, args, cfg.seed)
     est = edmd_estimate(dictionary, pairs)
     payload = est.to_json_dict()
-    payload["seed"] = seed
-    payload["config_hash"] = hash_config(cfg)
+    payload["seed"] = cfg.seed
+    payload["config_hash"] = hash_config(cfg.source)
     try:
         ref = galerkin_matrix(exact_reference_gram(system, dictionary))
         payload["errors"] = estimation_error(est, ref)
@@ -159,21 +151,19 @@ def hash_config(cfg):
 
 
 def cmd_variance(args):
-    cfg = load_json(args.config)
-    study = studies.StudyConfig.from_dict(_study_dict(cfg, args))
-    rows = studies.run_variance_check(study)
+    cfg = read_config(args.config, StudyConfig, args.seed, args.threads)
+    rows = studies.run_variance_check(cfg)
     return _emit_rows(args, rows, "variance", "variance_check.csv")
 
 
 def cmd_bounds(args):
-    cfg = studies.BoundsConfig.from_dict(_seeded(load_json(args.config), args))
-    studies.check_threads(args.threads)
+    cfg = read_config(args.config, BoundsConfig, args.seed, args.threads)
     system = system_from_config(cfg.system)
     rep = build_rep(system, dictionary_from_config(cfg.dictionary, system=system))
     inputs = bounds_mod.bound_inputs_from_exact(rep, thin_params=cfg.thin_params)
     rows = studies.run_bound_validity(
         rep, inputs, cfg.branch, cfg.m_grid, cfg.epsilons, cfg.n_trials, cfg.seed,
-        threads=args.threads,
+        threads=cfg.threads,
     )
     report = studies._branch_bound(inputs, cfg.branch, cfg.m_grid[-1], cfg.epsilons[0])
     out_dir = args.out or "."
@@ -183,27 +173,9 @@ def cmd_bounds(args):
     return 0
 
 
-def _seeded(cfg, args):
-    """A copy of the config with the --seed override applied."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    d = dict(cfg)
-    if args.seed is not None:
-        d["seed"] = args.seed
-    return d
-
-
-def _study_dict(cfg, args):
-    d = _seeded(cfg, args)
-    if args.threads != 1:
-        d["threads"] = args.threads
-    return d
-
-
 def cmd_study(args):
-    cfg = load_json(args.config)
-    study = studies.StudyConfig.from_dict(_study_dict(cfg, args))
-    rows, fits = studies.run_convergence_study(study)
+    cfg = read_config(args.config, StudyConfig, args.seed, args.threads)
+    rows, fits = studies.run_convergence_study(cfg)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     if args.format == "json":

@@ -1,13 +1,12 @@
-"""Empirical estimators C_hat, C_hat_plus, K_hat and invertibility diagnostics."""
+"""Empirical estimators C_hat, C_hat_plus, K_hat and their errors."""
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, SingularEmpiricalMass
+from .errors import DimensionMismatch, SingularEmpiricalMass
 from .galerkin import GramPair, KoopmanGalerkinMatrix, Provenance, gram_block, is_singular
-from .systems import FiniteMarkovSystem, Regime, SamplePairs
+from .systems import Regime, SamplePairs
 
 
 @dataclass
@@ -58,40 +57,3 @@ def estimation_error(est: EdmdEstimate, ref: KoopmanGalerkinMatrix):
         "err_C": float(np.linalg.norm(ref.source.C - est.gram.C)),
         "err_Cplus": float(np.linalg.norm(ref.source.Cplus - est.gram.Cplus)),
     }
-
-
-def ergodic_invertibility_condition(sys: FiniteMarkovSystem, dictionary, max_states=12):
-    """Check the trajectory-invertibility hypothesis on a finite chain.
-
-    For every subspace spanned by at most N-1 dictionary columns, states
-    mapping into the subspace must carry zero transition mass back into its
-    preimage.  Sufficient for a.s. invertibility of the empirical mass matrix
-    along ergodic trajectories of length >= N+1.
-    """
-    n = sys.n_states
-    if n > max_states:
-        raise ConfigError(f"subspace enumeration limited to {max_states} states")
-    vals = dictionary.evaluate(np.arange(n))  # (N, n)
-    N = dictionary.size
-    P = sys.transition
-    seen = set()
-    for size in range(1, N):
-        for subset in combinations(range(n), size):
-            basis = vals[:, subset]
-            rank = np.linalg.matrix_rank(basis)
-            if rank >= N:
-                continue
-            # preimage of span(basis): states whose column stays in the span
-            pre = []
-            for x in range(n):
-                aug = np.column_stack([basis, vals[:, x]])
-                if np.linalg.matrix_rank(aug) == rank:
-                    pre.append(x)
-            key = tuple(pre)
-            if key in seen or not pre:
-                continue
-            seen.add(key)
-            mass = P[np.ix_(pre, pre)].sum(axis=1)
-            if np.any(mass > 0):
-                return False
-    return True

@@ -69,14 +69,6 @@ def spectral_measure(rep, f, weight_tol=ATOM_WEIGHT_TOL) -> SpectralMeasure:
     return SpectralMeasure([(t, w) for t, w in atoms], total)
 
 
-def arc_mass(meas: SpectralMeasure, gamma) -> float:
-    """Mass of the closed arc {e^{2 pi i t} : |t| <= gamma}."""
-    gamma = float(gamma)
-    if not 0.0 < gamma <= 0.5:
-        raise ConfigError("gamma must lie in (0, 1/2]")
-    return float(sum(w for t, w in meas.atoms if abs(t) <= gamma))
-
-
 @dataclass
 class ThinMeasureCertificate:
     """kappa such that mu_f(S_gamma) <= kappa mu_f(S_theta) gamma^alpha on (0, theta]."""
@@ -123,29 +115,6 @@ def certify_thin_measure(
             if 0.0 < g <= theta:
                 kappa = max(kappa, ratio(float(g)))
     return ThinMeasureCertificate(alpha, theta, kappa, False)
-
-
-@dataclass
-class WeightedL2Result:
-    S: float
-    kappa_bound: float
-
-
-def weighted_l2_check(meas: SpectralMeasure, alpha) -> WeightedL2Result:
-    """S = sum_n w_n |t_n|^{-alpha}; finite S gives mu_f(S_gamma) <= S gamma^alpha.
-
-    An atom at t = 0 makes S infinite, which is reported, not raised.
-    """
-    alpha = float(alpha)
-    S = 0.0
-    for t, w in meas.atoms:
-        if w == 0.0:
-            continue
-        if t == 0.0:
-            return WeightedL2Result(float("inf"), float("inf"))
-        S += w * abs(t) ** (-alpha)
-    total = meas.total_mass
-    return WeightedL2Result(S, S / total if total > 0 else 0.0)
 
 
 @dataclass

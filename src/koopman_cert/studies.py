@@ -6,16 +6,17 @@ count), and emit schema-versioned CSV tables plus log-log rate fits.
 """
 
 import csv
+import functools
 import math
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import rng
+from .config import StudyConfig, dictionary_from_config, system_from_config
 from .errors import ConfigError, InsufficientPoints, UnsupportedSystem
 from .galerkin import galerkin_matrix, gram_block, is_singular
 from .systems import (
@@ -102,7 +103,7 @@ def iid_chain_counts(sys, weights, m, gen, count):
     return gen.multinomial(m, law / law.sum(), size=count).reshape(count, n, n)
 
 
-def _chain_count_slices(sys, m, seed, chunk, count, regime, mu0_sampler):
+def _chain_count_slices(sys, m, seed, chunk, count, regime):
     """The chunk's (rows, n, n) transition counts, a slice of trials at a
     time: i.i.d. counts drawn from their multinomial law, ergodic counts
     tallied as the chunk's trajectories are stepped (`ergodic_counts`)."""
@@ -110,7 +111,7 @@ def _chain_count_slices(sys, m, seed, chunk, count, regime, mu0_sampler):
     gen = rng.stream(seed, chunk)
     if regime is Regime.IID:
         for lo in range(0, count, rows):
-            yield iid_chain_counts(sys, mu0_sampler.weights, m, gen, min(rows, count - lo))
+            yield iid_chain_counts(sys, sys.pi, m, gen, min(rows, count - lo))
     else:
         yield from sys.ergodic_counts(m, gen, count, rows)
 
@@ -153,8 +154,7 @@ def phase_grams(dictionary, t0, G, x0):
     return 0.5 * (C + np.swapaxes(C, 1, 2)), (A @ (H * shift) @ A.T).real
 
 
-def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime,
-                        mu0_sampler=None):
+def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime):
     """Per-trial Frobenius errors (err_C, err_Cplus, err_K) for one chunk.
 
     err_K is NaN for trials whose empirical mass matrix is numerically
@@ -173,7 +173,7 @@ def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime,
         indicator = (dictionary.kind is DictionaryKind.INDICATOR
                      and dictionary.size == sys.n_states)
         table = dictionary.evaluate(np.arange(sys.n_states)).T
-        for counts in _chain_count_slices(sys, m, seed, chunk, count, regime, mu0_sampler):
+        for counts in _chain_count_slices(sys, m, seed, chunk, count, regime):
             parts.append(_indicator_errors(counts, ref, m) if indicator else
                          _gram_errors_block(*count_grams(table, counts, m), ref))
     elif (regime is Regime.ERGODIC and isinstance(sys, CircleRotationSystem)
@@ -193,7 +193,7 @@ def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime,
             psi = _psi_on_states(dictionary, paths[lo : lo + rows])
             parts.append(_gram_errors_block(*gram_block(psi[:, :m], psi[:, 1:], m), ref))
     else:
-        xs, ys = iid_chunk(sys, mu0_sampler, m, seed, chunk, count)
+        xs, ys = iid_chunk(sys, sys.initial_law(), m, seed, chunk, count)
         rows = max(1, _SLICE_BUDGET // (2 * m * dictionary.size))
         for lo in range(0, count, rows):
             psi_x = _psi_on_states(dictionary, xs[lo : lo + rows])
@@ -202,20 +202,25 @@ def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime,
     return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
 
 
-def mc_trial_errors(sys, dictionary, ref, m, n_trials, seed, regime,
-                    mu0_sampler=None, threads=1):
-    """Stacked per-trial errors over n_trials independent estimates."""
+@functools.cache
+def _pool(threads):
+    """The one executor of each thread count, started on first use and kept
+    for the life of the process, so every call reuses its threads and the
+    malloc arenas that cache their temporaries."""
+    return ThreadPoolExecutor(max_workers=threads)
+
+
+def mc_trial_errors(sys, dictionary, ref, m, n_trials, seed, regime, threads=1):
+    """Stacked per-trial errors over n_trials independent estimates; i.i.d.
+    trials start from the system's `initial_law`."""
     chunks = list(rng.trial_chunks(n_trials))
 
     def work(spec):
         c, _, count = spec
-        return _chunk_trial_errors(
-            sys, dictionary, ref, m, seed, c, count, regime, mu0_sampler
-        )
+        return _chunk_trial_errors(sys, dictionary, ref, m, seed, c, count, regime)
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(pool.map(work, chunks))
+        out = list(_pool(threads).map(work, chunks))
     else:
         out = [work(s) for s in chunks]
     err_C = np.concatenate([o[0] for o in out])
@@ -251,10 +256,9 @@ def montecarlo_variance_oracle(rep, m, n_trials, seed, threads=1,
     """Sample mean of ||C - C_hat||_F^2 (and the C_+ analogue) over
     independent trials of the rep's system, with standard errors: stationary
     trajectories, or i.i.d. pairs from the invariant law."""
-    mu0 = rep.system.initial_law() if regime is Regime.IID else None
     err_C, err_Cp, _ = mc_trial_errors(
         rep.system, rep.dictionary, exact_reference(rep.gram), int(m), int(n_trials),
-        seed, regime, mu0, threads,
+        seed, regime, threads=threads,
     )
     vc, sc = _mean_stderr(err_C**2)
     vp, sp = _mean_stderr(err_Cp**2)
@@ -273,113 +277,6 @@ def reference_model(sys, dictionary, m_ref, seed):
     pairs = sample_ergodic(sys, int(m_ref), seed=seed)
     est = edmd_estimate(dictionary, pairs)
     return est.gram.C, est.gram.Cplus, est.Khat
-
-
-# ---------------------------------------------------------------------------
-# configs
-# ---------------------------------------------------------------------------
-
-def _is_int(v):
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v):
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-
-
-def check_seed(seed):
-    """A seed is an integer >= 0, as SeedSequence needs."""
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-
-
-def check_threads(threads):
-    """A thread count is an integer >= 1."""
-    if not _is_int(threads) or threads < 1:
-        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
-
-
-def _check_sampling(m_grid, seed, n_trials, min_trials):
-    """Checks every sampling config shares: a non-empty, strictly increasing
-    grid of integers >= 1, an integer seed >= 0, integer n_trials >= min_trials."""
-    if not isinstance(m_grid, (list, tuple)) or not m_grid or not all(
-        _is_int(m) and m >= 1 for m in m_grid
-    ):
-        raise ConfigError(
-            f"m_grid must be a non-empty list of integers >= 1, got {m_grid!r}"
-        )
-    if any(b <= a for a, b in zip(m_grid, m_grid[1:])):
-        raise ConfigError("m_grid must be strictly increasing")
-    check_seed(seed)
-    if not _is_int(n_trials) or n_trials < min_trials:
-        raise ConfigError(f"n_trials must be an integer >= {min_trials}, got {n_trials!r}")
-
-
-def _config_from_dict(cls, d, name):
-    extra = set(d) - set(cls.__dataclass_fields__)
-    if extra:
-        raise ConfigError(f"unknown {name} config keys: {sorted(extra)}")
-    if "system" not in d or "dictionary" not in d:
-        raise ConfigError(f"{name} config needs 'system' and 'dictionary'")
-    return cls(**d)
-
-
-@dataclass
-class StudyConfig:
-    system: dict
-    dictionary: dict
-    regime: str = "ergodic"
-    m_grid: List[int] = field(default_factory=lambda: [100, 1000, 10000])
-    n_trials: int = 50
-    seed: int = 0
-    error_quantiles: List[float] = field(default_factory=lambda: [0.9])
-    tail_epsilon: Optional[float] = None
-    tail_branch: Optional[str] = None
-    threads: int = 1
-
-    def __post_init__(self):
-        # 30 trials at least, so the standard errors mean something
-        _check_sampling(self.m_grid, self.seed, self.n_trials, 30)
-        check_threads(self.threads)
-        if self.regime not in ("ergodic", "iid"):
-            raise ConfigError("regime must be 'ergodic' or 'iid'")
-
-    @classmethod
-    def from_dict(cls, d):
-        return _config_from_dict(cls, d, "study")
-
-
-@dataclass
-class BoundsConfig:
-    """Config of the `bounds` command, checked as StudyConfig is."""
-
-    system: dict
-    dictionary: dict
-    branch: str = bounds_mod.BRANCH_ERGODIC_LINEAR
-    thin: Optional[dict] = None
-    m_grid: List[int] = field(default_factory=lambda: [1000, 10000])
-    epsilons: List[float] = field(default_factory=lambda: [1.0])
-    n_trials: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_sampling(self.m_grid, self.seed, self.n_trials, 1)
-        eps = self.epsilons
-        if not (isinstance(eps, (list, tuple)) and eps
-                and all(_is_real(e) and math.isfinite(e) and e > 0 for e in eps)):
-            raise ConfigError(f"epsilons must be a non-empty list of numbers > 0, got {eps!r}")
-        thin = self.thin
-        if thin and not (isinstance(thin, dict) and _is_real(thin.get("alpha"))
-                         and _is_real(thin.get("theta"))):
-            raise ConfigError(f"thin needs numbers alpha and theta, got {thin!r}")
-
-    @property
-    def thin_params(self):
-        return (self.thin["alpha"], self.thin["theta"]) if self.thin else None
-
-    @classmethod
-    def from_dict(cls, d):
-        return _config_from_dict(cls, d, "bounds")
 
 
 @dataclass
@@ -426,20 +323,19 @@ def fit_rate(m_values, rmse_values) -> RateFit:
 # studies
 # ---------------------------------------------------------------------------
 
-def run_convergence_study(cfg: StudyConfig, sys=None, dictionary=None):
+def run_convergence_study(cfg: StudyConfig):
     """RMSE of the three estimation errors per m, with rate fits.
 
     Returns (rows, fits) where fits maps 'C', 'Cplus', 'K' to RateFit.
     Theoretical RMSE predictions sqrt(sigma^2_m / m) ride along when an
     exact representation exists.
     """
-    from .config import dictionary_from_config, system_from_config
-
-    sys = system_from_config(cfg.system) if sys is None else sys
-    dictionary = dictionary_from_config(cfg.dictionary, system=sys) if dictionary is None else dictionary
+    sys = system_from_config(cfg.system)
+    dictionary = dictionary_from_config(cfg.dictionary, system=sys)
     regime = Regime(cfg.regime)
-    # before any reference is built: a system without an i.i.d. law fails fast
-    mu0 = sys.initial_law() if regime is Regime.IID else None
+    if regime is Regime.IID:
+        # before any reference is built: a system without an i.i.d. law fails fast
+        sys.initial_law()
     try:
         rep = build_rep(sys, dictionary)
     except UnsupportedSystem:
@@ -456,7 +352,7 @@ def run_convergence_study(cfg: StudyConfig, sys=None, dictionary=None):
               f"measured against a reference model learned from {m_ref} lags",
               file=_sys.stderr)
 
-    tail_report = None  # without exact constants the tail column stays NaN
+    tail_p = {}  # without exact constants the tail column stays NaN
     if cfg.tail_epsilon is not None and cfg.tail_branch is not None and rep is not None:
         inputs = bounds_mod.bound_inputs_from_exact(
             rep,
@@ -466,17 +362,15 @@ def run_convergence_study(cfg: StudyConfig, sys=None, dictionary=None):
                 bounds_mod.BRANCH_ERGODIC_KAPPA_ZERO)
             else None,
         )
-
-        def tail_p(m):
-            return _branch_bound(inputs, cfg.tail_branch, m, cfg.tail_epsilon).p_bound
-
-        tail_report = tail_p
+        # every bound first: a branch that cannot be built fails before sampling
+        tail_p = {m: _branch_bound(inputs, cfg.tail_branch, m, cfg.tail_epsilon).p_bound
+                  for m in cfg.m_grid}
 
     rows = []
     for mi, m in enumerate(cfg.m_grid):
         err_C, err_Cp, err_K = mc_trial_errors(
-            sys, dictionary, ref, int(m), cfg.n_trials,
-            _derived_seed(cfg.seed, mi), regime, mu0, cfg.threads,
+            sys, dictionary, ref, m, cfg.n_trials,
+            _derived_seed(cfg.seed, mi), regime, threads=cfg.threads,
         )
         good = np.isfinite(err_K)
         row = {
@@ -503,7 +397,7 @@ def run_convergence_study(cfg: StudyConfig, sys=None, dictionary=None):
             row["tail_eps"] = float(cfg.tail_epsilon)
             exceed = np.where(good, err_K > cfg.tail_epsilon, True)
             row["tail_frac_K"] = float(np.mean(exceed))
-            row["tail_p_bound"] = tail_report(int(m)) if tail_report else float("nan")
+            row["tail_p_bound"] = tail_p.get(m, float("nan"))
         rows.append(row)
 
     fits = {}
@@ -527,13 +421,11 @@ def _derived_seed(seed, index):
     return (int(seed) << 16) + int(index)
 
 
-def run_variance_check(cfg: StudyConfig, sys=None, dictionary=None):
+def run_variance_check(cfg: StudyConfig):
     """Exact variances vs the Monte-Carlo oracle in the config's regime,
     flagged at 3 stderr."""
-    from .config import dictionary_from_config, system_from_config
-
-    sys = system_from_config(cfg.system) if sys is None else sys
-    dictionary = dictionary_from_config(cfg.dictionary, system=sys) if dictionary is None else dictionary
+    sys = system_from_config(cfg.system)
+    dictionary = dictionary_from_config(cfg.dictionary, system=sys)
     rep = build_rep(sys, dictionary)
     regime = Regime(cfg.regime)
     trace_C = float(np.trace(rep.gram.C))
@@ -620,7 +512,6 @@ def run_bound_validity(rep, inputs, branch, m_values, epsilons, n_trials, seed,
         else Regime.ERGODIC
     )
     ref = exact_reference(rep.gram)
-    mu0 = rep.system.initial_law() if regime is Regime.IID else None
     # every bound first: a branch that cannot be built fails before sampling
     reports = [[(_branch_bound(inputs, branch, int(m), float(eps)),
                  bounds_mod.estimator_error_bounds(inputs, int(m), float(eps), branch),
@@ -630,7 +521,7 @@ def run_bound_validity(rep, inputs, branch, m_values, epsilons, n_trials, seed,
     for gi, m in enumerate(m_values):
         err_C, err_Cp, err_K = mc_trial_errors(
             rep.system, rep.dictionary, ref, int(m), n_trials,
-            _derived_seed(seed, gi), regime, mu0, threads,
+            _derived_seed(seed, gi), regime, threads=threads,
         )
         exceed_base = ~np.isfinite(err_K)
         for eps, (report, (rc, rp), (_, delta_p, delta_c)) in zip(epsilons, reports[gi]):

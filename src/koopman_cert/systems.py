@@ -545,8 +545,7 @@ def _check_m(m):
 
 
 def categorical_sampler(weights):
-    """mu0 sampler drawing state indices from the given probability vector,
-    which it keeps as its `weights`."""
+    """mu0 sampler drawing state indices from the given probability vector."""
     weights = np.asarray(weights, dtype=np.float64)
     cdf = np.cumsum(weights)
     cdf[-1] = max(cdf[-1], 1.0)
@@ -556,8 +555,6 @@ def categorical_sampler(weights):
             np.searchsorted(cdf, gen.random(m), side="right"), len(weights) - 1
         ).astype(np.int64)
 
-    # the law itself, for samplers of sufficient statistics
-    sampler.weights = weights
     return sampler
 
 

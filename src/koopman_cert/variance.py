@@ -171,7 +171,6 @@ class KoopmanMatrixRep:
         G = (sqrtw[:, None] * K) / sqrtw[None, :]
         self.M = self.B.T @ G @ self.B
         self.unitary = bool(np.linalg.norm(G.T @ G - np.eye(self.dim)) <= UNITARY_TOL)
-        self.Q = np.eye(self.dim) - np.outer(one, weights * one)
 
         self.family = function_family(self)
         N2 = self.psi.shape[0] ** 2

@@ -1,4 +1,5 @@
 import enum
+import itertools
 
 import numpy as np
 import pytest
@@ -98,3 +99,67 @@ def ergodic_average_sq_norm(rep, f_natural, m):
     u = rep.to_reduced(np.asarray(f_natural, dtype=np.float64))
     v = variance.mean_power_apply(rep.M, u[:, None], m)
     return float(np.sum(v * v))
+
+
+def projector(rep):
+    """Q = I - 1 <., 1>_w, the projector onto the rep's mean-zero functions."""
+    return np.eye(rep.dim) - np.outer(rep.one, rep.weights * rep.one)
+
+
+def arc_mass(meas, gamma):
+    """Mass of the closed arc {e^{2 pi i t} : |t| <= gamma}."""
+    gamma = float(gamma)
+    if not 0.0 < gamma <= 0.5:
+        raise ConfigError("gamma must lie in (0, 1/2]")
+    return float(sum(w for t, w in meas.atoms if abs(t) <= gamma))
+
+
+def weighted_l2_check(meas, alpha):
+    """(S, S / total mass) with S = sum_n w_n |t_n|^{-alpha}; a finite S gives
+    mu_f(S_gamma) <= S gamma^alpha.  An atom at t = 0 makes S infinite."""
+    S = 0.0
+    for t, w in meas.atoms:
+        if w == 0.0:
+            continue
+        if t == 0.0:
+            return float("inf"), float("inf")
+        S += w * abs(t) ** (-float(alpha))
+    total = meas.total_mass
+    return S, S / total if total > 0 else 0.0
+
+
+def ergodic_invertibility_condition(sys, dictionary, max_states=12):
+    """Check the trajectory-invertibility hypothesis on a finite chain.
+
+    For every subspace spanned by at most N-1 dictionary columns, states
+    mapping into the subspace must carry zero transition mass back into its
+    preimage.  Sufficient for a.s. invertibility of the empirical mass matrix
+    along ergodic trajectories of length >= N+1.
+    """
+    n = sys.n_states
+    if n > max_states:
+        raise ConfigError(f"subspace enumeration limited to {max_states} states")
+    vals = dictionary.evaluate(np.arange(n))  # (N, n)
+    N = dictionary.size
+    P = sys.transition
+    seen = set()
+    for size in range(1, N):
+        for subset in itertools.combinations(range(n), size):
+            basis = vals[:, subset]
+            rank = np.linalg.matrix_rank(basis)
+            if rank >= N:
+                continue
+            # preimage of span(basis): states whose column stays in the span
+            pre = []
+            for x in range(n):
+                aug = np.column_stack([basis, vals[:, x]])
+                if np.linalg.matrix_rank(aug) == rank:
+                    pre.append(x)
+            key = tuple(pre)
+            if key in seen or not pre:
+                continue
+            seen.add(key)
+            mass = P[np.ix_(pre, pre)].sum(axis=1)
+            if np.any(mass > 0):
+                return False
+    return True

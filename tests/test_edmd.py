@@ -4,6 +4,8 @@ import pytest
 from koopman_cert import dictionaries, edmd, galerkin, kernels, systems, variance
 from koopman_cert.errors import DimensionMismatch, SingularEmpiricalMass
 
+from conftest import ergodic_invertibility_condition
+
 
 class TestEmpiricalGram:
     def test_single_pair_outer_product(self, two_state_chain, indicator2):
@@ -133,13 +135,13 @@ class TestConsistency:
 
 class TestInvertibilityDiagnostics:
     def test_self_loops_violate_condition(self, two_state_chain, indicator2):
-        assert not edmd.ergodic_invertibility_condition(two_state_chain, indicator2)
+        assert not ergodic_invertibility_condition(two_state_chain, indicator2)
 
     def test_no_self_loop_chain_satisfies_condition(self):
         P = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
         sys = systems.FiniteMarkovSystem(P)
         d = dictionaries.monomial(1)
-        assert edmd.ergodic_invertibility_condition(sys, d)
+        assert ergodic_invertibility_condition(sys, d)
 
     def test_condition_implies_invertibility(self):
         # alongside: every ergodic run of length >= N+1 gives invertible C_hat

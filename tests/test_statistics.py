@@ -132,10 +132,9 @@ class TestChainCounts:
         d = dictionaries.monomial(2)
         rep = variance.build_rep(sys_, d)
         ref = studies.exact_reference(rep.gram)
-        mu0 = systems.categorical_sampler(sys_.pi)
-        whole = studies.mc_trial_errors(sys_, d, ref, 30, 100, 6, systems.Regime.IID, mu0)
+        whole = studies.mc_trial_errors(sys_, d, ref, 30, 100, 6, systems.Regime.IID)
         monkeypatch.setattr(studies, "_SLICE_BUDGET", 7 * 9)
-        sliced = studies.mc_trial_errors(sys_, d, ref, 30, 100, 6, systems.Regime.IID, mu0)
+        sliced = studies.mc_trial_errors(sys_, d, ref, 30, 100, 6, systems.Regime.IID)
         for a, b in zip(whole, sliced):
             assert a.tobytes() == b.tobytes()
 

@@ -234,7 +234,7 @@ class TestIidRegime:
         for mi, (m, row) in enumerate(zip(m_grid, rows)):
             err_C, err_Cp, _ = studies.mc_trial_errors(
                 sys_, d, ref, m, n_trials, studies._derived_seed(3, mi),
-                systems.Regime.IID, sys_.initial_law())
+                systems.Regime.IID)
             for err, key in ((err_C, "C"), (err_Cp, "Cplus")):
                 mse = np.mean(err**2)
                 assert row[f"rmse_{key}"] == np.sqrt(mse)
