@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys as _sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -132,12 +133,15 @@ def cmd_estimate(args):
     est = edmd_estimate(dictionary, pairs)
     payload = est.to_json_dict()
     payload["seed"] = cfg.seed
-    payload["config_hash"] = hash_config(cfg.source)
+    # the effective config: the file's, with the seed and threads in force
+    payload["config_hash"] = hash_config(dict(cfg.source, seed=cfg.seed,
+                                              threads=cfg.threads))
     try:
         ref = galerkin_matrix(exact_reference_gram(system, dictionary))
         payload["errors"] = estimation_error(est, ref)
-    except KoopmanCertError:
-        pass
+    except KoopmanCertError as exc:
+        print(f"note: no exact reference for {studies._system_name(cfg.system)} ({exc}); "
+              "the output has no errors block", file=_sys.stderr)
     _emit(args, payload, "estimate.json")
     return 0
 
@@ -183,7 +187,7 @@ def cmd_study(args):
     else:
         studies.write_csv(os.path.join(out_dir, "convergence.csv"), rows, "convergence")
     _write_json(os.path.join(out_dir, "rate_fit.json"),
-                {k: (v.to_json_dict() if v else None) for k, v in fits.items()})
+                {k: (asdict(v) if v else None) for k, v in fits.items()})
     return 0
 
 

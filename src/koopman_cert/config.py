@@ -252,11 +252,9 @@ class RunConfig:
     seed: int = 0
     threads: int = 1
 
-    # the config file's own object (`estimate` hashes it)
+    # the config file's own object
     source = None
-    # a config of this name rejects keys it does not read; without one
-    # they are ignored, so a study config serves `simulate` too
-    NAME = None
+    NAME = "run"
     # keys only a flag sets
     FLAG_ONLY = ()
 
@@ -269,8 +267,12 @@ class RunConfig:
     def from_dict(cls, d, **flags):
         """A cls from the config object d, with flags in place of its keys."""
         keys = set(cls.__dataclass_fields__) - set(cls.FLAG_ONLY)
-        unknown = set(d) - keys
-        if unknown and cls.NAME:
+        # a run config passes the keys the other configs read, so a study
+        # or bounds config serves `simulate` too
+        known = keys if cls is not RunConfig else (set(StudyConfig.__dataclass_fields__)
+                                                   | set(BoundsConfig.__dataclass_fields__))
+        unknown = set(d) - known
+        if unknown:
             raise ConfigError(f"unknown {cls.NAME} config keys: {sorted(unknown)}")
         out = cls(**{**{k: d[k] for k in keys & set(d)}, **flags})
         out.source = d

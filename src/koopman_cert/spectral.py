@@ -25,21 +25,6 @@ class SpectralMeasure:
     atoms: List[Tuple[float, float]]
     total_mass: float
 
-    def radii(self):
-        return np.array([abs(t) for t, _ in self.atoms])
-
-    def weights(self):
-        return np.array([w for _, w in self.atoms])
-
-    def angles(self):
-        return np.array([t for t, _ in self.atoms])
-
-    def to_json_dict(self):
-        return {
-            "atoms": [[t, w] for t, w in self.atoms],
-            "total_mass": self.total_mass,
-        }
-
 
 def spectral_measure(rep, f, weight_tol=ATOM_WEIGHT_TOL) -> SpectralMeasure:
     """Spectral measure of f (natural coordinates, real or complex).

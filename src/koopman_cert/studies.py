@@ -17,6 +17,8 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import rng
 from .config import StudyConfig, dictionary_from_config, system_from_config
+from .dictionaries import DictionaryKind
+from .edmd import solve_khat
 from .errors import ConfigError, InsufficientPoints, UnsupportedSystem
 from .galerkin import galerkin_matrix, gram_block, is_singular
 from .systems import (
@@ -154,28 +156,21 @@ def phase_grams(dictionary, t0, G, x0):
     return 0.5 * (C + np.swapaxes(C, 1, 2)), (A @ (H * shift) @ A.T).real
 
 
-def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime):
-    """Per-trial Frobenius errors (err_C, err_Cplus, err_K) for one chunk.
+def _trial_grams(sys, dictionary, m, seed, chunk, count, regime):
+    """The chunk's (C_hat, C_hat_plus) stacks, a block of trials at a time.
 
-    err_K is NaN for trials whose empirical mass matrix is numerically
-    singular.  Where a trial's estimates depend on it only through a small
-    statistic, that statistic is sampled.  Chains use transition counts:
-    i.i.d. trials draw them from their multinomial law, ergodic trials
-    tally them on their trajectories, and indicator dictionaries take the
-    counts' closed form.  Ergodic rotations with a Fourier dictionary use
-    phase sums.  Every other case streams feature blocks into `gram_block`
-    under a fixed memory budget.
+    Where a trial's estimates depend on it only through a small statistic,
+    that statistic is sampled: chains use transition counts (i.i.d. trials
+    draw them from their multinomial law, ergodic trials tally them on
+    their trajectories), and ergodic rotations with a Fourier dictionary
+    use phase sums.  Every other case evaluates the dictionary on sampled
+    states (stationary trajectories, or i.i.d. pair sets from the system's
+    `initial_law`) under a fixed memory budget.
     """
-    from .dictionaries import DictionaryKind
-
-    parts = []
     if isinstance(sys, FiniteMarkovSystem):
-        indicator = (dictionary.kind is DictionaryKind.INDICATOR
-                     and dictionary.size == sys.n_states)
         table = dictionary.evaluate(np.arange(sys.n_states)).T
         for counts in _chain_count_slices(sys, m, seed, chunk, count, regime):
-            parts.append(_indicator_errors(counts, ref, m) if indicator else
-                         _gram_errors_block(*count_grams(table, counts, m), ref))
+            yield count_grams(table, counts, m)
     elif (regime is Regime.ERGODIC and isinstance(sys, CircleRotationSystem)
           and dictionary.kind is DictionaryKind.FOURIER):
         # the x0 that `ergodic_chunk` draws first on this stream
@@ -184,22 +179,32 @@ def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime):
         G = rotation_phase_means(sys.t0, m, 2 * F)
         rows = max(1, _SLICE_BUDGET // (2 * F + 1) ** 2)
         for lo in range(0, count, rows):
-            grams = phase_grams(dictionary, sys.t0, G, x0[lo : lo + rows])
-            parts.append(_gram_errors_block(*grams, ref))
-    elif regime is Regime.ERGODIC:
-        paths = ergodic_chunk(sys, m, seed, chunk, count)
-        rows = max(1, _SLICE_BUDGET // ((m + 1) * dictionary.size))
-        for lo in range(0, count, rows):
-            psi = _psi_on_states(dictionary, paths[lo : lo + rows])
-            parts.append(_gram_errors_block(*gram_block(psi[:, :m], psi[:, 1:], m), ref))
+            yield phase_grams(dictionary, sys.t0, G, x0[lo : lo + rows])
     else:
-        xs, ys = iid_chunk(sys, sys.initial_law(), m, seed, chunk, count)
-        rows = max(1, _SLICE_BUDGET // (2 * m * dictionary.size))
+        # one (count, m+1) trajectory block, or the (count, m) xs and ys
+        if regime is Regime.ERGODIC:
+            blocks = (ergodic_chunk(sys, m, seed, chunk, count),)
+        else:
+            blocks = iid_chunk(sys, sys.initial_law(), m, seed, chunk, count)
+        rows = max(1, _SLICE_BUDGET // (sum(b.shape[1] for b in blocks) * dictionary.size))
         for lo in range(0, count, rows):
-            psi_x = _psi_on_states(dictionary, xs[lo : lo + rows])
-            psi_y = _psi_on_states(dictionary, ys[lo : lo + rows])
-            parts.append(_gram_errors_block(*gram_block(psi_x, psi_y, m), ref))
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
+            psi = [_psi_on_states(dictionary, b[lo : lo + rows]) for b in blocks]
+            yield gram_block(psi[0][:, :m], psi[-1][:, -m:], m)
+
+
+def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime):
+    """Per-trial Frobenius errors (err_C, err_Cplus, err_K) for one chunk:
+    `_trial_grams` scored against ref, or for an indicator dictionary on a
+    chain the counts' closed form.  err_K is NaN for trials whose empirical
+    mass matrix is numerically singular."""
+    if (isinstance(sys, FiniteMarkovSystem) and dictionary.kind is DictionaryKind.INDICATOR
+            and dictionary.size == sys.n_states):
+        parts = [_indicator_errors(counts, ref, m) for counts
+                 in _chain_count_slices(sys, m, seed, chunk, count, regime)]
+    else:
+        parts = [_gram_errors_block(*grams, ref) for grams
+                 in _trial_grams(sys, dictionary, m, seed, chunk, count, regime)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 @functools.cache
@@ -210,23 +215,23 @@ def _pool(threads):
     return ThreadPoolExecutor(max_workers=threads)
 
 
+def _map_chunks(work, n_trials, threads):
+    """[work(chunk, count)] over the trial chunks of n_trials, in chunk
+    order, on `threads` threads."""
+    chunks = [(c, count) for c, _, count in rng.trial_chunks(n_trials)]
+    if threads > 1:
+        return list(_pool(threads).map(lambda spec: work(*spec), chunks))
+    return [work(*spec) for spec in chunks]
+
+
 def mc_trial_errors(sys, dictionary, ref, m, n_trials, seed, regime, threads=1):
     """Stacked per-trial errors over n_trials independent estimates; i.i.d.
     trials start from the system's `initial_law`."""
-    chunks = list(rng.trial_chunks(n_trials))
-
-    def work(spec):
-        c, _, count = spec
-        return _chunk_trial_errors(sys, dictionary, ref, m, seed, c, count, regime)
-
-    if threads > 1:
-        out = list(_pool(threads).map(work, chunks))
-    else:
-        out = [work(s) for s in chunks]
-    err_C = np.concatenate([o[0] for o in out])
-    err_Cp = np.concatenate([o[1] for o in out])
-    err_K = np.concatenate([o[2] for o in out])
-    return err_C, err_Cp, err_K
+    out = _map_chunks(
+        lambda c, count: _chunk_trial_errors(sys, dictionary, ref, m, seed, c, count,
+                                             regime),
+        n_trials, threads)
+    return tuple(np.concatenate(col) for col in zip(*out))
 
 
 def exact_reference(gram):
@@ -265,18 +270,30 @@ def montecarlo_variance_oracle(rep, m, n_trials, seed, threads=1,
     return OracleResult(int(m), int(n_trials), vc, vp, sc, sp)
 
 
-def reference_model(sys, dictionary, m_ref, seed):
-    """Surrogate reference learned from one long trajectory of length m_ref.
+def reference_model(sys, dictionary, m, n_trials, seed, threads=1):
+    """A reference (C, C_plus, K) where no exact Gram pair exists, and the
+    Frobenius standard errors (se_C, se_Cplus) of its C and C_plus.
 
-    Used when no exact Gram matrices exist; comparisons against it should
-    stay at m <= m_ref / 10 to limit reference contamination.
+    C and C_plus are the means of the Gram pairs of n_trials engine trials
+    of m stationary lags on stream `seed`, and K solves them behind the
+    singularity gate.  The standard errors come from the trials' spread:
+    sqrt(sum_i ||G_i - mean||^2 / (n (n - 1))) for each matrix.
     """
-    from .edmd import edmd_estimate
-    from .systems import sample_ergodic
+    def work(c, count):
+        # the sums of the chunk's C_hat, C_hat_plus and of their squared norms
+        out = [0.0] * 4
+        for grams in _trial_grams(sys, dictionary, m, seed, c, count, Regime.ERGODIC):
+            for i, G in enumerate(grams):
+                out[i] = out[i] + G.sum(axis=0)
+                out[2 + i] += float(np.sum(G**2))
+        return out
 
-    pairs = sample_ergodic(sys, int(m_ref), seed=seed)
-    est = edmd_estimate(dictionary, pairs)
-    return est.gram.C, est.gram.Cplus, est.Khat
+    n = n_trials
+    sums = [sum(col) for col in zip(*_map_chunks(work, n, threads))]
+    means = [s / n for s in sums[:2]]
+    se = tuple(math.sqrt(max(q - n * np.sum(mean**2), 0.0) / (n * (n - 1)))
+               for q, mean in zip(sums[2:], means))
+    return (*means, solve_khat(*means)), se
 
 
 @dataclass
@@ -286,15 +303,6 @@ class RateFit:
     r2: float
     slope_stderr: float
     n_points: int
-
-    def to_json_dict(self):
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "slope_stderr": self.slope_stderr,
-            "n_points": self.n_points,
-        }
 
 
 def fit_rate(m_values, rmse_values) -> RateFit:
@@ -343,13 +351,15 @@ def run_convergence_study(cfg: StudyConfig):
     try:
         ref = exact_reference(rep.gram if rep else exact_reference_gram(sys, dictionary))
     except UnsupportedSystem:
-        # reference-model mode: the largest grid entry stays a factor 10
-        # below the surrogate's sample size
-        m_ref = 10 * max(cfg.m_grid)
-        ref = reference_model(sys, dictionary, m_ref,
-                              seed=_derived_seed(cfg.seed, len(cfg.m_grid)))
+        # reference-model mode: one more grid point of trials at the largest
+        # m, on the stream index after the grid's
+        m_ref = max(cfg.m_grid)
+        ref, (se_C, se_Cp) = reference_model(
+            sys, dictionary, m_ref, cfg.n_trials,
+            _derived_seed(cfg.seed, len(cfg.m_grid)), threads=cfg.threads)
         print(f"note: no exact reference for {_system_name(cfg.system)}; errors are "
-              f"measured against a reference model learned from {m_ref} lags",
+              f"measured against a reference model, the mean of {cfg.n_trials} trials "
+              f"of {m_ref} lags (standard error {se_C:.3g} in C, {se_Cp:.3g} in C_plus)",
               file=_sys.stderr)
 
     tail_p = {}  # without exact constants the tail column stays NaN

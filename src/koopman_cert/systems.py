@@ -4,10 +4,11 @@ Four system classes are provided: finite Markov chains (the exactly
 computable reference class), circle rotations by an irrational angle, noisy
 iterated maps, and Euler-Maruyama discretizations of SDEs.  A noisy map or
 SDE whose lag is exactly a Gaussian AR(1) step carries that law
-(`GaussianAR1`) and is sampled from it directly.  Every class implements
-one protocol (`System`).  `ergodic_chunk` and `iid_chunk` run its blocks on
-explicit seeds, and `sample_ergodic` and `sample_iid` return a single
-trajectory or pair set: the block's one-trial case.
+(`GaussianAR1`) and is sampled from it directly; one without a law is
+stepped from its `x0` through a fixed burn-in of `_BURN_IN` lags.  Every
+class implements one protocol (`System`).  `ergodic_chunk` and `iid_chunk`
+run its blocks on explicit seeds, and `sample_ergodic` and `sample_iid`
+return a single trajectory or pair set: the block's one-trial case.
 """
 
 import copy
@@ -570,13 +571,18 @@ def ergodic_chunk(sys, m, seed, chunk_index, count):
     return sys.ergodic_block(m, rng.stream(seed, chunk_index), count)
 
 
+# burn-in lags of a stepped system without a law, the same at every m; on
+# double-well (sigma 1, lag 0.5) trial MSEs at 100 and 1000 lags agree
+_BURN_IN = 100
+
+
 def _stepped_block(sys, m, gen, count, check=False):
-    """(count, m+1, state_dim) states from x0 after a burn-in of 10 m lags.
+    """(count, m+1, state_dim) states from x0 after `_BURN_IN` burn-in lags.
 
     With check, raise DomainError at the first lag (counted from x0, burn-in
     included) at which a state has a non-finite coordinate.
     """
-    burn = 10 * m
+    burn = _BURN_IN
     x = np.tile(np.atleast_2d(sys.x0), (count, 1))
     traj = np.empty((count, m + 1, sys.state_dim))
     for lag in range(burn + m + 1):

@@ -312,17 +312,6 @@ class VarianceReport:
     var_Cplus: float
     var_C: float
 
-    def to_json_dict(self):
-        return {
-            "m": self.m,
-            "sigma2_plus": self.sigma2_plus,
-            "sigma2_zero": self.sigma2_zero,
-            "E_plus": self.E_plus,
-            "E_zero": self.E_zero,
-            "var_Cplus": self.var_Cplus,
-            "var_C": self.var_C,
-        }
-
 
 def variance_constants(rep):
     """E_plus = <K phi, phi> - ||C_+||_F^2 and E_zero = ||phi||^2 - ||C||_F^2."""

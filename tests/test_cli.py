@@ -35,6 +35,26 @@ class TestSimulate:
         rc = cli.main(["simulate", "--config", "/nonexistent.json"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, {"system": CHAIN_SYSTEM,
+                                   "dictionary": {"kind": "indicator"}, "sed": 3})
+        assert cli.main([command, "--config", cfg, "--m", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'sed'" in err
+
+    @pytest.mark.parametrize("extra", [
+        {"regime": "iid", "m_grid": [10, 20], "n_trials": 30, "error_quantiles": [0.5],
+         "tail_epsilon": 0.1, "tail_branch": "iid_markov"},
+        {"branch": "iid_markov", "m_grid": [10], "epsilons": [1.0], "n_trials": 5,
+         "thin": {"alpha": 1.5, "theta": 0.2}},
+    ], ids=["study", "bounds"])
+    def test_study_and_bounds_configs_serve_simulate(self, tmp_path, capsys, extra):
+        cfg = write_cfg(tmp_path, {"system": CHAIN_SYSTEM,
+                                   "dictionary": {"kind": "indicator"}, **extra})
+        assert cli.main(["simulate", "--config", cfg, "--m", "10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 11
+
     def test_csv_format(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"system": CHAIN_SYSTEM, "seed": 4})
         rc = cli.main(["simulate", "--config", cfg, "--m", "10", "--format", "csv"])
@@ -78,6 +98,34 @@ class TestEstimate:
         payload = json.loads(capsys.readouterr().out)
         assert "Khat" in payload and "errors" in payload and "config_hash" in payload
         assert payload["errors"]["err_K"] < 1.0
+
+    def test_config_hash_is_the_effective_config(self, tmp_path, capsys):
+        # --seed changes the hash with Khat; the same seed from the file or a
+        # flag gives one hash, and a file stating seed and threads hashes as is
+        base = {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"}}
+
+        def run(payload, *flags):
+            cfg = write_cfg(tmp_path, payload)
+            assert cli.main(["estimate", "--config", cfg, "--m", "50", *flags]) == 0
+            out = json.loads(capsys.readouterr().out)
+            return out["config_hash"], out["Khat"]
+
+        (h1, k1), (h2, k2) = run(base, "--seed", "1"), run(base, "--seed", "2")
+        assert h1 != h2 and k1 != k2
+        stated = dict(base, seed=1, threads=1)
+        assert run(stated) == (h1, k1)
+        assert h1 == cli.hash_config(stated)
+
+    def test_without_exact_reference_notes_missing_errors(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"system": DOUBLE_WELL,
+                                   "dictionary": {"kind": "monomial", "degree": 2}})
+        assert cli.main(["estimate", "--config", cfg, "--m", "50"]) == 0
+        captured = capsys.readouterr()
+        assert "errors" not in json.loads(captured.out)
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("note: no exact reference for sde double_well")
+        assert "no exact representation" in lines[0]
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # m < N makes the empirical mass matrix singular
@@ -453,7 +501,8 @@ class TestGaussianAR1:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert "sde double_well" in lines[0] and "80 lags" in lines[0]
+        assert "sde double_well" in lines[0] and "30 trials of 8 lags" in lines[0]
+        assert "standard error" in lines[0]
 
 
 class TestInputAtFault:

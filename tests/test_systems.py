@@ -310,14 +310,14 @@ class TestCirclePreservesMeasure:
 class TestNoisyMapAndSde:
     def test_zero_noise_equals_deterministic_orbit(self):
         # the logistic map, not the tent map: a float tent orbit reaches 0
-        # within about 55 steps, well inside the 10 m burn-in
+        # within about 55 steps, inside the burn-in
         def logistic(x):
             return 3.9 * x * (1.0 - x)
 
         sysA = systems.NoisyMapSystem(logistic, lambda g, s: np.zeros(s), 1, x0=[0.2])
         a = systems.sample_ergodic(sysA, 20, seed=0)
         x = np.array([0.2])
-        for _ in range(10 * 20):  # the sampler's burn-in
+        for _ in range(systems._BURN_IN):  # the sampler's burn-in
             x = logistic(x)
         expect = [x.copy()]
         for _ in range(20):
@@ -327,15 +327,17 @@ class TestNoisyMapAndSde:
         assert np.array_equal(a.xs[:, 0], expect[:20, 0])
         assert np.array_equal(a.ys[:, 0], expect[1:, 0])
 
-    @pytest.mark.parametrize("m", [100, 200])
-    def test_first_non_finite_lag_named(self, m):
-        # x -> 2x from x0 = 1 first overflows at lag 1024: inside the burn-in
-        # of 10 m = 2000 lags at m = 200, among the kept lags 1000..1100 at
-        # m = 100
+    @pytest.mark.parametrize("x0, m, lag", [(2.0**1000, 4, 24), (1.0, 1000, 1024)],
+                             ids=["burn_in", "kept"])
+    def test_first_non_finite_lag_named(self, x0, m, lag):
+        # x -> 2x from x0 = 2^e first overflows at lag 1024 - e: inside the
+        # burn-in of 100 lags from 2^1000, among the kept lags 100..1100
+        # from 1 at m = 1000
+        assert systems._BURN_IN == 100
         sys = systems.NoisyMapSystem(lambda x: 2.0 * x, lambda g, s: np.zeros(s), 1,
-                                     x0=[1.0])
+                                     x0=[x0])
         with np.errstate(over="ignore"):
-            with pytest.raises(DomainError, match=r"lag 1024;"):
+            with pytest.raises(DomainError, match=rf"lag {lag};"):
                 systems.ergodic_chunk(sys, m, 0, 0, 3)
 
     def test_non_finite_start_is_lag_zero(self):
