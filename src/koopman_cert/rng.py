@@ -4,13 +4,17 @@ All randomness in the package flows through Philox, a counter-based 64-bit
 generator.  Streams are derived from an explicit integer seed plus a path of
 stream indices, so Monte-Carlo trials can be generated independently, in any
 order, and merged deterministically.
+
+The trial chunk size (`TRIAL_CHUNK`) is part of the output contract, and so
+are the blocks of trials and the time slices in which an ergodic chain
+chunk draws its uniforms (`systems._BLOCK_CELLS`, `systems._STEP_CELLS`):
+changing any of them changes the sampled streams.
 """
 
 import numpy as np
 
 # Trials are generated in fixed-size chunks; chunk c of a run uses the
-# derived stream (seed, *path, c).  The chunk size is part of the output
-# contract: changing it changes the sampled streams.
+# derived stream (seed, *path, c).
 TRIAL_CHUNK = 1024
 
 
@@ -30,24 +34,3 @@ def trial_chunks(n_trials, chunk=TRIAL_CHUNK):
         start += count
         index += 1
 
-
-def positioned(gen, offsets):
-    """One Generator per offset: the b-th draws what the Philox generator
-    `gen` would draw from offsets[b] raw 64-bit draws past its current
-    position (a float64 in [0, 1) is one raw draw).  `gen` does not move.
-
-    Philox is counter-based: raw draw p is word p % 4 of the block at
-    counter p // 4 + 1, and the current position is read from gen's
-    counter and `buffer_pos`.
-    """
-    state = gen.bit_generator.state
-    counter = sum(int(c) << (64 * i) for i, c in enumerate(state["state"]["counter"]))
-    pos = 4 * (counter - 1) + state["buffer_pos"]
-    key = state["state"]["key"]
-    out = []
-    for offset in offsets:
-        p = pos + int(offset)
-        bits = np.random.Philox(key=key, counter=p // 4 % (1 << 256))
-        bits.random_raw(p % 4)
-        out.append(np.random.Generator(bits))
-    return out

@@ -109,13 +109,13 @@ def _chain_count_slices(sys, m, seed, chunk, count, regime):
     """The chunk's (rows, n, n) transition counts, a slice of trials at a
     time: i.i.d. counts drawn from their multinomial law, ergodic counts
     tallied as the chunk's trajectories are stepped (`ergodic_counts`)."""
-    rows = max(1, _SLICE_BUDGET // sys.n_states**2)
     gen = rng.stream(seed, chunk)
     if regime is Regime.IID:
+        rows = max(1, _SLICE_BUDGET // sys.n_states**2)
         for lo in range(0, count, rows):
             yield iid_chain_counts(sys, sys.pi, m, gen, min(rows, count - lo))
     else:
-        yield from sys.ergodic_counts(m, gen, count, rows)
+        yield from sys.ergodic_counts(m, gen, count)
 
 
 def _fourier_modes(dictionary, F):
@@ -174,7 +174,7 @@ def _trial_grams(sys, dictionary, m, seed, chunk, count, regime):
     elif (regime is Regime.ERGODIC and isinstance(sys, CircleRotationSystem)
           and dictionary.kind is DictionaryKind.FOURIER):
         # the x0 that `ergodic_chunk` draws first on this stream
-        x0 = rng.stream(seed, chunk).random(count)
+        x0 = sys.initial_law()(rng.stream(seed, chunk), count)
         F = dictionary.metadata["max_freq"]
         G = rotation_phase_means(sys.t0, m, 2 * F)
         rows = max(1, _SLICE_BUDGET // (2 * F + 1) ** 2)

@@ -14,7 +14,6 @@ return a single trajectory or pair set: the block's one-trial case.
 import copy
 import enum
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,16 +110,15 @@ def _starts(mu0, m, gen, count):
     return xs.reshape((count, m) + xs.shape[1:])
 
 
-# Ergodic chain counts tally a chunk in blocks of trials, and step each
-# block in time slices of _STEP_CELLS (trajectory, step) cells, or of n * n
-# steps where that is longer, so memory stays bounded whatever m is.  Past
-# _DRAW_CELLS uniforms, one positioned generator per row fills a (rows,
-# draws) buffer, a row taking at least _ROW_DRAWS uniforms a call so that the
-# call's overhead stays small against its draws.  A chunk whose uniforms fit
-# in one such buffer is drawn in one call.
-_DRAW_CELLS = 1 << 20
+# An ergodic chain chunk is drawn and stepped in blocks of at most
+# _BLOCK_CELLS // n^2 trials, which bounds a block's (rows, n, n) int64
+# counts near 32 MB, and each block in time slices of _STEP_CELLS (trial,
+# step) cells, or of n^2 steps where that is longer (counting a slice
+# touches all rows * n^2 counts), so memory stays bounded whatever m is.
+# Each slice draws its own (rows, steps) uniforms, so both rules are part of
+# the output contract, like `rng.TRIAL_CHUNK`.
+_BLOCK_CELLS = 4_000_000
 _STEP_CELLS = 1 << 18
-_ROW_DRAWS = 1 << 11
 
 
 class FiniteMarkovSystem(System):
@@ -175,61 +173,45 @@ class FiniteMarkovSystem(System):
     def initial_law(self):
         return categorical_sampler(self.pi)
 
-    def ergodic_block(self, m, gen, count):
-        if not self.is_ergodic:
-            raise NonErgodicChain("ergodic sampling requires an ergodic chain")
-        x0 = self.initial_law()(gen, count)
-        return kernels.chain_paths(self._cdf, x0, gen.random((count, m)))
-
-    def ergodic_counts(self, m, gen, count, rows):
-        """Yield the (count, n, n) int64 transition counts of the trajectories
-        `ergodic_block(m, gen, count)` returns, bit for bit, in consecutive
-        blocks of at most `rows` trials, each tallied one time slice at a
-        time.  The (count, m+1) paths are held whole only when one slice
-        takes them, and the (count, m) uniforms only while they fit the
-        draw budget or one row buffer.  Once exhausted, `gen` is where
-        `ergodic_block` leaves it."""
+    def _path_slices(self, m, gen, count):
+        """Yield (lo, t, paths): the (rows, k+1) states of trials lo.. at
+        steps t..t+k, for each block of trials in turn and each time slice
+        of the block in turn; the slice draws its (rows, k) uniforms from
+        `gen`.  The chunk's starts are drawn first."""
         if not self.is_ergodic:
             raise NonErgodicChain("ergodic sampling requires an ergodic chain")
         n = self.n_states
         x0 = self.initial_law()(gen, count)
-        rows = max(1, min(rows, count))
-        # counting a slice touches all rows * n * n counts, whatever its length
+        rows = max(1, min(_BLOCK_CELLS // (n * n), count))
         span = max(1, _STEP_CELLS // rows, n * n)
-        draws = max(span, _ROW_DRAWS)
-        one_draw = count * m <= max(_DRAW_CELLS, rows * draws)
-        if one_draw and m <= span:
-            # one slice takes the whole chunk: its paths are no larger than
-            # its uniforms, and stepping all rows at once keeps the kernel's
-            # per-step overhead off small blocks
-            paths = kernels.chain_paths(self._cdf, x0, gen.random((count, m)))
-            for lo in range(0, count, rows):
-                yield kernels.pair_counts(paths[lo : lo + rows, :-1],
-                                          paths[lo : lo + rows, 1:], n)
-            return
-        if one_draw:
-            u = gen.random(out=_mapped((count, m)))
         for lo in range(0, count, rows):
-            hi = min(lo + rows, count)
-            if one_draw:
-                slices = [u[lo:hi]]
-            else:
-                row_gens = rng.positioned(gen, range(lo * m, hi * m, m))
-                slices = _row_uniforms(row_gens, m, draws)
-            counts = np.zeros((hi - lo, n, n), dtype=np.int64)
-            cur = x0[lo:hi]
-            for us in slices:
-                for t0 in range(0, us.shape[1], span):
-                    paths = kernels.chain_paths(self._cdf, cur, us[:, t0 : t0 + span])
-                    kernels.pair_counts(paths[:, :-1], paths[:, 1:], n, out=counts)
-                    cur = paths[:, -1]
-            yield counts
-        if not one_draw:
-            # the last row's generator ends where the one draw would
-            end = row_gens[-1].bit_generator.state
-            gen.bit_generator.state = dict(gen.bit_generator.state, state=end["state"],
-                                           buffer=end["buffer"],
-                                           buffer_pos=end["buffer_pos"])
+            cur = x0[lo : lo + rows]
+            # one slice, of no steps, where m = 0
+            for t in range(0, max(m, 1), span):
+                paths = kernels.chain_paths(self._cdf, cur,
+                                            gen.random((len(cur), min(span, m - t))))
+                yield lo, t, paths
+                cur = paths[:, -1]
+
+    def ergodic_block(self, m, gen, count):
+        """The (count, m+1) paths, assembled from `_path_slices`."""
+        out = np.empty((count, m + 1), dtype=np.int64)
+        for lo, t, paths in self._path_slices(m, gen, count):
+            out[lo : lo + len(paths), t : t + paths.shape[1]] = paths
+        return out
+
+    def ergodic_counts(self, m, gen, count):
+        """Yield the (rows, n, n) int64 transition counts of the trajectories
+        `ergodic_block(m, gen, count)` returns, bit for bit, block by block,
+        each tallied one time slice at a time; `gen` ends where
+        `ergodic_block` leaves it."""
+        counts = None
+        for _, t, paths in self._path_slices(m, gen, count):
+            if t == 0 and counts is not None:
+                yield counts
+            counts = kernels.pair_counts(paths[:, :-1], paths[:, 1:], self.n_states,
+                                         out=None if t == 0 else counts)
+        yield counts
 
     def iid_block(self, mu0, m, gen, count):
         xs = _starts(mu0, m, gen, count)
@@ -241,31 +223,6 @@ class FiniteMarkovSystem(System):
         pi, P, states = self.pi, self.transition, np.arange(self.n_states)
         return {"K": P.copy(), "Kstar": (pi[None, :] * P.T) / pi[:, None], "weights": pi,
                 "one": np.ones(self.n_states), "psi": dictionary.evaluate(states)}
-
-
-def _mapped(shape):
-    """An uninitialised float64 array in an anonymous mapping of its own,
-    whose pages go back to the OS as soon as the array is freed.  A chunk's
-    one-shot uniforms run to several MB; from malloc, once glibc has raised
-    its mmap threshold past that size, they stay cached (up to its trim
-    threshold) in the arena of the pool thread that drew them, and how many
-    arenas a run's pool threads touch varies, and with it the peak RSS."""
-    size = math.prod(shape)
-    buf = mmap.mmap(-1, max(1, 8 * size))
-    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
-
-
-def _row_uniforms(row_gens, m, draws):
-    """The uniforms of m draws from each of `row_gens` as (rows, <= draws)
-    time slices.  The slices share one buffer, padded past `draws`, as a
-    power-of-two row stride would make the kernel's transposed reads alias
-    cache sets."""
-    buf = np.empty((len(row_gens), draws + 8))
-    for t0 in range(0, m, draws):
-        u = buf[:, : min(draws, m - t0)]
-        for row_gen, row in zip(row_gens, u):
-            row_gen.random(out=row)
-        yield u
 
 
 @dataclass(frozen=True)
@@ -357,11 +314,6 @@ class CircleRotationSystem(System):
 def wrap_angle(t):
     """Map revolutions to the principal interval [-1/2, 1/2)."""
     return (np.asarray(t) + 0.5) % 1.0 - 0.5
-
-
-def golden_rotation():
-    """Rotation by (sqrt(5) - 1) / 2, the canonical irrational test angle."""
-    return CircleRotationSystem.from_quadratic(-1, 1, 2, 5)
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,14 @@ def monomial3():
     return dictionaries.monomial(2, scale=0.25)
 
 
+def golden_rotation():
+    """Rotation by (sqrt(5) - 1) / 2, the canonical irrational test angle."""
+    return systems.CircleRotationSystem.from_quadratic(-1, 1, 2, 5)
+
+
 @pytest.fixture
 def golden():
-    return systems.golden_rotation()
+    return golden_rotation()
 
 
 class IndependenceLevel(enum.Enum):

@@ -13,7 +13,7 @@ from koopman_cert import (
     bounds, dictionaries, edmd, galerkin, kernels, spectral, studies, systems, variance,
 )
 
-from conftest import arc_mass
+from conftest import arc_mass, golden_rotation
 
 SEED = 20240
 
@@ -113,7 +113,7 @@ def test_criterion_1_exact_variance_vs_montecarlo():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_fejer_three_forms_agree():
-    gold = systems.golden_rotation()
+    gold = golden_rotation()
     worst = 0.0
     for F in [1, 2, 4]:
         d = dictionaries.fourier(F)
@@ -182,7 +182,7 @@ def test_criterion_4_bound_validity_all_branches():
     n_trials = 10**4
     chain = make_two_state()
     ind = dictionaries.indicator(2)
-    gold = systems.golden_rotation()
+    gold = golden_rotation()
     four = dictionaries.fourier(1)
     grids = [
         (chain, ind, bounds.BRANCH_ERGODIC_LINEAR, [2000, 8000], [1.0, 2.0], None),
@@ -246,7 +246,7 @@ def test_criterion_5_composite_constant_regressions():
         assert abs(combined.p_bound - target) <= 1e-12 * target
 
     gold_inputs = bounds.bound_inputs_from_exact(
-        variance.build_rep(systems.golden_rotation(), dictionaries.fourier(1)),
+        variance.build_rep(golden_rotation(), dictionaries.fourier(1)),
         thin_params=(1.5, 0.45),
     )
     cert = gold_inputs.thin
@@ -274,7 +274,7 @@ def test_criterion_5_composite_constant_regressions():
 def test_criterion_6_structural_invariants():
     chain = make_five_state()
     mono = dictionaries.monomial(2, scale=0.25)
-    gold = systems.golden_rotation()
+    gold = golden_rotation()
     four = dictionaries.fourier(2)
 
     # K 1 = 1 fixed point (operator and Galerkin coordinate versions)

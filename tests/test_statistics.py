@@ -8,9 +8,7 @@ one time slice at a time; the counts of their whole paths are the naive
 reference.
 """
 
-import copy
 import json
-import mmap
 import os
 import subprocess
 import sys
@@ -18,11 +16,10 @@ import sys
 import numpy as np
 import pytest
 
-from koopman_cert import (cli, dictionaries, galerkin, kernels, rng, studies, systems,
-                          variance)
+from koopman_cert import dictionaries, galerkin, kernels, rng, studies, systems, variance
 from koopman_cert.errors import NonErgodicChain
 
-from conftest import random_ergodic_chain
+from conftest import golden_rotation, random_ergodic_chain
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -32,7 +29,7 @@ def _close(a, b, scale):
 
 
 ANGLES = {
-    "golden": systems.golden_rotation(),
+    "golden": golden_rotation(),
     "sqrt2": systems.CircleRotationSystem.from_quadratic(0, 1, 1, 2),
     "zero": systems.CircleRotationSystem(0.0),
     "half": systems.CircleRotationSystem(0.5),
@@ -151,27 +148,27 @@ def _same_state(a, b):
 
 def _all_counts(sys_, m, gen, count, rows):
     """ergodic_counts' blocks, checked to be at most `rows` trials, joined."""
-    blocks = list(sys_.ergodic_counts(m, gen, count, rows))
+    blocks = list(sys_.ergodic_counts(m, gen, count))
     assert [len(b) for b in blocks] == [min(rows, count - lo) for lo in range(0, count, rows)]
     return np.concatenate(blocks)
 
 
 class TestErgodicCounts:
-    # one draw for the whole block, or one positioned generator per row
-    @pytest.mark.parametrize("draw_cells", [10**9, 0], ids=["one_draw", "per_row"])
+    # a step budget past every path, so each block draws its paths in one
+    # slice, or 64-cell slices, which draw a few steps per row at a time
+    @pytest.mark.parametrize("step_cells", [10**9, 64], ids=["one_draw", "per_row"])
     @pytest.mark.parametrize("count, m", [(4, 0), (1, 1), (1, 301), (9, 1), (9, 701), (40, 155),
                                           (3, 10001)])
     @pytest.mark.parametrize("n", [1, 2, 6, 50, 70])
     @pytest.mark.parametrize("rows", [1000, 4], ids=["one_block", "blocks_of_4"])
-    def test_match_path_counts(self, n, count, m, draw_cells, rows, monkeypatch):
-        # 64-cell step slices: 7 steps at 9 rows, so 701 steps end mid-slice,
-        # and draw slices of 10 steps straddle them.  Slices are at least
-        # n * n steps long, so 50 and 70 states are sliced at m = 10001; 70
-        # states take the kernel's binary-search path.  Blocks of 4 trials
-        # leave 9 and 40 trials with a short last block
-        monkeypatch.setattr(systems, "_STEP_CELLS", 64)
-        monkeypatch.setattr(systems, "_ROW_DRAWS", 10)
-        monkeypatch.setattr(systems, "_DRAW_CELLS", draw_cells)
+    def test_match_path_counts(self, n, count, m, step_cells, rows, monkeypatch):
+        # 64-cell step slices: 7 steps at 9 rows, so 701 steps end mid-slice.
+        # Slices are at least n * n steps long, so 50 and 70 states are
+        # sliced at m = 10001; 70 states take the kernel's binary-search
+        # path.  Blocks of 4 trials leave 9 and 40 trials with a short last
+        # block
+        monkeypatch.setattr(systems, "_STEP_CELLS", step_cells)
+        monkeypatch.setattr(systems, "_BLOCK_CELLS", rows * n * n)
         sys_ = random_ergodic_chain(n, n)
         gen, ref_gen = rng.stream(3, n), rng.stream(3, n)
         counts = _all_counts(sys_, m, gen, count, rows)
@@ -181,120 +178,46 @@ class TestErgodicCounts:
         # gen ends where the path sampler leaves it
         assert _same_state(gen, ref_gen)
 
-    @pytest.mark.parametrize("draw_cells, m, per_row",
-                             [(200, 20, False), (200, 21, True), (50, 10, False),
-                              (50, 11, True)])
-    def test_either_side_of_the_draw_budget(self, draw_cells, m, per_row, monkeypatch):
-        # 10 rows of 3 states step 9 at a time and draw 10 at a time: past
-        # the budget, a block of at most 10 steps is still one draw
+    @pytest.mark.parametrize("count, m", [(10, 25), (10, 7), (1, 100)])
+    def test_draw_order(self, count, m, monkeypatch):
+        # 3 states in blocks of 4 trials step 10 steps a slice, and each
+        # slice of each block is one (rows, steps) draw after the starts.
+        # One trial steps 40 a slice, and its slices draw its whole row
         monkeypatch.setattr(systems, "_STEP_CELLS", 40)
-        monkeypatch.setattr(systems, "_ROW_DRAWS", 10)
-        monkeypatch.setattr(systems, "_DRAW_CELLS", draw_cells)
-        calls = []
-        positioned = rng.positioned
-        monkeypatch.setattr(rng, "positioned",
-                            lambda *a: calls.append(a) or positioned(*a))
-        sys_ = random_ergodic_chain(3, 4)
-        gen, ref_gen = rng.stream(8, 1), rng.stream(8, 1)
-        counts = _all_counts(sys_, m, gen, 10, 10)
-        assert len(calls) == per_row
-        assert np.array_equal(counts, _path_counts(sys_, m, ref_gen, 10))
+        monkeypatch.setattr(systems, "_BLOCK_CELLS", 4 * 9)
+        sys_ = random_ergodic_chain(3, 7)
+        gen, ref_gen = rng.stream(4, 3), rng.stream(4, 3)
+        x0 = sys_.initial_law()(ref_gen, count)
+        if count == 1:
+            ref = kernels.chain_paths(sys_._cdf, x0, ref_gen.random((1, m)))
+        else:
+            blocks = []
+            for lo in range(0, count, 4):
+                block = x0[lo : lo + 4, None]
+                for t in range(0, m, 10):
+                    u = ref_gen.random((len(block), min(10, m - t)))
+                    paths = kernels.chain_paths(sys_._cdf, block[:, -1], u)
+                    block = np.concatenate([block, paths[:, 1:]], axis=1)
+                blocks.append(block)
+            ref = np.concatenate(blocks)
+        assert np.array_equal(sys_.ergodic_block(m, gen, count), ref)
         assert _same_state(gen, ref_gen)
-
-    def test_positions_each_block_of_trials(self, monkeypatch):
-        # past the budget, each block of trials positions its own rows
-        monkeypatch.setattr(systems, "_STEP_CELLS", 40)
-        monkeypatch.setattr(systems, "_ROW_DRAWS", 100)
-        monkeypatch.setattr(systems, "_DRAW_CELLS", 0)
-        calls = []
-        positioned = rng.positioned
-        monkeypatch.setattr(rng, "positioned",
-                            lambda gen, offsets: calls.append(list(offsets))
-                            or positioned(gen, offsets))
-        sys_ = random_ergodic_chain(3, 5)
-        gen, ref_gen = rng.stream(2, 6), rng.stream(2, 6)
-        counts = _all_counts(sys_, 3000, gen, 10, 4)
-        assert calls == [[0, 3000, 6000, 9000], [12000, 15000, 18000, 21000],
-                         [24000, 27000]]
-        assert np.array_equal(counts, _path_counts(sys_, 3000, ref_gen, 10))
+        gen = rng.stream(4, 3)
+        counts = _all_counts(sys_, m, gen, count, 4)
+        assert np.array_equal(counts, kernels.pair_counts(ref[:, :-1], ref[:, 1:], 3))
         assert _same_state(gen, ref_gen)
 
     @pytest.mark.parametrize("rows", [200, 64])
-    def test_whole_chunk_at_the_default_budgets(self, rows):
-        # 200 x 1e4 cells are past the draw budget: draws of 2048 steps,
-        # stepped 1310 (4096 at 64 rows) at a time
+    def test_whole_chunk_at_the_default_budgets(self, rows, monkeypatch):
+        # 200 trials at m = 1e4 step 1310 steps a slice (4096 in blocks of 64)
+        monkeypatch.setattr(systems, "_BLOCK_CELLS", rows * 4)
         sys_ = systems.FiniteMarkovSystem([[0.9, 0.1], [0.2, 0.8]])
-        assert 200 * 10**4 > systems._DRAW_CELLS
         counts = _all_counts(sys_, 10**4, rng.stream(0, 0), 200, rows)
         assert np.array_equal(counts, _path_counts(sys_, 10**4, rng.stream(0, 0), 200))
 
     def test_nonergodic_raises(self):
         with pytest.raises(NonErgodicChain):
-            next(systems.FiniteMarkovSystem(np.eye(2)).ergodic_counts(5, rng.stream(0), 2, 2))
-
-    def test_one_draw_uniforms_have_pages_of_their_own(self, monkeypatch):
-        # freeing the one-shot uniforms unmaps them: they are not left
-        # cached in the malloc arena of the pool thread that drew them
-        shapes = []
-        mapped = systems._mapped
-        monkeypatch.setattr(systems, "_mapped", lambda shape: shapes.append(shape) or mapped(shape))
-        monkeypatch.setattr(systems, "_STEP_CELLS", 64)
-        sys_ = random_ergodic_chain(3, 4)
-        counts = _all_counts(sys_, 100, rng.stream(1, 1), 9, 9)
-        assert shapes == [(9, 100)]
-        assert np.array_equal(counts, _path_counts(sys_, 100, rng.stream(1, 1), 9))
-        u = mapped((2, 3))
-        assert isinstance(u.base.base.obj, mmap.mmap)
-        assert u.dtype == np.float64 and u.flags.c_contiguous and u.flags.writeable
-
-
-class TestPositionedStreams:
-    @pytest.mark.parametrize("drawn", range(4))
-    def test_rows_of_one_draw(self, drawn):
-        # after `drawn` draws, rows of 7 start at every position mod 4
-        gen = rng.stream(5, 2)
-        gen.random(drawn)
-        before = copy.deepcopy(gen)
-        count, m = 6, 7
-        rows = rng.positioned(gen, range(0, count * m, m))
-        assert _same_state(gen, before)
-        ref = before.random((count, m))
-        for row_gen, row in zip(rows, ref):
-            assert np.array_equal(row_gen.random(m), row)
-        # the last row ends where the one draw does
-        assert _same_state(rows[-1], before)
-        # gen itself has not moved
-        assert np.array_equal(gen.random((count, m)), ref)
-
-    def test_counter_carries_across_words(self):
-        gen = rng.stream(5, 2)
-        state = gen.bit_generator.state
-        state["state"]["counter"] = np.array([2**64 - 2, 2**64 - 1, 0, 0], dtype=np.uint64)
-        gen.bit_generator.state = state
-        gen.random(3)
-        ref = copy.deepcopy(gen).random(40)
-        rows = rng.positioned(gen, [0, 5, 11, 30])
-        for row_gen, offset in zip(rows, [0, 5, 11, 30]):
-            assert np.array_equal(row_gen.random(10), ref[offset : offset + 10])
-
-
-def test_ergodic_chain_study_same_bytes_across_the_draw_budget(tmp_path, monkeypatch):
-    # 1100 trials are a 1024-trial and a 76-trial chunk; with a 2^14-cell
-    # draw budget the first crosses it at m = 30 and the second never does
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"system": {"type": "finite_chain",
-                                          "transition": [[0.8, 0.2, 0.0], [0.1, 0.8, 0.1],
-                                                         [0.3, 0.0, 0.7]]},
-                               "dictionary": {"kind": "monomial", "degree": 2},
-                               "m_grid": [10, 30], "n_trials": 1100, "seed": 4}))
-    runs = []
-    for draw_cells, threads in ((10**9, "1"), (1 << 14, "1"), (1 << 14, "2")):
-        monkeypatch.setattr(systems, "_DRAW_CELLS", draw_cells)
-        out = tmp_path / f"out-{draw_cells}-{threads}"
-        assert cli.main(["study", "--config", str(cfg), "--out", str(out),
-                         "--threads", threads]) == 0
-        runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert runs[0] == runs[1] == runs[2]
+            next(systems.FiniteMarkovSystem(np.eye(2)).ergodic_counts(5, rng.stream(0), 2))
 
 
 @pytest.mark.parametrize(
@@ -306,8 +229,12 @@ def test_ergodic_chain_study_same_bytes_across_the_draw_budget(tmp_path, monkeyp
       {"kind": "indicator"}, "iid"),
      ({"type": "circle_rotation", "t0": {"form": "quadratic", "a": -1, "b": 1, "c": 2,
                                          "d": 5}},
-      {"kind": "fourier", "max_freq": 3}, "ergodic")],
-    ids=["iid_chain_monomial", "iid_chain_indicator", "rotation_fourier"],
+      {"kind": "fourier", "max_freq": 3}, "ergodic"),
+     # 1024-trial chunks of 3 states step 256 steps a slice: m = 300 takes two
+     ({"type": "finite_chain", "transition": [[0.8, 0.2, 0.0], [0.1, 0.8, 0.1],
+                                              [0.3, 0.0, 0.7]]},
+      {"kind": "monomial", "degree": 2}, "ergodic")],
+    ids=["iid_chain_monomial", "iid_chain_indicator", "rotation_fourier", "ergodic_chain"],
 )
 def test_same_bytes_at_one_and_two_threads(system, dictionary, regime):
     cfg = dict(system=system, dictionary=dictionary, regime=regime, m_grid=[10, 300],

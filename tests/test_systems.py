@@ -4,6 +4,8 @@ import pytest
 from koopman_cert import config, dictionaries, galerkin, rng, systems
 from koopman_cert.errors import ConfigError, DomainError, NonErgodicChain, UnsupportedSystem
 
+from conftest import golden_rotation
+
 
 class TestInvariantMeasure:
     def test_reducible_identity_raises(self):
@@ -176,7 +178,7 @@ def _initial_law(sys):
 SAMPLED = {
     "chain": (lambda: systems.FiniteMarkovSystem(
         [[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]), _initial_law),
-    "circle": (systems.golden_rotation, _initial_law),
+    "circle": (golden_rotation, _initial_law),
     "noisy_map_1d": (lambda: _noisy_linear([[0.6]]),
                      lambda sys: lambda g, m: g.standard_normal((m, 1))),
     "noisy_map_2d": (lambda: _noisy_linear([[0.5, 0.1], [0.0, 0.4]]),

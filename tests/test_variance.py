@@ -4,7 +4,8 @@ import pytest
 from koopman_cert import config, dictionaries, studies, systems, variance
 from koopman_cert.errors import NotUnitary, UnsupportedSystem
 
-from conftest import ergodic_average_sq_norm, pm_operator_norms, projector, weighted_inner
+from conftest import (ergodic_average_sq_norm, golden_rotation, pm_operator_norms, projector,
+                      weighted_inner)
 
 
 def fejer_kernel_sum(m, t):
@@ -171,7 +172,7 @@ class TestBuildRep:
         with pytest.raises(UnsupportedSystem):
             variance.build_rep(sde, dictionaries.monomial(1))
         with pytest.raises(UnsupportedSystem):
-            variance.build_rep(systems.golden_rotation(), dictionaries.monomial(1))
+            variance.build_rep(golden_rotation(), dictionaries.monomial(1))
 
 
 OU = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,
