@@ -76,8 +76,7 @@ def m_constant(norm_Cinv, norm_Cplus, E_zero, E_plus):
 def bound_inputs_from_exact(rep, thin_params=None) -> BoundInputs:
     """Assemble BoundInputs from an exact representation (`variance.build_rep`).
 
-    thin_params, when given, is (alpha, theta): thin-measure certificates
-    are computed for the whole product family and aggregated (worst kappa).
+    thin_params, when given, is the (alpha, theta) of `certify_family`.
     """
     phi = phi_function(rep.dictionary)
     norm_phi = math.sqrt(float(np.sum(rep.weights * rep.family["phi"] ** 2)))
@@ -89,13 +88,7 @@ def bound_inputs_from_exact(rep, thin_params=None) -> BoundInputs:
         r_plus, r_zero = rep.resolvent_norms()
     except NoSpectralGap:
         r_plus = r_zero = None
-    thin = None
-    if thin_params is not None:
-        alpha, theta = thin_params
-        famcert = certify_family(rep, alpha, theta)
-        thin = ThinMeasureCertificate(
-            famcert.alpha, famcert.theta, famcert.kappa, famcert.exact
-        )
+    thin = None if thin_params is None else certify_family(rep, *thin_params)
     return BoundInputs(
         norm_Cinv=inv_fro_norm(rep.gram.C),
         norm_Cplus=float(np.linalg.norm(rep.gram.Cplus)),
@@ -280,6 +273,19 @@ def iid_hoeffding_bound(inputs: BoundInputs, m, epsilon) -> BoundReport:
         {"tau": tau, "sigma": sigma, "L": L_IID},
         fam,
     )
+
+
+def branch_bound(inputs: BoundInputs, branch, m, epsilon) -> BoundReport:
+    """The composite bound of a named branch at (m, epsilon)."""
+    if branch == BRANCH_ERGODIC_LINEAR:
+        return ergodic_linear_bound(inputs, m, epsilon)
+    if branch in (BRANCH_ERGODIC_SUPERLINEAR, BRANCH_ERGODIC_KAPPA_ZERO):
+        return superlinear_bound(inputs, m, epsilon)
+    if branch == BRANCH_IID_MARKOV:
+        return iid_markov_bound(inputs, m, epsilon)
+    if branch == BRANCH_IID_HOEFFDING:
+        return iid_hoeffding_bound(inputs, m, epsilon)
+    raise ConfigError(f"unknown branch {branch}")
 
 
 # ---------------------------------------------------------------------------

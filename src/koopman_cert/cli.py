@@ -37,7 +37,6 @@ def _add_common(p):
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--threads", type=int, default=None, help="override config threads")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None, help="output file or directory")
 
 
@@ -46,6 +45,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("simulate", "estimate", "variance", "bounds", "study"):
         _add_common(sub.add_parser(name))
+    # estimate always writes JSON, bounds a JSON report and a CSV grid
+    for name in ("simulate", "variance", "study"):
+        sub.choices[name].add_argument("--format", choices=["csv", "json"], default="csv")
     sub.choices["simulate"].add_argument("--m", type=int, default=100)
     sub.choices["simulate"].add_argument(
         "--regime", choices=["ergodic", "iid"], default="ergodic"
@@ -169,7 +171,7 @@ def cmd_bounds(args):
         rep, inputs, cfg.branch, cfg.m_grid, cfg.epsilons, cfg.n_trials, cfg.seed,
         threads=cfg.threads,
     )
-    report = studies._branch_bound(inputs, cfg.branch, cfg.m_grid[-1], cfg.epsilons[0])
+    report = bounds_mod.branch_bound(inputs, cfg.branch, cfg.m_grid[-1], cfg.epsilons[0])
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "bound_report.json"), report.to_json_dict())

@@ -255,8 +255,6 @@ class RunConfig:
     # the config file's own object
     source = None
     NAME = "run"
-    # keys only a flag sets
-    FLAG_ONLY = ()
 
     def __post_init__(self):
         d = vars(self)
@@ -266,7 +264,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d, **flags):
         """A cls from the config object d, with flags in place of its keys."""
-        keys = set(cls.__dataclass_fields__) - set(cls.FLAG_ONLY)
+        keys = set(cls.__dataclass_fields__)
         # a run config passes the keys the other configs read, so a study
         # or bounds config serves `simulate` too
         known = keys if cls is not RunConfig else (set(StudyConfig.__dataclass_fields__)
@@ -315,7 +313,7 @@ class StudyConfig(RunConfig):
 
 @dataclass(kw_only=True)
 class BoundsConfig(RunConfig):
-    """The config of `bounds`; its thread count comes from `--threads` only."""
+    """The config of `bounds`."""
 
     branch: str = bounds.BRANCH_ERGODIC_LINEAR
     thin: Optional[dict] = None
@@ -324,7 +322,6 @@ class BoundsConfig(RunConfig):
     n_trials: int = 1000
 
     NAME = "bounds"
-    FLAG_ONLY = ("threads",)
 
     def __post_init__(self):
         super().__post_init__()

@@ -102,19 +102,8 @@ def certify_thin_measure(
     return ThinMeasureCertificate(alpha, theta, kappa, False)
 
 
-@dataclass
-class FamilyCertificate:
-    """Aggregated certificate over F = {Q psi_ij} u {Q g_ij}."""
-
-    alpha: float
-    theta: float
-    kappa: float
-    exact: bool
-    per_function: List[ThinMeasureCertificate]
-
-
-def certify_family(rep, alpha, theta) -> FamilyCertificate:
-    """Certify every product function the variance formulas touch.
+def certify_family(rep, alpha, theta) -> ThinMeasureCertificate:
+    """Certify every product function the variance formulas touch, Q psi_ij and Q g_ij.
 
     Functions with zero mean-zero component are trivially certified and
     skipped.  kappa is the worst case over the family; exact requires every
@@ -122,7 +111,6 @@ def certify_family(rep, alpha, theta) -> FamilyCertificate:
     """
     fam = rep.family
     N = fam["psi"].shape[0]
-    certs = []
     kappa = 0.0
     exact = True
     for stack in (fam["psi_ij"], fam["g_ij"]):
@@ -133,9 +121,8 @@ def certify_family(rep, alpha, theta) -> FamilyCertificate:
                     continue
                 meas = spectral_measure(rep, f)
                 cert = certify_thin_measure(meas, alpha, theta)
-                certs.append(cert)
                 kappa = max(kappa, cert.kappa)
                 exact = exact and cert.exact
     if exact:
         kappa = 0.0
-    return FamilyCertificate(float(alpha), float(theta), kappa, exact, certs)
+    return ThinMeasureCertificate(float(alpha), float(theta), kappa, exact)

@@ -27,6 +27,7 @@ from .systems import (
     Regime,
     ergodic_chunk,
     iid_chunk,
+    wrap_angle,
 )
 from .variance import build_rep, exact_reference_gram, exact_variance
 
@@ -51,9 +52,6 @@ def _psi_on_states(dictionary, states):
 
 # cap on feature-block floats per slice (keeps peak memory ~tens of MB)
 _SLICE_BUDGET = 4_000_000
-
-# orbit steps per block of a rotation's phase sums
-_PHASE_BLOCK = 1 << 16
 
 
 def _gram_errors_block(Chat, Cphat, ref):
@@ -128,14 +126,13 @@ def _fourier_modes(dictionary, F):
 
 
 def rotation_phase_means(t0, m, Q):
-    """G(q) = (1/m) sum_{k<m} e^{2 pi i q (k t0 mod 1)} for q = 0..Q, summed
-    in blocks of at most _PHASE_BLOCK steps (memory stays bounded in m)."""
-    q = np.arange(Q + 1)
-    G = np.zeros(Q + 1, dtype=complex)
-    for lo in range(0, m, _PHASE_BLOCK):
-        steps = np.mod(np.arange(lo, min(lo + _PHASE_BLOCK, m)) * t0, 1.0)
-        G += np.exp(2j * np.pi * steps[:, None] * q).sum(axis=0)
-    return G / m
+    """G(q) = (1/m) sum_{k<m} e^{2 pi i q (k t0 mod 1)}, q = 0..Q, by the
+    Dirichlet kernel: with theta = wrap_angle(q t0), G(q) = e^{pi i (m-1)
+    theta} sin(pi m theta) / (m sin(pi theta)), or 1 where sin(pi theta) = 0."""
+    theta = wrap_angle(np.arange(Q + 1) * t0)
+    s = np.sin(np.pi * theta)
+    ratio = np.divide(np.sin(np.pi * m * theta), m * s, out=np.ones(Q + 1), where=s != 0)
+    return np.exp(1j * np.pi * (m - 1) * theta) * ratio
 
 
 def phase_grams(dictionary, t0, G, x0):
@@ -156,6 +153,16 @@ def phase_grams(dictionary, t0, G, x0):
     return 0.5 * (C + np.swapaxes(C, 1, 2)), (A @ (H * shift) @ A.T).real
 
 
+def _gram_path(sys, dictionary, regime, m):
+    """How `_trial_grams` forms Gram pairs, and the L of `_roundoff_slack` on that path."""
+    if isinstance(sys, FiniteMarkovSystem):
+        return "counts", sys.n_states + 1
+    if (regime is Regime.ERGODIC and isinstance(sys, CircleRotationSystem)
+            and dictionary.kind is DictionaryKind.FOURIER):
+        return "phases", 8 * dictionary.size
+    return "states", m
+
+
 def _trial_grams(sys, dictionary, m, seed, chunk, count, regime):
     """The chunk's (C_hat, C_hat_plus) stacks, a block of trials at a time.
 
@@ -167,12 +174,12 @@ def _trial_grams(sys, dictionary, m, seed, chunk, count, regime):
     states (stationary trajectories, or i.i.d. pair sets from the system's
     `initial_law`) under a fixed memory budget.
     """
-    if isinstance(sys, FiniteMarkovSystem):
+    path, _ = _gram_path(sys, dictionary, regime, m)
+    if path == "counts":
         table = dictionary.evaluate(np.arange(sys.n_states)).T
         for counts in _chain_count_slices(sys, m, seed, chunk, count, regime):
             yield count_grams(table, counts, m)
-    elif (regime is Regime.ERGODIC and isinstance(sys, CircleRotationSystem)
-          and dictionary.kind is DictionaryKind.FOURIER):
+    elif path == "phases":
         # the x0 that `ergodic_chunk` draws first on this stream
         x0 = sys.initial_law()(rng.stream(seed, chunk), count)
         F = dictionary.metadata["max_freq"]
@@ -373,7 +380,7 @@ def run_convergence_study(cfg: StudyConfig):
             else None,
         )
         # every bound first: a branch that cannot be built fails before sampling
-        tail_p = {m: _branch_bound(inputs, cfg.tail_branch, m, cfg.tail_epsilon).p_bound
+        tail_p = {m: bounds_mod.branch_bound(inputs, cfg.tail_branch, m, cfg.tail_epsilon).p_bound
                   for m in cfg.m_grid}
 
     rows = []
@@ -438,7 +445,6 @@ def run_variance_check(cfg: StudyConfig):
     dictionary = dictionary_from_config(cfg.dictionary, system=sys)
     rep = build_rep(sys, dictionary)
     regime = Regime(cfg.regime)
-    trace_C = float(np.trace(rep.gram.C))
     rows = []
     for mi, m in enumerate(cfg.m_grid):
         vr = exact_variance(rep, int(m), regime)
@@ -447,9 +453,9 @@ def run_variance_check(cfg: StudyConfig):
         )
 
         # degenerate trials (constant error) have zero stderr, so the
-        # oracle's own round-off must be allowed for
+        # round-off of both sides must be allowed for
         def _within(exact, mc, stderr):
-            slack = _roundoff_slack(int(m), cfg.n_trials, dictionary.size, trace_C, mc)
+            slack = _roundoff_slack(rep, regime, int(m), cfg.n_trials, mc)
             return abs(exact - mc) <= 3.0 * stderr + slack
 
         within_c = _within(vr.var_C, oracle.var_C_hat, oracle.stderr_C)
@@ -471,40 +477,40 @@ def run_variance_check(cfg: StudyConfig):
     return rows
 
 
-def _roundoff_slack(m, n_trials, size, trace_C, mc):
-    """Bound on the floating-point error of the oracle's mean of ||C - C_hat||^2.
+def _roundoff_slack(rep, regime, m, n_trials, mc):
+    """Bound on the floating-point gap between the rep's exact variance at m
+    and the oracle's mean mc of ||C - C_hat||^2 (or the C_plus analogue).
 
-    With unit round-off u and gamma(k) = k u / (1 - k u) (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2002, ch. 3): each C_hat entry
-    sums m products and divides by m, so ||fl(C_hat) - C_hat||_F <= delta =
-    gamma(m + 2) tr(C_hat) (Cauchy-Schwarz on the sum of |psi| |psi|^T),
-    with tr(C_hat) taken at its mean tr(C); the C_plus analogue obeys the
-    same bound.  A trial's squared error then moves by at most
-    2 ||C - C_hat|| delta + delta^2, whose trial mean is at most
-    2 sqrt(mc) delta + delta^2.  Squaring and summing the size^2 entries,
-    the sqrt and re-square, and the mean over trials add a relative
-    gamma(size^2 + 3) + gamma(n_trials).
+    With u the unit round-off and gamma(k) = k u / (1 - k u) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3): a C_hat
+    entry is a float sum of L terms (`_gram_path`), divided and symmetrised,
+    so ||fl(C_hat) - C_hat||_F <= delta = gamma(L + 2) tr(C) (Cauchy-Schwarz
+    on the sum of |psi| |psi|^T, tr(C_hat) at its mean), and so is C_plus.
+    L is m for sampled states; n_states + 1 for exact integer counts, which
+    weigh each product; 8 size for phases: two chained complex sums over the
+    modes, whose moduli sum to at most 2 tr(C), of Dirichlet means whose
+    error does not grow with m.  A trial's squared error moves by at most
+    2 ||C - C_hat|| delta + delta^2, the mean by 2 sqrt(mc) delta + delta^2;
+    the size^2 squares, the sqrt and the mean over trials add a relative
+    gamma(size^2 + 3) + gamma(n_trials).  The exact sigma^2 = E + S sums E
+    and (dim - 1) size^2 products of inner products of length dim - 1: an
+    error of gamma(dim (size^2 + 1)) times their magnitude, taken as |E| +
+    |S| <= 2 |E| + sigma^2 (E the larger of E_zero and E_plus, sigma^2 at m
+    mc; p_m(K0)'s own error, unbounded here, measures far below).  This term
+    dominates on a rotation, where sigma^2 cancels down to O(1/m).
     """
     u = float(np.finfo(np.float64).eps) / 2
 
     def gamma(k):
         return k * u / (1.0 - k * u)
 
-    delta = gamma(m + 2) * trace_C
+    size = rep.dictionary.size
+    _, L = _gram_path(rep.system, rep.dictionary, regime, m)
+    delta = gamma(L + 2) * float(np.trace(rep.gram.C))
+    E = max(abs(rep.E_zero), abs(rep.E_plus))
     return (2.0 * math.sqrt(max(mc, 0.0)) * delta + delta**2
-            + (gamma(size**2 + 3) + gamma(n_trials)) * abs(mc))
-
-
-def _branch_bound(inputs, branch, m, epsilon):
-    if branch == bounds_mod.BRANCH_ERGODIC_LINEAR:
-        return bounds_mod.ergodic_linear_bound(inputs, m, epsilon)
-    if branch in (bounds_mod.BRANCH_ERGODIC_SUPERLINEAR, bounds_mod.BRANCH_ERGODIC_KAPPA_ZERO):
-        return bounds_mod.superlinear_bound(inputs, m, epsilon)
-    if branch == bounds_mod.BRANCH_IID_MARKOV:
-        return bounds_mod.iid_markov_bound(inputs, m, epsilon)
-    if branch == bounds_mod.BRANCH_IID_HOEFFDING:
-        return bounds_mod.iid_hoeffding_bound(inputs, m, epsilon)
-    raise ConfigError(f"unknown branch {branch}")
+            + (gamma(size**2 + 3) + gamma(n_trials)) * abs(mc)
+            + gamma(rep.dim * (size**2 + 1)) * (2.0 * E / m + abs(mc)))
 
 
 def run_bound_validity(rep, inputs, branch, m_values, epsilons, n_trials, seed,
@@ -523,7 +529,7 @@ def run_bound_validity(rep, inputs, branch, m_values, epsilons, n_trials, seed,
     )
     ref = exact_reference(rep.gram)
     # every bound first: a branch that cannot be built fails before sampling
-    reports = [[(_branch_bound(inputs, branch, int(m), float(eps)),
+    reports = [[(bounds_mod.branch_bound(inputs, branch, int(m), float(eps)),
                  bounds_mod.estimator_error_bounds(inputs, int(m), float(eps), branch),
                  bounds_mod.split_threshold(inputs, eps)) for eps in epsilons]
                for m in m_values]

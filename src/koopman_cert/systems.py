@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels, rng
 from .dictionaries import DictionaryKind, fourier
-from .errors import ConfigError, DomainError, NonErgodicChain, UnsupportedSystem
+from .errors import ConfigError, DomainError, NonErgodicChain, NumericalError, UnsupportedSystem
 
 
 class Regime(enum.Enum):
@@ -221,6 +221,9 @@ class FiniteMarkovSystem(System):
 
     def koopman_space(self, dictionary):
         pi, P, states = self.pi, self.transition, np.arange(self.n_states)
+        if not np.all(pi > 0.0):
+            raise NumericalError("a state's invariant mass is 0 at float precision, so "
+                                 "the pi-weighted geometry is undefined")
         return {"K": P.copy(), "Kstar": (pi[None, :] * P.T) / pi[:, None], "weights": pi,
                 "one": np.ones(self.n_states), "psi": dictionary.evaluate(states)}
 

@@ -145,9 +145,9 @@ class KoopmanMatrixRep:
 
     Construction also builds, once and eagerly (the Monte-Carlo pools share
     the rep across threads): `family`, the dictionary's product family
-    (`function_family`); `reduced`, the family's g_ij, gs_ij and psi_ij
-    stacks as (dim-1, N^2) reduced coordinates; `gram`, the exact GramPair
-    with C symmetrised; and `E_plus`, `E_zero`.
+    (`function_family`); `reduced`, the family's g_ij, psi_ij and gs_ij
+    stacks in reduced coordinates, one (3, dim-1, N^2) array; `gram`, the
+    exact GramPair with C symmetrised; and `E_plus`, `E_zero`.
     """
 
     def __init__(self, system, dictionary, K, Kstar, weights, one, psi, nodes=None,
@@ -174,8 +174,8 @@ class KoopmanMatrixRep:
 
         self.family = function_family(self)
         N2 = self.psi.shape[0] ** 2
-        self.reduced = {key: self.to_reduced(self.family[key].reshape(N2, self.dim).T)
-                        for key in ("g_ij", "gs_ij", "psi_ij")}
+        self.reduced = np.stack([self.to_reduced(self.family[key].reshape(N2, self.dim).T)
+                                 for key in ("g_ij", "psi_ij", "gs_ij")])
         w = self.psi * weights
         C = w @ self.psi.T
         self.gram = GramPair(0.5 * (C + C.T), w @ (K @ self.psi.T), Provenance("exact"))
@@ -335,10 +335,9 @@ def exact_variance(rep, m, regime=Regime.ERGODIC) -> VarianceReport:
     if regime is Regime.IID:
         return VarianceReport(m, rep.E_plus, rep.E_zero, rep.E_plus, rep.E_zero,
                               rep.E_plus / m, rep.E_zero / m)
-    U, Us, V = (rep.reduced[key] for key in ("g_ij", "gs_ij", "psi_ij"))
-    PU = pm_apply_vectors(rep.M, U, m)
+    U, V, Us = rep.reduced
+    PU, PV = pm_apply_vectors(rep.M, rep.reduced[:2], m)
     sigma2_plus = rep.E_plus + float(np.sum(PU * Us))
-    PV = pm_apply_vectors(rep.M, V, m)
     sigma2_zero = rep.E_zero + float(np.sum((rep.M @ PV) * V))
     return VarianceReport(
         m, sigma2_plus, sigma2_zero, rep.E_plus, rep.E_zero,
@@ -370,7 +369,7 @@ def fejer_variance(rep, m, rtol=1e-9) -> VarianceReport:
     if not rep.unitary:
         raise NotUnitary("Fejer variance requires a unitary representation")
     m = int(m)
-    U, V = rep.reduced["g_ij"], rep.reduced["psi_ij"]
+    U, V, _ = rep.reduced
     var_plus, var_plus_spec = _family_fejer_forms(rep, U, m)
     var_zero, var_zero_spec = _family_fejer_forms(rep, V, m)
     for a, b in ((var_plus, var_plus_spec), (var_zero, var_zero_spec)):

@@ -246,26 +246,22 @@ class TestMonotonicity:
         bounds.BRANCH_IID_HOEFFDING,
     ])
     def test_p_bound_nonincreasing_in_m_and_eps(self, chain_inputs, branch):
-        from koopman_cert.studies import _branch_bound
-
         for eps in [0.3, 0.6, 1.2]:
-            ps = [_branch_bound(chain_inputs, branch, m, eps).p_bound
+            ps = [bounds.branch_bound(chain_inputs, branch, m, eps).p_bound
                   for m in [100, 400, 1600, 6400]]
             assert all(b <= a + 1e-12 for a, b in zip(ps, ps[1:]))
         for m in [100, 1000]:
-            ps = [_branch_bound(chain_inputs, branch, m, e).p_bound
+            ps = [bounds.branch_bound(chain_inputs, branch, m, e).p_bound
                   for e in [0.3, 0.6, 1.2, 2.4]]
             assert all(b <= a + 1e-12 for a, b in zip(ps, ps[1:]))
 
     @pytest.mark.parametrize("theta", [0.2, 0.45])
     def test_superlinear_monotone(self, golden, theta):
-        from koopman_cert.studies import _branch_bound
-
         inputs = bounds.bound_inputs_from_exact(
             variance.build_rep(golden, dictionaries.fourier(1)), thin_params=(1.5, theta)
         )
         for eps in [0.5, 1.0]:
-            ps = [_branch_bound(inputs, bounds.BRANCH_ERGODIC_SUPERLINEAR, m, eps).p_bound
+            ps = [bounds.branch_bound(inputs, bounds.BRANCH_ERGODIC_SUPERLINEAR, m, eps).p_bound
                   for m in [50, 200, 800]]
             assert all(b <= a + 1e-12 for a, b in zip(ps, ps[1:]))
 

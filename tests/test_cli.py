@@ -224,6 +224,15 @@ class TestStudy:
         # zero arc mass upgrades to the quadratic-rate branch
         assert report["branch"] == "ergodic_kappa_zero"
 
+    @pytest.mark.parametrize("command, fmt", [("bounds", "json"), ("estimate", "csv")])
+    def test_format_only_where_it_chooses(self, tmp_path, capsys, command, fmt):
+        # estimate always writes JSON, and bounds its JSON report and CSV grid
+        cfg = write_cfg(tmp_path, {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"}})
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", cfg, "--out", str(tmp_path), "--format", fmt])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
 
 class TestInputContract:
     BOUNDS = {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
@@ -328,7 +337,7 @@ class TestCheckedBeforeSampling:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["study", "variance"])
+    @pytest.mark.parametrize("command", ["study", "variance", "bounds"])
     def test_threads_flag_overrides_config(self, tmp_path, monkeypatch, command):
         seen = []
         engine = studies.mc_trial_errors
@@ -339,6 +348,10 @@ class TestCheckedBeforeSampling:
 
         monkeypatch.setattr(studies, "mc_trial_errors", recorded)
         path = write_cfg(tmp_path, dict(self.STUDY, threads=2))
+        # the config's threads reach the engine
+        assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        assert seen == [2, 2]
+        seen.clear()
         rc = cli.main([command, "--config", path, "--out", str(tmp_path), "--threads", "1"])
         assert rc == 0
         assert seen == [1, 1]

@@ -84,13 +84,12 @@ BOUNDS_KEYS = {
     "branch": st.sampled_from(BRANCHES),
     "epsilons": st.lists(st.floats(0.1, 3.0), min_size=1, max_size=2),
     "thin": st.just({"alpha": 1.5, "theta": 0.2}),
+    "threads": st.integers(1, 2),
 }
 BAD_BOUNDS_KEYS = {
     "branch": st.sampled_from(["bogus", 1]),
     "epsilons": st.sampled_from(["abc", [], [0.0], [-1.0], [float("inf")]]),
     "thin": st.sampled_from([{"alpha": 1.5}, {"alpha": "x", "theta": 0.2}, "wide", {}]),
-    # the thread count of `bounds` is a flag only
-    "threads": st.integers(1, 2),
 }
 
 

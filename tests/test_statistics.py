@@ -3,9 +3,10 @@
 Ergodic rotations with a Fourier dictionary form C_hat and C_hat_plus from
 phase sums, and i.i.d. chain trials from multinomial transition counts.
 The streamed `gram_block` sum over sampled states stays the naive
-reference for both.  Ergodic chain trials tally their transition counts
-one time slice at a time; the counts of their whole paths are the naive
-reference.
+reference for both; past the m a streamed sum reaches, the phase means
+meet a doubling recurrence on exactly reduced phases.  Ergodic chain
+trials tally their transition counts one time slice at a time; the counts
+of their whole paths are the naive reference.
 """
 
 import json
@@ -57,12 +58,30 @@ class TestPhaseSums:
         assert _close(C, C2, scale) and _close(Cp, Cp2, scale)
         assert np.array_equal(C2, np.swapaxes(C2, 1, 2))
 
-    def test_blocks_of_steps_sum_to_one_pass(self, golden, monkeypatch):
-        m = 1000
-        whole = studies.rotation_phase_means(golden.t0, m, 6)
-        monkeypatch.setattr(studies, "_PHASE_BLOCK", 64)
-        blocked = studies.rotation_phase_means(golden.t0, m, 6)
-        assert np.max(np.abs(whole - blocked)) <= 1e-14
+    @pytest.mark.parametrize("angle", ["golden", "sqrt2"])
+    @pytest.mark.parametrize("m", [7, 2201, 10**5, 10**7, 10**9])
+    def test_match_doubling_recurrence(self, angle, m):
+        t0 = ANGLES[angle].t0
+        G = studies.rotation_phase_means(t0, m, 16)
+        assert np.max(np.abs(G - doubling_phase_means(t0, m, 16))) <= 1e-13
+
+
+def doubling_phase_means(t0, m, Q):
+    """(1/m) sum_{k<m} z^k with z = e^{2 pi i q t0}, q = 0..Q, along the bits
+    of m: S_2k = S_k (1 + z^k) and S_k+1 = S_k + z^k.  Each z^k comes from
+    the phase k q t0 reduced mod 1 in integers (t0 is a dyadic p / d), so
+    the error stays near u log2(m)."""
+    p, d = float(t0).as_integer_ratio()
+
+    def power(k):
+        return np.exp(2j * np.pi * np.array([k * q * p % d / d for q in range(Q + 1)]))
+
+    S, k = np.zeros(Q + 1, dtype=complex), 0
+    for bit in bin(m)[2:]:
+        S, k = S * (1 + power(k)), 2 * k
+        if bit == "1":
+            S, k = S + power(k), k + 1
+    return S / m
 
 
 CHAIN_DICTS = {

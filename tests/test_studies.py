@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -177,11 +178,11 @@ class TestVarianceCheck:
         rows = {r["m"]: r for r in studies.run_variance_check(cfg)}
         d = config.dictionary_from_config(cfg.dictionary)
         sys = config.system_from_config(cfg.system)
-        trace_C = np.trace(variance.exact_reference_gram(sys, d).C)
+        rep = variance.build_rep(sys, d)
 
         def beyond(m, key):
             mc, se = rows[m][f"var_{key}_mc"], rows[m][f"stderr_{key}"]
-            slack = studies._roundoff_slack(m, cfg.n_trials, d.size, trace_C, mc)
+            slack = studies._roundoff_slack(rep, systems.Regime.ERGODIC, m, cfg.n_trials, mc)
             return mc + 3.0 * se + 2.0 * slack
 
         def perturbed(rep, m, regime):
@@ -193,6 +194,30 @@ class TestVarianceCheck:
         for r in studies.run_variance_check(cfg):
             assert r["var_C_exact"] - r["var_C_mc"] < 1e-6 * r["var_C_mc"]
             assert not r["within_3sigma_C"] and not r["within_3sigma_Cplus"]
+
+    def test_slack_small_beside_exact_variance_at_large_m(self):
+        # sigma^2 = E + S cancels down to O(1/m) on a rotation, so the exact
+        # value's round-off is what the slack must cover here
+        cfg = studies.StudyConfig(**dict(self.GOLDEN_FOURIER4, m_grid=[10**3, 10**6, 10**9]))
+        rep = variance.build_rep(config.system_from_config(cfg.system),
+                                 config.dictionary_from_config(cfg.dictionary))
+        for r in studies.run_variance_check(cfg):
+            assert r["within_3sigma_C"] and r["within_3sigma_Cplus"], r
+            for key in ("C", "Cplus"):
+                slack = studies._roundoff_slack(rep, systems.Regime.ERGODIC, r["m"],
+                                                cfg.n_trials, r[f"var_{key}_mc"])
+                assert slack < 0.01 * r[f"var_{key}_exact"], (r["m"], key, slack)
+
+    def test_golden_study_follows_prediction_to_m_1e9(self):
+        cfg = studies.StudyConfig(
+            **dict(self.GOLDEN_FOURIER4, m_grid=[10**k for k in range(3, 10)], n_trials=200))
+        start = time.perf_counter()
+        rows, fits = studies.run_convergence_study(cfg)
+        assert time.perf_counter() - start < 1.0
+        for r in rows:
+            assert abs(r["rmse_C"] / r["pred_rmse_C"] - 1.0) <= 1e-5, r
+        pred = studies.fit_rate(cfg.m_grid, [r["pred_rmse_C"] for r in rows])
+        assert abs(fits["C"].slope - pred.slope) <= 1e-3
 
 
 THREE_STATE = {"type": "finite_chain",

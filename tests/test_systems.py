@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from koopman_cert import config, dictionaries, galerkin, rng, systems
-from koopman_cert.errors import ConfigError, DomainError, NonErgodicChain, UnsupportedSystem
+from koopman_cert.errors import (ConfigError, DomainError, NonErgodicChain, NumericalError,
+                                 UnsupportedSystem)
 
 from conftest import golden_rotation
 
@@ -105,6 +106,13 @@ class TestKoopmanMatrix:
         lam = np.sort(np.linalg.eigvals(K).real)
         # 2x2 characteristic polynomial roots: 1 and 1 - p - q
         assert np.allclose(lam, [0.4, 1.0], atol=1e-12)
+
+    def test_state_of_no_float_invariant_mass_fails_numerically(self):
+        # irreducible, but solving for pi leaves state 1 a mass of exactly 0
+        sys = systems.FiniteMarkovSystem([[1.0, 1.4e-45], [1.0, 0.0]])
+        assert sys.pi[1] == 0.0
+        with pytest.raises(NumericalError):
+            sys.koopman_space(dictionaries.indicator(2))
 
     def test_doubly_stochastic_reversible_self_adjoint(self):
         P = np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])
