@@ -41,8 +41,8 @@ BRANCH_IID_HOEFFDING = "iid_hoeffding"
 BRANCHES = (BRANCH_ERGODIC_LINEAR, BRANCH_ERGODIC_SUPERLINEAR, BRANCH_ERGODIC_KAPPA_ZERO,
             BRANCH_IID_MARKOV, BRANCH_IID_HOEFFDING)
 
-# the constant L of the i.i.d. branches: every system's `initial_law` is its
-# invariant law, so i.i.d. trials sample the invariant measure and L = 1
+# the constant L of the i.i.d. branches: every i.i.d. pair set starts from
+# its system's `initial_law` (`System.iid_block`), the invariant law, so L = 1
 L_IID = 1.0
 
 

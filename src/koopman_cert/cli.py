@@ -2,9 +2,9 @@
 
 Subcommands: simulate, estimate, variance, bounds, study.  Exit codes:
 0 success; 2 for a ConfigError (the input is at fault, including its
-subclasses NonErgodicChain and UnsupportedSystem); 3 for any other
-KoopmanCertError (a numerical failure).  JSON output writes null for a
-missing (non-finite) value.
+subclasses NonErgodicChain and UnsupportedSystem) or an --out that cannot
+be written; 3 for any other KoopmanCertError (a numerical failure).  JSON
+output writes null for a missing (non-finite) value.
 """
 
 import argparse
@@ -120,7 +120,7 @@ def _sample(system, args, seed):
     """The pairs of `simulate` and `estimate`, in the --regime asked for."""
     if args.regime == "ergodic":
         return sample_ergodic(system, args.m, seed=seed)
-    return sample_iid(system, system.initial_law(), args.m, seed=seed)
+    return sample_iid(system, args.m, seed=seed)
 
 
 def _scalar(v):
@@ -224,6 +224,13 @@ def main(argv=None):
     except KoopmanCertError as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 3
+    except OSError as exc:
+        # the config was read (`read_config` reports its own path), so a
+        # path here is an --out that cannot be written
+        if exc.filename is None:
+            raise
+        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=_sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

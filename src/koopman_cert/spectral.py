@@ -64,14 +64,11 @@ class ThinMeasureCertificate:
     exact: bool  # mu_f(S_theta) = 0: arbitrarily fast arc decay near 1
 
 
-def certify_thin_measure(
-    meas: SpectralMeasure, alpha, theta, gamma_grid=None
-) -> ThinMeasureCertificate:
+def certify_thin_measure(meas: SpectralMeasure, alpha, theta) -> ThinMeasureCertificate:
     """Smallest kappa certifying the arc-decay condition for a discrete measure.
 
     For discrete measures the supremum of mu(S_gamma) / gamma^alpha over
-    (0, theta] is attained at atom radii, so it is evaluated exactly there;
-    a user grid only cross-checks (it can never exceed the exact value).
+    (0, theta] is attained at atom radii, so it is evaluated exactly there.
     """
     alpha = float(alpha)
     theta = float(theta)
@@ -95,10 +92,6 @@ def certify_thin_measure(
         if r == 0.0:
             return ThinMeasureCertificate(alpha, theta, float("inf"), False)
         kappa = max(kappa, ratio(r))
-    if gamma_grid is not None:
-        for g in np.asarray(gamma_grid, dtype=float):
-            if 0.0 < g <= theta:
-                kappa = max(kappa, ratio(float(g)))
     return ThinMeasureCertificate(alpha, theta, kappa, False)
 
 

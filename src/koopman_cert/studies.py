@@ -95,25 +95,11 @@ def count_grams(table, counts, m):
     return 0.5 * (C + np.swapaxes(C, 1, 2)), table.T @ counts @ table / m
 
 
-def iid_chain_counts(sys, weights, m, gen, count):
-    """(count, n, n) transition counts of m i.i.d. pairs x ~ weights,
-    y ~ P(x, .): one Multinomial(m, weights_i P_ij) draw per trial."""
-    law = (np.asarray(weights, dtype=np.float64)[:, None] * sys.transition).ravel()
-    n = sys.n_states
-    return gen.multinomial(m, law / law.sum(), size=count).reshape(count, n, n)
-
-
 def _chain_count_slices(sys, m, seed, chunk, count, regime):
-    """The chunk's (rows, n, n) transition counts, a slice of trials at a
-    time: i.i.d. counts drawn from their multinomial law, ergodic counts
-    tallied as the chunk's trajectories are stepped (`ergodic_counts`)."""
-    gen = rng.stream(seed, chunk)
-    if regime is Regime.IID:
-        rows = max(1, _SLICE_BUDGET // sys.n_states**2)
-        for lo in range(0, count, rows):
-            yield iid_chain_counts(sys, sys.pi, m, gen, min(rows, count - lo))
-    else:
-        yield from sys.ergodic_counts(m, gen, count)
+    """The chunk's (rows, n, n) transition counts, a block of trials at a
+    time: `iid_counts` or `ergodic_counts`."""
+    sample = sys.iid_counts if regime is Regime.IID else sys.ergodic_counts
+    return sample(m, rng.stream(seed, chunk), count)
 
 
 def _fourier_modes(dictionary, F):
@@ -192,7 +178,7 @@ def _trial_grams(sys, dictionary, m, seed, chunk, count, regime):
         if regime is Regime.ERGODIC:
             blocks = (ergodic_chunk(sys, m, seed, chunk, count),)
         else:
-            blocks = iid_chunk(sys, sys.initial_law(), m, seed, chunk, count)
+            blocks = iid_chunk(sys, m, seed, chunk, count)
         rows = max(1, _SLICE_BUDGET // (sum(b.shape[1] for b in blocks) * dictionary.size))
         for lo in range(0, count, rows):
             psi = [_psi_on_states(dictionary, b[lo : lo + rows]) for b in blocks]

@@ -6,12 +6,12 @@ iterated maps, and Euler-Maruyama discretizations of SDEs.  A noisy map or
 SDE whose lag is exactly a Gaussian AR(1) step carries that law
 (`GaussianAR1`) and is sampled from it directly; one without a law is
 stepped from its `x0` through a fixed burn-in of `_BURN_IN` lags.  Every
-class implements one protocol (`System`).  `ergodic_chunk` and `iid_chunk`
-run its blocks on explicit seeds, and `sample_ergodic` and `sample_iid`
-return a single trajectory or pair set: the block's one-trial case.
+class implements one protocol (`System`), and every i.i.d. pair set starts
+from the system's own `initial_law`.  `ergodic_chunk` and `iid_chunk` run
+its blocks on explicit seeds, and `sample_ergodic` and `sample_iid` return
+a single trajectory or pair set: the block's one-trial case.
 """
 
-import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -81,8 +81,8 @@ def _period(support, levels):
 class System:
     """The protocol of a system class, with its defaults.  A class provides
     `ergodic_block(m, gen, count)`, (count, m+1, ...) stationary states, and
-    `step(x, gen)`, y ~ rho(x, .) for a batch of states, or its own
-    `iid_block`."""
+    `iid_block(m, gen, count)`, the (count, m, ...) xs and ys of count
+    independent sets of m pairs x ~ `initial_law`, y ~ rho(x, .)."""
 
     def initial_law(self):
         """The i.i.d. start law as a sampler (gen, m) -> m states."""
@@ -91,23 +91,14 @@ class System:
 
     def koopman_space(self, dictionary):
         """The finite space on which K acts exactly, as the keyword arguments
-        of `variance.KoopmanMatrixRep`: K, Kstar, weights, one, psi (the
-        dictionary in the space's coordinates) and optionally nodes and eigs."""
+        of `variance.KoopmanMatrixRep`: K, weights, one, psi (the dictionary
+        in the space's coordinates) and optionally nodes and eigs."""
         raise UnsupportedSystem(f"no exact representation for {type(self).__name__}")
 
-    def iid_block(self, mu0, m, gen, count):
-        """(xs, ys): count independent sets of m pairs x ~ mu0, y ~ rho(x, .),
-        stepped one pair set at a time; (m,) scalar states step as (m, 1)."""
-        xs = _starts(mu0, m, gen, count)
-        ys = np.stack([self.step(row.reshape(m, -1), gen).reshape(row.shape)
-                       for row in xs])
-        return xs, ys
-
-
-def _starts(mu0, m, gen, count):
-    """(count, m, ...) states from one mu0 draw of count * m."""
-    xs = mu0(gen, count * m)
-    return xs.reshape((count, m) + xs.shape[1:])
+    def _starts(self, m, gen, count):
+        """(count, m, ...) states from one `initial_law` draw of count * m."""
+        xs = self.initial_law()(gen, count * m)
+        return xs.reshape((count, m) + xs.shape[1:])
 
 
 # An ergodic chain chunk is drawn and stepped in blocks of at most
@@ -173,6 +164,10 @@ class FiniteMarkovSystem(System):
     def initial_law(self):
         return categorical_sampler(self.pi)
 
+    def _block_rows(self, count):
+        """Trials per block of a chunk of `count`: see `_BLOCK_CELLS`."""
+        return max(1, min(_BLOCK_CELLS // self.n_states**2, count))
+
     def _path_slices(self, m, gen, count):
         """Yield (lo, t, paths): the (rows, k+1) states of trials lo.. at
         steps t..t+k, for each block of trials in turn and each time slice
@@ -182,7 +177,7 @@ class FiniteMarkovSystem(System):
             raise NonErgodicChain("ergodic sampling requires an ergodic chain")
         n = self.n_states
         x0 = self.initial_law()(gen, count)
-        rows = max(1, min(_BLOCK_CELLS // (n * n), count))
+        rows = self._block_rows(count)
         span = max(1, _STEP_CELLS // rows, n * n)
         for lo in range(0, count, rows):
             cur = x0[lo : lo + rows]
@@ -213,19 +208,30 @@ class FiniteMarkovSystem(System):
                                          out=None if t == 0 else counts)
         yield counts
 
-    def iid_block(self, mu0, m, gen, count):
-        xs = _starts(mu0, m, gen, count)
+    def iid_block(self, m, gen, count):
+        xs = self._starts(m, gen, count)
         u = gen.random((count * m, 1))
         ys = kernels.chain_paths(self._cdf, xs.ravel(), u)[:, 1].reshape(count, m)
         return xs, ys
 
+    def iid_counts(self, m, gen, count):
+        """Yield the (rows, n, n) int64 transition counts of count sets of m
+        i.i.d. pairs x ~ pi, y ~ P(x, .), in the blocks of `ergodic_counts`:
+        one Multinomial(m, pi_i P_ij) draw per trial."""
+        n = self.n_states
+        law = (self.pi[:, None] * self.transition).ravel()
+        rows = self._block_rows(count)
+        for lo in range(0, count, rows):
+            size = min(rows, count - lo)
+            yield gen.multinomial(m, law / law.sum(), size=size).reshape(size, n, n)
+
     def koopman_space(self, dictionary):
-        pi, P, states = self.pi, self.transition, np.arange(self.n_states)
+        pi, states = self.pi, np.arange(self.n_states)
         if not np.all(pi > 0.0):
             raise NumericalError("a state's invariant mass is 0 at float precision, so "
                                  "the pi-weighted geometry is undefined")
-        return {"K": P.copy(), "Kstar": (pi[None, :] * P.T) / pi[:, None], "weights": pi,
-                "one": np.ones(self.n_states), "psi": dictionary.evaluate(states)}
+        return {"K": self.transition.copy(), "weights": pi, "one": np.ones(self.n_states),
+                "psi": dictionary.evaluate(states)}
 
 
 @dataclass(frozen=True)
@@ -273,15 +279,16 @@ class CircleRotationSystem(System):
     def from_quadratic(cls, a, b, c, d):
         return cls(QuadraticIrrational(a, b, c, d))
 
-    def step(self, x, gen):
-        return np.mod(np.asarray(x, dtype=np.float64) + self.t0, 1.0)
-
     def initial_law(self):
         return lambda gen, m: gen.random(m)
 
     def ergodic_block(self, m, gen, count):
         x0 = self.initial_law()(gen, count)
         return np.mod(x0[:, None] + self.t0 * np.arange(m + 1)[None, :], 1.0)
+
+    def iid_block(self, m, gen, count):
+        xs = self._starts(m, gen, count)
+        return xs, np.mod(xs + self.t0, 1.0)
 
     def koopman_space(self, dictionary):
         """The Fourier space truncated at twice the dictionary's maximal
@@ -309,7 +316,7 @@ class CircleRotationSystem(System):
             ts[i - 1], ts[i] = wrap_angle(k * self.t0), wrap_angle(-k * self.t0)
             V[i - 1, i - 1 : i + 1] = inv_sqrt2
             V[i, i - 1 : i + 1] = [1j * inv_sqrt2, -1j * inv_sqrt2]
-        return {"K": K, "Kstar": K.T, "weights": np.ones(d), "one": np.eye(1, d)[0],
+        return {"K": K, "weights": np.ones(d), "one": np.eye(1, d)[0],
                 "psi": np.eye(dictionary.size, d), "nodes": (nodes, E, E / d),
                 "eigs": (ts, V)}
 
@@ -336,9 +343,10 @@ def gaussian_ar1(rho, v):
 
 
 class SteppedSystem(System):
-    """A system advanced by its own `step`: a noisy map or an SDE.  `law` is
-    the GaussianAR1 one step follows exactly, or None; without one there is
-    no i.i.d. start law or exact space."""
+    """A system advanced by its own `step(x, gen)`, y ~ rho(x, .) for a
+    batch of states: a noisy map or an SDE.  `law` is the GaussianAR1 one
+    step follows exactly, or None; without one there is no i.i.d. start law
+    or exact space, and trajectories are `_stepped_block`s."""
 
     law = None
 
@@ -350,27 +358,22 @@ class SteppedSystem(System):
 
     def ergodic_block(self, m, gen, count):
         """With a law: x_0 ~ N(0, v), then one Gaussian block per lag.
-        Without: `_stepped_block`; a non-finite block is replayed from a copy
-        of `gen` to name its first non-finite lag."""
+        Without: `_stepped_block`."""
         law = self.law
-        if law is not None:
-            traj = np.empty((count, m + 1, self.state_dim))
-            traj[:, 0] = self.initial_law()(gen, count)
-            sd = math.sqrt(law.v * (1.0 - law.rho**2))
-            for k in range(1, m + 1):
-                xi = gen.standard_normal((count, self.state_dim))
-                traj[:, k] = law.rho * traj[:, k - 1] + sd * xi
-            return traj
-        start = copy.deepcopy(gen)
-        traj = _stepped_block(self, m, gen, count)
-        if not np.all(np.isfinite(traj)):
-            _stepped_block(self, m, start, count, check=True)
+        if law is None:
+            return _stepped_block(self, m, gen, count)
+        traj = np.empty((count, m + 1, self.state_dim))
+        traj[:, 0] = self.initial_law()(gen, count)
+        sd = math.sqrt(law.v * (1.0 - law.rho**2))
+        for k in range(1, m + 1):
+            xi = gen.standard_normal((count, self.state_dim))
+            traj[:, k] = law.rho * traj[:, k - 1] + sd * xi
         return traj
 
-    def iid_block(self, mu0, m, gen, count):
-        if self.law is None:
-            return super().iid_block(mu0, m, gen, count)
-        xs = _starts(mu0, m, gen, count)
+    def iid_block(self, m, gen, count):
+        """x ~ N(0, v), then one Gaussian step; without a law, `initial_law`
+        raises UnsupportedSystem."""
+        xs = self._starts(m, gen, count)
         rho, v = self.law.rho, self.law.v
         return xs, rho * xs + math.sqrt(v * (1.0 - rho**2)) * gen.standard_normal(xs.shape)
 
@@ -389,7 +392,7 @@ class SteppedSystem(System):
         K = np.diag(law.rho ** np.arange(R + 1))
         nodes = hermite_nodes(R, law.v)
         points, _, back = nodes
-        return {"K": K, "Kstar": K, "weights": np.ones(R + 1), "one": np.eye(1, R + 1)[0],
+        return {"K": K, "weights": np.ones(R + 1), "one": np.eye(1, R + 1)[0],
                 "psi": dictionary.evaluate(points) @ back, "nodes": nodes}
 
 
@@ -483,13 +486,13 @@ def sample_ergodic(sys, m, seed=0):
     return SamplePairs(traj[:m], traj[1:], Regime.ERGODIC, seed)
 
 
-def sample_iid(sys, mu0_sampler, m, seed=0):
-    """m independent pairs: x_k ~ mu0, y_k ~ rho(x_k, .).
+def sample_iid(sys, m, seed=0):
+    """m independent pairs: x_k ~ `sys.initial_law()`, y_k ~ rho(x_k, .).
 
-    Trial 0 of `iid_chunk(sys, mu0_sampler, m, seed, 1, 1)`.
+    Trial 0 of `iid_chunk(sys, m, seed, 1, 1)`.
     """
     m = _check_m(m)
-    xs, ys = iid_chunk(sys, mu0_sampler, m, seed, 1, 1)
+    xs, ys = iid_chunk(sys, m, seed, 1, 1)
     return SamplePairs(xs[0], ys[0], Regime.IID, seed)
 
 
@@ -501,7 +504,7 @@ def _check_m(m):
 
 
 def categorical_sampler(weights):
-    """mu0 sampler drawing state indices from the given probability vector."""
+    """Start-law sampler drawing state indices from the given probability vector."""
     weights = np.asarray(weights, dtype=np.float64)
     cdf = np.cumsum(weights)
     cdf[-1] = max(cdf[-1], 1.0)
@@ -531,27 +534,33 @@ def ergodic_chunk(sys, m, seed, chunk_index, count):
 _BURN_IN = 100
 
 
-def _stepped_block(sys, m, gen, count, check=False):
+def _stepped_block(sys, m, gen, count):
     """(count, m+1, state_dim) states from x0 after `_BURN_IN` burn-in lags.
 
-    With check, raise DomainError at the first lag (counted from x0, burn-in
-    included) at which a state has a non-finite coordinate.
+    Raise DomainError at the first lag (counted from x0, burn-in included)
+    at which a state has a non-finite coordinate: burn-in lags are checked
+    as they are stepped, the kept lags once the block is done.
     """
-    burn = _BURN_IN
     x = np.tile(np.atleast_2d(sys.x0), (count, 1))
+    for lag in range(_BURN_IN):
+        if not np.all(np.isfinite(x)):
+            _non_finite(lag)
+        x = sys.step(x, gen)
     traj = np.empty((count, m + 1, sys.state_dim))
-    for lag in range(burn + m + 1):
-        if lag:
-            x = sys.step(x, gen)
-        if check and not np.all(np.isfinite(x)):
-            raise DomainError(f"non-finite state at lag {lag}; lags 1..{burn} are "
-                              "the burn-in")
-        if lag >= burn:
-            traj[:, lag - burn] = x
+    traj[:, 0] = x
+    for k in range(1, m + 1):
+        traj[:, k] = x = sys.step(x, gen)
+    finite = np.isfinite(traj).all(axis=(0, 2))
+    if not finite.all():
+        _non_finite(_BURN_IN + int(np.argmin(finite)))
     return traj
 
 
-def iid_chunk(sys, mu0_sampler, m, seed, chunk_index, count):
+def _non_finite(lag):
+    raise DomainError(f"non-finite state at lag {lag}; lags 1..{_BURN_IN} are the burn-in")
+
+
+def iid_chunk(sys, m, seed, chunk_index, count):
     """One block of `count` independent i.i.d. pair sets on stream (seed,
     chunk_index): `sys.iid_block`; xs and ys are (count, m, ...)."""
-    return sys.iid_block(mu0_sampler, m, rng.stream(seed, chunk_index), count)
+    return sys.iid_block(m, rng.stream(seed, chunk_index), count)

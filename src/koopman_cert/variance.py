@@ -150,12 +150,12 @@ class KoopmanMatrixRep:
     exact GramPair with C symmetrised; and `E_plus`, `E_zero`.
     """
 
-    def __init__(self, system, dictionary, K, Kstar, weights, one, psi, nodes=None,
-                 eigs=None):
+    def __init__(self, system, dictionary, K, weights, one, psi, nodes=None, eigs=None):
         self.system = system
         self.dictionary = dictionary
         self.K = K
-        self.Kstar = Kstar
+        # the adjoint of K in the weights' inner product
+        self.Kstar = (weights[None, :] * K.T) / weights[:, None]
         self.weights = weights
         self.one = one
         self.psi = psi

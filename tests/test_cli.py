@@ -261,6 +261,22 @@ class TestInputContract:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("command, out", [
+        ("simulate", "missing/pairs.csv"), ("study", "a_file"), ("bounds", "a_file"),
+    ])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command, out):
+        # a file in a missing directory, or an output directory that is a file
+        (tmp_path / "a_file").write_text("")
+        cfg = {"simulate": {"system": CHAIN_SYSTEM},
+               "study": {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+                         "m_grid": [10, 20], "n_trials": 30},
+               "bounds": self.BOUNDS}[command]
+        path = str(tmp_path / out)
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and path in err
+
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     @pytest.mark.parametrize(
         "cfg, extra",

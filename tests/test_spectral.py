@@ -141,14 +141,6 @@ class TestCertifyThinMeasure:
         cert = spectral.certify_thin_measure(meas, 1.5, 0.3)
         assert cert.kappa == float("inf")
 
-    def test_grid_never_exceeds_atom_sup(self):
-        meas = spectral.SpectralMeasure([(0.1, 1.0), (0.25, 2.0)], 3.0)
-        base = spectral.certify_thin_measure(meas, 1.2, 0.4)
-        grid = spectral.certify_thin_measure(meas, 1.2, 0.4,
-                                             gamma_grid=np.linspace(0.01, 0.4, 200))
-        assert grid.kappa <= base.kappa + 1e-12
-        assert grid.kappa == base.kappa  # atom radii dominate
-
     def test_trig_polynomials_exact_for_small_theta(self, golden):
         rep = variance.build_rep(golden, dictionaries.fourier(1))
         cert = spectral.certify_family(rep, alpha=1.5, theta=0.2)

@@ -99,8 +99,7 @@ class TestChainCounts:
         d = CHAIN_DICTS[kind](sys_.n_states)
         m, count = 300, 8
         if regime == "iid":
-            mu0 = systems.categorical_sampler(sys_.pi)
-            xs, ys = systems.iid_chunk(sys_, mu0, m, 17, 0, count)
+            xs, ys = systems.iid_chunk(sys_, m, 17, 0, count)
         else:
             paths = systems.ergodic_chunk(sys_, m, 17, 0, count)
             xs, ys = paths[:, :-1], paths[:, 1:]
@@ -117,7 +116,7 @@ class TestChainCounts:
         rep = variance.build_rep(sys_, d)
         ref = studies.exact_reference(rep.gram)
         m, count = 50, 40
-        xs, ys = systems.iid_chunk(sys_, systems.categorical_sampler(sys_.pi), m, 2, 0, count)
+        xs, ys = systems.iid_chunk(sys_, m, 2, 0, count)
         streamed = studies._gram_errors_block(*galerkin.gram_block(np.eye(4)[xs],
                                                                    np.eye(4)[ys], m), ref)
         closed = studies._indicator_errors(kernels.pair_counts(xs, ys, 4), ref, m)
@@ -126,14 +125,21 @@ class TestChainCounts:
             ok = ~np.isnan(a)
             assert np.max(np.abs(a[ok] - b[ok])) <= 1e-12
 
-    def test_counts_follow_the_multinomial_law(self):
+    def test_counts_follow_the_multinomial_law(self, monkeypatch):
+        # blocks of 7 trials leave a short last block, and join to one
+        # whole multinomial draw on the same stream
+        monkeypatch.setattr(systems, "_BLOCK_CELLS", 7 * 4)
         sys_ = systems.FiniteMarkovSystem([[0.7, 0.3], [0.4, 0.6]])
         m, trials = 40, 20000
-        counts = studies.iid_chain_counts(sys_, sys_.pi, m, rng.stream(4, 0), trials)
+        blocks = list(sys_.iid_counts(m, rng.stream(4, 0), trials))
+        assert [len(b) for b in blocks] == [min(7, trials - lo) for lo in range(0, trials, 7)]
+        counts = np.concatenate(blocks)
         assert counts.shape == (trials, 2, 2)
         assert np.all(counts.sum(axis=(1, 2)) == m)
-        x = counts.reshape(trials, -1).astype(np.float64)
         p = (sys_.pi[:, None] * sys_.transition).ravel()
+        whole = rng.stream(4, 0).multinomial(m, p / p.sum(), size=trials)
+        assert np.array_equal(counts.reshape(trials, -1), whole)
+        x = counts.reshape(trials, -1).astype(np.float64)
         mean_se = x.std(axis=0, ddof=1) / np.sqrt(trials)
         assert np.all(np.abs(x.mean(axis=0) - m * p) <= 3.0 * mean_se)
         cov = m * (np.diag(p) - np.outer(p, p))
@@ -149,7 +155,7 @@ class TestChainCounts:
         rep = variance.build_rep(sys_, d)
         ref = studies.exact_reference(rep.gram)
         whole = studies.mc_trial_errors(sys_, d, ref, 30, 100, 6, systems.Regime.IID)
-        monkeypatch.setattr(studies, "_SLICE_BUDGET", 7 * 9)
+        monkeypatch.setattr(systems, "_BLOCK_CELLS", 7 * 9)
         sliced = studies.mc_trial_errors(sys_, d, ref, 30, 100, 6, systems.Regime.IID)
         for a, b in zip(whole, sliced):
             assert a.tobytes() == b.tobytes()

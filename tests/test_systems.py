@@ -177,25 +177,20 @@ OU = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,
       "integrator_dt": 0.01}
 
 
-def _initial_law(sys):
-    return sys.initial_law()
-
-
-# one system per class, with an initial-measure sampler for the i.i.d. regime:
-# the system's own initial law where it has one
+# one system per class; the noisy maps and the SDE built here carry no
+# law, so they have no i.i.d. start law
 SAMPLED = {
-    "chain": (lambda: systems.FiniteMarkovSystem(
-        [[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]), _initial_law),
-    "circle": (golden_rotation, _initial_law),
-    "noisy_map_1d": (lambda: _noisy_linear([[0.6]]),
-                     lambda sys: lambda g, m: g.standard_normal((m, 1))),
-    "noisy_map_2d": (lambda: _noisy_linear([[0.5, 0.1], [0.0, 0.4]]),
-                     lambda sys: lambda g, m: g.standard_normal((m, 2))),
-    "sde": (lambda: systems.SdeSystem(lambda x: -x, lambda x: 0.5 * np.ones_like(x), 1,
-                                      lag=0.1, integrator_dt=0.02),
-            lambda sys: lambda g, m: g.standard_normal((m, 1))),
-    "ou_law": (lambda: config.system_from_config(OU), _initial_law),
+    "chain": lambda: systems.FiniteMarkovSystem(
+        [[0.5, 0.2, 0.3], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]),
+    "circle": golden_rotation,
+    "noisy_map_1d": lambda: _noisy_linear([[0.6]]),
+    "noisy_map_2d": lambda: _noisy_linear([[0.5, 0.1], [0.0, 0.4]]),
+    "sde": lambda: systems.SdeSystem(lambda x: -x, lambda x: 0.5 * np.ones_like(x), 1,
+                                     lag=0.1, integrator_dt=0.02),
+    "ou_law": lambda: config.system_from_config(OU),
+    "linear_law": lambda: config.system_from_config(_linear_1d(0.6, 0.1)),
 }
+LAWLESS = {"noisy_map_1d", "noisy_map_2d", "sde"}
 
 
 class TestOneSamplerPerRegime:
@@ -204,7 +199,7 @@ class TestOneSamplerPerRegime:
     @pytest.mark.parametrize("kind", sorted(SAMPLED))
     @pytest.mark.parametrize("m, seed", [(1, 0), (17, 5)])
     def test_ergodic_is_chunk_row_zero(self, kind, m, seed):
-        sys = SAMPLED[kind][0]()
+        sys = SAMPLED[kind]()
         pairs = systems.sample_ergodic(sys, m, seed=seed)
         block = systems.ergodic_chunk(sys, m, seed, 0, 1)
         assert block.shape[:2] == (1, m + 1)
@@ -215,12 +210,26 @@ class TestOneSamplerPerRegime:
     @pytest.mark.parametrize("kind", sorted(SAMPLED))
     @pytest.mark.parametrize("m, seed", [(1, 0), (17, 5)])
     def test_iid_is_chunk_row_zero(self, kind, m, seed):
-        make, mu0 = SAMPLED[kind]
-        sys = make()
-        pairs = systems.sample_iid(sys, mu0(sys), m, seed=seed)
-        xs, ys = systems.iid_chunk(sys, mu0(sys), m, seed, 1, 1)
+        # every pair set starts from the system's initial law, so a chunk's
+        # xs are one initial_law draw of count * m on its stream, and a
+        # system without one has no i.i.d. pairs
+        sys = SAMPLED[kind]()
+        if kind in LAWLESS:
+            with pytest.raises(UnsupportedSystem):
+                systems.iid_chunk(sys, m, seed, 1, 3)
+            with pytest.raises(UnsupportedSystem):
+                systems.sample_iid(sys, m, seed=seed)
+            return
+        pairs = systems.sample_iid(sys, m, seed=seed)
+        xs, ys = systems.iid_chunk(sys, m, seed, 1, 1)
         assert np.array_equal(pairs.xs, xs[0]) and np.array_equal(pairs.ys, ys[0])
         assert pairs.regime is systems.Regime.IID and pairs.m == m
+        xs, ys = systems.iid_chunk(sys, m, seed, 2, 3)
+        law = sys.initial_law()(rng.stream(seed, 2), 3 * m)
+        assert xs.shape == ys.shape == (3, m) + law.shape[1:]
+        assert np.array_equal(xs, law.reshape(xs.shape))
+        if kind == "circle":
+            assert np.array_equal(ys, np.mod(xs + sys.t0, 1.0))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_noisy_map_chunk_keeps_state_axis(self, dim):
@@ -230,39 +239,17 @@ class TestOneSamplerPerRegime:
         # trials draw from one stream but are distinct trajectories
         assert not np.array_equal(block[0], block[1])
 
-    @pytest.mark.parametrize("kind", ["noisy_map_1d", "sde"])
-    def test_scalar_sampler_same_pairs_as_column(self, kind):
-        # a sampler of (m,) scalar states steps them as (m, 1), and ys keep
-        # the shape of xs
-        sys = SAMPLED[kind][0]()
-        xa, ya = systems.iid_chunk(sys, lambda g, m: g.standard_normal(m), 5, 3, 0, 2)
-        xb, yb = systems.iid_chunk(sys, lambda g, m: g.standard_normal((m, 1)), 5, 3, 0, 2)
-        assert xa.shape == ya.shape == (2, 5)
-        assert xb.shape == yb.shape == (2, 5, 1)
-        assert np.array_equal(xa, xb[..., 0]) and np.array_equal(ya, yb[..., 0])
-        pairs = systems.sample_iid(sys, lambda g, m: g.standard_normal(m), 5, seed=3)
-        assert pairs.xs.shape == pairs.ys.shape == (5,)
-
     def test_m_must_be_positive(self, two_state_chain):
         with pytest.raises(ConfigError):
             systems.sample_ergodic(two_state_chain, 0)
         with pytest.raises(ConfigError):
-            systems.sample_iid(two_state_chain, systems.categorical_sampler([0.5, 0.5]), 0)
+            systems.sample_iid(two_state_chain, 0)
 
 
 class TestIidSampling:
-    def test_point_mass_deterministic_map(self, golden):
-        def mu0(gen, m):
-            return np.full(m, 0.25)
-
-        pairs = systems.sample_iid(golden, mu0, 3, seed=0)
-        assert np.allclose(pairs.xs, 0.25)
-        assert np.allclose(pairs.ys, np.mod(0.25 + golden.t0, 1.0))
-
     def test_joint_law(self, two_state_chain):
         m = 10**5
-        mu0 = systems.categorical_sampler(two_state_chain.pi)
-        pairs = systems.sample_iid(two_state_chain, mu0, m, seed=4)
+        pairs = systems.sample_iid(two_state_chain, m, seed=4)
         P = two_state_chain.transition
         pi = two_state_chain.pi
         for i in range(2):
@@ -273,8 +260,7 @@ class TestIidSampling:
     def test_permutation_invariance_of_grams(self, two_state_chain, indicator2):
         from koopman_cert.edmd import empirical_gram
 
-        mu0 = systems.categorical_sampler(two_state_chain.pi)
-        pairs = systems.sample_iid(two_state_chain, mu0, 200, seed=5)
+        pairs = systems.sample_iid(two_state_chain, 200, seed=5)
         perm = np.random.Generator(np.random.Philox(1)).permutation(200)
         shuffled = systems.SamplePairs(
             pairs.xs[perm], pairs.ys[perm], pairs.regime, pairs.seed
@@ -428,7 +414,7 @@ class TestGaussianAR1:
         # x ~ N(0, v) from the initial law, then y = rho x + sqrt(v (1 - rho^2)) xi
         sys = config.system_from_config(dict(OU, state_dim=2))
         law = sys.law
-        xs, ys = systems.iid_chunk(sys, sys.initial_law(), 3, 5, 2, 4)
+        xs, ys = systems.iid_chunk(sys, 3, 5, 2, 4)
         gen = rng.stream(5, 2)
         x = np.sqrt(law.v) * gen.standard_normal((12, 2))
         y = law.rho * x + np.sqrt(law.v * (1 - law.rho**2)) * gen.standard_normal((12, 2))

@@ -379,17 +379,16 @@ class TestOracle:
 class TestIidExactIdentity:
     def test_cross_terms_vanish(self, two_state_chain, indicator2):
         # E || C_+ - C_hat_plus ||_F^2 == E_plus / m exactly under i.i.d. pairs
-        from koopman_cert.systems import iid_chunk, categorical_sampler
+        from koopman_cert.systems import iid_chunk
 
         rep = variance.build_rep(two_state_chain, indicator2)
         vr = variance.exact_variance(rep, 1)
         gram = variance.exact_reference_gram(two_state_chain, indicator2)
         m = 7
-        mu0 = categorical_sampler(two_state_chain.pi)
         n_trials, chunk = 40000, 0
         errs_p, errs_c = [], []
         table = np.eye(2)
-        xs, ys = iid_chunk(two_state_chain, mu0, m, 99, chunk, n_trials)
+        xs, ys = iid_chunk(two_state_chain, m, 99, chunk, n_trials)
         px, py = table[xs], table[ys]
         Cph = np.einsum("bki,bkj->bij", px, py) / m
         Ch = np.einsum("bki,bkj->bij", px, px) / m
