@@ -3,11 +3,13 @@
 Subcommands: simulate, estimate, variance, bounds, study.  Exit codes:
 0 success; 2 for a ConfigError (the input is at fault, including its
 subclasses NonErgodicChain and UnsupportedSystem) or an --out that cannot
-be written; 3 for any other KoopmanCertError (a numerical failure).  JSON
-output writes null for a missing (non-finite) value.
+be written, which is checked before any sampling; 3 for any other
+KoopmanCertError (a numerical failure).  JSON output writes null for a
+missing (non-finite) value.
 """
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -79,28 +81,55 @@ def _write_json(path, payload):
         fh.write(_json_text(payload) + "\n")
 
 
-def _emit(args, payload, default_name):
-    if args.out:
-        path = args.out
-        if os.path.isdir(path):
-            path = os.path.join(path, default_name)
+def _emit(path, payload):
+    """JSON to the file `path`, or to standard output when it is None."""
+    if path:
         _write_json(path, payload)
     else:
         print(_json_text(payload))
 
 
+def _out_file(args, default_name):
+    """The file --out names (default_name in it when it is a directory), or
+    None for standard output.  Checked before any sampling, so that an
+    --out that cannot be written fails before the run, not after it."""
+    if not args.out:
+        return None
+    path = args.out
+    if os.path.isdir(path):
+        path = os.path.join(path, default_name)
+    _check_writable(os.path.dirname(path) or ".", path)
+    return path
+
+
+def _out_dir(args):
+    """The directory `study` and `bounds` write into, made and checked
+    before any sampling."""
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    _check_writable(out_dir, out_dir)
+    return out_dir
+
+
+def _check_writable(directory, path):
+    """Raise the OSError that writing `path` into `directory` would."""
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    if not os.access(directory, os.W_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def cmd_simulate(args):
     cfg = read_config(args.config, RunConfig, args.seed, args.threads)
+    path = _out_file(args, f"pairs.{args.format}")
     pairs = _sample(system_from_config(cfg.system), args, cfg.seed)
     if args.format == "csv":
         lines = ["k,x,y"]
         for k, (x, y) in enumerate(zip(np.asarray(pairs.xs), np.asarray(pairs.ys))):
             lines.append(f"{k},{_scalar(x)},{_scalar(y)}")
         text = "\n".join(lines) + "\n"
-        if args.out:
-            path = args.out
-            if os.path.isdir(path):
-                path = os.path.join(path, "pairs.csv")
+        if path:
             with open(path, "w") as fh:
                 fh.write(text)
         else:
@@ -112,7 +141,7 @@ def cmd_simulate(args):
         "xs": np.asarray(pairs.xs).tolist(),
         "ys": np.asarray(pairs.ys).tolist(),
     }
-    _emit(args, payload, "pairs.json")
+    _emit(path, payload)
     return 0
 
 
@@ -129,6 +158,7 @@ def _scalar(v):
 
 def cmd_estimate(args):
     cfg = read_config(args.config, RunConfig, args.seed, args.threads)
+    path = _out_file(args, "estimate.json")
     system = system_from_config(cfg.system)
     dictionary = dictionary_from_config(cfg.dictionary, system=system)
     pairs = _sample(system, args, cfg.seed)
@@ -144,7 +174,7 @@ def cmd_estimate(args):
     except KoopmanCertError as exc:
         print(f"note: no exact reference for {studies._system_name(cfg.system)} ({exc}); "
               "the output has no errors block", file=_sys.stderr)
-    _emit(args, payload, "estimate.json")
+    _emit(path, payload)
     return 0
 
 
@@ -158,12 +188,20 @@ def hash_config(cfg):
 
 def cmd_variance(args):
     cfg = read_config(args.config, StudyConfig, args.seed, args.threads)
+    # CSV only to a file; JSON to a file or standard output
+    csv = args.format == "csv" and args.out
+    path = _out_file(args, "variance_check.csv" if csv else "variance_check.json")
     rows = studies.run_variance_check(cfg)
-    return _emit_rows(args, rows, "variance", "variance_check.csv")
+    if csv:
+        studies.write_csv(path, rows, "variance")
+    else:
+        _emit(path, rows)
+    return 0
 
 
 def cmd_bounds(args):
     cfg = read_config(args.config, BoundsConfig, args.seed, args.threads)
+    out_dir = _out_dir(args)
     system = system_from_config(cfg.system)
     rep = build_rep(system, dictionary_from_config(cfg.dictionary, system=system))
     inputs = bounds_mod.bound_inputs_from_exact(rep, thin_params=cfg.thin_params)
@@ -172,8 +210,6 @@ def cmd_bounds(args):
         threads=cfg.threads,
     )
     report = bounds_mod.branch_bound(inputs, cfg.branch, cfg.m_grid[-1], cfg.epsilons[0])
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "bound_report.json"), report.to_json_dict())
     studies.write_csv(os.path.join(out_dir, "bound_grid.csv"), rows, "bounds")
     return 0
@@ -181,27 +217,14 @@ def cmd_bounds(args):
 
 def cmd_study(args):
     cfg = read_config(args.config, StudyConfig, args.seed, args.threads)
+    out_dir = _out_dir(args)
     rows, fits = studies.run_convergence_study(cfg)
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     if args.format == "json":
         _write_json(os.path.join(out_dir, "convergence.json"), rows)
     else:
         studies.write_csv(os.path.join(out_dir, "convergence.csv"), rows, "convergence")
     _write_json(os.path.join(out_dir, "rate_fit.json"),
                 {k: (asdict(v) if v else None) for k, v in fits.items()})
-    return 0
-
-
-def _emit_rows(args, rows, schema, default_name):
-    if args.format == "json" or not args.out:
-        payload = rows
-        _emit(args, payload, default_name.replace(".csv", ".json"))
-        return 0
-    path = args.out
-    if os.path.isdir(path):
-        path = os.path.join(path, default_name)
-    studies.write_csv(path, rows, schema)
     return 0
 
 

@@ -13,6 +13,7 @@ a single trajectory or pair set: the block's one-trial case.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -168,11 +169,19 @@ class FiniteMarkovSystem(System):
         """Trials per block of a chunk of `count`: see `_BLOCK_CELLS`."""
         return max(1, min(_BLOCK_CELLS // self.n_states**2, count))
 
-    def _path_slices(self, m, gen, count):
-        """Yield (lo, t, paths): the (rows, k+1) states of trials lo.. at
-        steps t..t+k, for each block of trials in turn and each time slice
-        of the block in turn; the slice draws its (rows, k) uniforms from
-        `gen`.  The chunk's starts are drawn first."""
+    @functools.cached_property
+    def _tables(self):
+        """The chain's `kernels.ChainTables`, built on first sampling: not
+        in __init__, so that building a system stays cheap."""
+        return kernels.chain_tables(self._cdf)
+
+    def _slices(self, m, gen, count):
+        """Yield (lo, t, x, u) for each block of trials lo.. and each time
+        slice t..t+s of the block in turn: x holds the block's states at
+        step t, and the caller steps it in place over u, the (rows, s)
+        uniforms the slice draws from `gen`.  The chunk's starts are drawn
+        first.  `ergodic_block` and `ergodic_counts` both step these draws,
+        so both see one stream."""
         if not self.is_ergodic:
             raise NonErgodicChain("ergodic sampling requires an ergodic chain")
         n = self.n_states
@@ -180,38 +189,40 @@ class FiniteMarkovSystem(System):
         rows = self._block_rows(count)
         span = max(1, _STEP_CELLS // rows, n * n)
         for lo in range(0, count, rows):
-            cur = x0[lo : lo + rows]
+            x = x0[lo : lo + rows]
             # one slice, of no steps, where m = 0
             for t in range(0, max(m, 1), span):
-                paths = kernels.chain_paths(self._cdf, cur,
-                                            gen.random((len(cur), min(span, m - t))))
-                yield lo, t, paths
-                cur = paths[:, -1]
+                yield lo, t, x, gen.random((len(x), min(span, m - t)))
 
     def ergodic_block(self, m, gen, count):
-        """The (count, m+1) paths, assembled from `_path_slices`."""
+        """The (count, m+1) paths, stepped over the draws of `_slices`."""
         out = np.empty((count, m + 1), dtype=np.int64)
-        for lo, t, paths in self._path_slices(m, gen, count):
-            out[lo : lo + len(paths), t : t + paths.shape[1]] = paths
+        for lo, t, x, u in self._slices(m, gen, count):
+            paths = kernels.chain_paths(self._tables, x, u)
+            out[lo : lo + len(x), t : t + paths.shape[1]] = paths
+            x[:] = paths[:, -1]
         return out
 
     def ergodic_counts(self, m, gen, count):
         """Yield the (rows, n, n) int64 transition counts of the trajectories
         `ergodic_block(m, gen, count)` returns, bit for bit, block by block,
-        each tallied one time slice at a time; `gen` ends where
-        `ergodic_block` leaves it."""
+        each tallied one time slice at a time by `kernels.chain_paths` in
+        counting mode: through the chain's k-step jump tables where it has
+        them, with no paths formed, and otherwise by `kernels.pair_counts`
+        on the slice's paths.  `gen` ends where `ergodic_block` leaves it."""
         counts = None
-        for _, t, paths in self._path_slices(m, gen, count):
-            if t == 0 and counts is not None:
-                yield counts
-            counts = kernels.pair_counts(paths[:, :-1], paths[:, 1:], self.n_states,
-                                         out=None if t == 0 else counts)
+        for _, t, x, u in self._slices(m, gen, count):
+            if t == 0:
+                if counts is not None:
+                    yield counts
+                counts = np.zeros((len(x), self.n_states, self.n_states), dtype=np.int64)
+            x[:] = kernels.chain_paths(self._tables, x, u, counts=counts)
         yield counts
 
     def iid_block(self, m, gen, count):
         xs = self._starts(m, gen, count)
         u = gen.random((count * m, 1))
-        ys = kernels.chain_paths(self._cdf, xs.ravel(), u)[:, 1].reshape(count, m)
+        ys = kernels.chain_paths(self._tables, xs.ravel(), u)[:, 1].reshape(count, m)
         return xs, ys
 
     def iid_counts(self, m, gen, count):

@@ -277,6 +277,25 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and path in err
 
+    @pytest.mark.parametrize("command, out", [
+        ("study", "a_file"), ("variance", "missing/variance.csv"),
+        ("variance", "a_file/variance.json"), ("bounds", "a_file"),
+    ])
+    def test_unwritable_out_exits_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                  command, out):
+        def engine(*args, **kwargs):
+            raise AssertionError("the Monte-Carlo engine ran before --out was checked")
+
+        monkeypatch.setattr(studies, "mc_trial_errors", engine)
+        (tmp_path / "a_file").write_text("")
+        cfg = self.BOUNDS if command == "bounds" else {
+            "system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+            "m_grid": [10, 20], "n_trials": 30}
+        path = str(tmp_path / out)
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", path])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {path}")
+
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     @pytest.mark.parametrize(
         "cfg, extra",

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopman_cert import kernels
 
@@ -33,6 +35,21 @@ def _naive_paths(cdf, x0, u):
     return paths
 
 
+def _check_counting(cdf, x0, u, n):
+    """Counting mode adds the naive paths' transition counts into `counts`
+    and returns their last states."""
+    naive = _naive_paths(cdf, x0, u)
+    counts = np.ones((len(x0), n, n), dtype=np.int64)
+    last = kernels.chain_paths(cdf, x0, u, counts=counts)
+    assert np.array_equal(counts - 1, kernels.pair_counts(naive[:, :-1], naive[:, 1:], n))
+    assert np.array_equal(last, naive[:, -1])
+
+
+def _steps_per_gather(cdf):
+    jumps = kernels.chain_tables(cdf).jumps
+    return jumps[0][0] if jumps else 1
+
+
 # (B, m, n, zero_frac): each case selects a distinct branch or edge of the kernel
 CASES = {
     "zero_probabilities": (40, 60, 6, 0.5),  # repeated thresholds within rows
@@ -47,6 +64,8 @@ CASES = {
     "iid_shape": (3000, 1, 2, 0.0),
     "several_time_slices": (100, 700, 2, 0.0),
     "table_too_large": (5, 40, 70, 0.0),  # 70 * 4831 entries: binary search
+    "fewer_steps_than_k": (10, 5, 2, 0.0),  # 2 states count 7 steps a gather
+    "steps_not_multiple_of_k": (12, 26, 3, 0.0),  # 3 a gather, 2 one-step tails
 }
 
 
@@ -59,6 +78,75 @@ def test_chain_paths_matches_naive(case):
     assert np.array_equal(paths, _naive_paths(cdf, x0, u))
     assert np.array_equal(paths[:, 0], x0)
     assert paths.size == 0 or (paths.min() >= 0 and paths.max() < n)
+    _check_counting(cdf, x0, u, n)
+
+
+def test_cases_reach_both_counting_paths():
+    k = {case: _steps_per_gather(_random_inputs(0, B=1, m=1, n=n, zero_frac=z)[0])
+         for case, (_, _, n, z) in CASES.items()}
+    assert k["fewer_steps_than_k"] == 7 and CASES["fewer_steps_than_k"][1] < 7
+    assert k["steps_not_multiple_of_k"] == 3
+    assert k["fifty_states"] == k["table_too_large"] == 1
+
+
+# tied thresholds (equal cdf values across or within rows) and zero ones
+TIED = {
+    "two_equal_rows": [[0.5, 0.5], [0.5, 0.5]],
+    "two_zero_thresholds": [[0.0, 1.0], [1.0, 0.0]],
+    "three_ties_and_zeros": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+    "four_uniform_rows": [[0.25] * 4] * 4,
+    "four_sparse": [[0.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.5, 0.0], [0.0, 0.25, 0.0, 0.75],
+                    [0.25, 0.25, 0.25, 0.25]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIED))
+def test_counting_with_tied_and_zero_thresholds(case):
+    cdf = np.cumsum(TIED[case], axis=1)
+    cdf[:, -1] = 1.0
+    n = len(cdf)
+    assert _steps_per_gather(cdf) > 1
+    g = np.random.default_rng(sorted(TIED).index(case))
+    x0 = g.integers(0, n, size=25)
+    # half the uniforms sit on a threshold
+    u = g.random((25, 61))
+    ties = np.unique(cdf[:, :-1])
+    on = g.random(u.shape) < 0.5
+    u[on] = g.choice(ties[ties < 1.0], size=on.sum())
+    assert np.array_equal(kernels.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
+    _check_counting(cdf, x0, u, n)
+
+
+@pytest.mark.parametrize("case", ["zero_probabilities", "two_states", "one_state",
+                                  "steps_not_multiple_of_k"])
+def test_counting_without_jump_tables(monkeypatch, case):
+    """A jump budget of 0 leaves every chain on paths and `pair_counts`."""
+    B, m, n, zero_frac = CASES[case]
+    cdf, x0, u, n = _random_inputs(4, B=B, m=m, n=n, zero_frac=zero_frac)
+    monkeypatch.setattr(kernels, "_JUMP_ENTRIES", 0)
+    assert kernels.chain_tables(cdf).jumps == ()
+    _check_counting(cdf, x0, u, n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_counting_matches_naive_on_small_chains(n, data):
+    """Small integer weights tie many thresholds; some uniforms sit on one."""
+    weights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n,
+                                          max_size=n * n)), dtype=float).reshape(n, n)
+    weights[:, 0] += weights.sum(axis=1) == 0
+    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    cdf[:, -1] = np.maximum(cdf[:, -1], 1.0)
+    B, m = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 40))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x0 = g.integers(0, n, size=B)
+    u = g.random((B, m))
+    ties = np.unique(cdf[:, :-1])
+    ties = ties[ties < 1.0]
+    if len(ties):
+        on = g.random(u.shape) < 0.3
+        u[on] = g.choice(ties, size=on.sum())
+    _check_counting(cdf, x0, u, n)
 
 
 @pytest.mark.parametrize("n", [3, 40])
@@ -70,11 +158,14 @@ def test_uniforms_equal_to_thresholds(n):
     assert np.array_equal(kernels.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
 
 
-@pytest.mark.parametrize("B, m", [(120, 7), (20, 30), (50, 50)])
+@pytest.mark.parametrize("B, m", [(120, 7), (20, 30), (50, 50), (5, 40)])
 def test_chain_paths_slices_on_both_axes(monkeypatch, B, m):
+    # 5 rows step 10 steps a slice, 9 when counted 3 a gather: four slices
+    # of whole codes, then one of a code and a one-step tail
     cdf, x0, u, n = _random_inputs(5, B=B, m=m, n=3)
     monkeypatch.setattr(kernels, "_SLICE_CELLS", 50)
     assert np.array_equal(kernels.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
+    _check_counting(cdf, x0, u, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 12])
@@ -87,26 +178,34 @@ def test_binary_search_matches_table(monkeypatch, n):
 
 
 @pytest.mark.parametrize(
-    "shape, table_entries",
-    [((2, 200, 10_000), None), ((2, 2_000_000, 1), None), ((2, 2_000_000, 1), 0)],
-    ids=["ergodic", "iid", "iid_binary_search"],
+    "shape, table_entries, counting",
+    [((2, 200, 10_000), None, False), ((2, 2_000_000, 1), None, False),
+     ((2, 2_000_000, 1), 0, False), ((2, 200, 10_000), None, True)],
+    ids=["ergodic", "iid", "iid_binary_search", "ergodic_counting"],
 )
-def test_chain_paths_memory_bounded(monkeypatch, shape, table_entries):
-    """Above its output, the kernel allocates at most its slice budget."""
+def test_chain_paths_memory_bounded(monkeypatch, shape, table_entries, counting):
+    """Above its output (or `counts`), the kernel allocates at most its
+    slice budget, tables included."""
     if table_entries is not None:
         monkeypatch.setattr(kernels, "_TABLE_ENTRIES", table_entries)
     n, B, m = shape
     cdf, x0, _, n = _random_inputs(9, B=1, m=1, n=n)
     x0 = np.zeros(B, dtype=np.int64)
     u = np.random.default_rng(0).random((B, m))
+    counts = np.zeros((B, n, n), dtype=np.int64) if counting else None
     kernels.chain_paths(cdf, x0[:4], u[:4])  # first-call allocations
     tracemalloc.start()
     try:
-        paths = kernels.chain_paths(cdf, x0, u)
+        out = kernels.chain_paths(cdf, x0, u, counts=counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - paths.nbytes <= 48 * kernels._SLICE_CELLS
+    assert peak - out.nbytes <= 48 * kernels._SLICE_CELLS
+    if counting:
+        assert out.shape == (B,) and counts.sum() == B * m
+        jumps = kernels.chain_tables(cdf).jumps
+        assert jumps[0][0] == 7
+        assert sum(len(jump) + moves.size for _, jump, moves in jumps) <= kernels._JUMP_ENTRIES
 
 
 def test_pair_counts_matches_naive():
