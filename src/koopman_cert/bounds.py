@@ -42,7 +42,7 @@ BRANCHES = (BRANCH_ERGODIC_LINEAR, BRANCH_ERGODIC_SUPERLINEAR, BRANCH_ERGODIC_KA
             BRANCH_IID_MARKOV, BRANCH_IID_HOEFFDING)
 
 # the constant L of the i.i.d. branches: every i.i.d. pair set starts from
-# its system's `initial_law` (`System.iid_block`), the invariant law, so L = 1
+# its system's `initial_law` (`System.iid_slices`), the invariant law, so L = 1
 L_IID = 1.0
 
 

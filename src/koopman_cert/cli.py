@@ -2,10 +2,10 @@
 
 Subcommands: simulate, estimate, variance, bounds, study.  Exit codes:
 0 success; 2 for a ConfigError (the input is at fault, including its
-subclasses NonErgodicChain and UnsupportedSystem) or an --out that cannot
-be written, which is checked before any sampling; 3 for any other
-KoopmanCertError (a numerical failure).  JSON output writes null for a
-missing (non-finite) value.
+subclasses NonErgodicChain and UnsupportedSystem), an --out that cannot
+be written, which is checked before any sampling, or a run that does not
+fit in memory; 3 for any other KoopmanCertError (a numerical failure).
+JSON output writes null for a missing (non-finite) value.
 """
 
 import argparse
@@ -253,6 +253,9 @@ def main(argv=None):
         if exc.filename is None:
             raise
         print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=_sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: the requested run does not fit in memory ({exc})", file=_sys.stderr)
         return 2
 
 

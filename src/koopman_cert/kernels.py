@@ -110,13 +110,13 @@ def _jumps(succ, step, k):
             (1, step, one.reshape(-1, n * n)))
 
 
-def chain_paths(table, x0, u, counts=None):
+def chain_paths(tables, x0, u, counts=None):
     """Step a batch of finite-chain trajectories.
 
     Parameters
     ----------
-    table : ChainTables, or the (n, n) float64 row-wise cdf to build them
-        from (see `chain_tables`).
+    tables : ChainTables
+        The chain's step tables (see `chain_tables`).
     x0 : (B,) int64
         Initial states.
     u : (B, m) float64
@@ -131,7 +131,6 @@ def chain_paths(table, x0, u, counts=None):
     mode the (B,) last states.  The successor of state i under the uniform
     v is the first j with v < cdf[i, j].
     """
-    tables = table if isinstance(table, ChainTables) else chain_tables(table)
     x0 = np.asarray(x0, dtype=np.int64)
     u = np.asarray(u, dtype=np.float64)
     if counts is None:
@@ -277,20 +276,14 @@ def pair_counts(xs, ys, n_states, out=None):
     plus out[b, i, j] when `out` is given (and is then `out`).
     """
     xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    B, m = xs.shape
-    n = int(n_states)
-    counts = np.zeros((B, n, n), dtype=np.int64) if out is None else out
-    # chunk over trials to bound the size of the flattened index array
-    rows = max(1, int(2**22) // max(m, 1))
-    for lo in range(0, B, rows):
-        hi = min(lo + rows, B)
-        flat = xs[lo:hi] * n + ys[lo:hi]
-        flat += np.arange(hi - lo, dtype=np.int64)[:, None] * (n * n)
-        counts[lo:hi] += np.bincount(
-            flat.ravel(), minlength=(hi - lo) * n * n
-        ).reshape(hi - lo, n, n)
-    return counts
+    B, n = len(xs), int(n_states)
+    flat = xs * n + np.asarray(ys, dtype=np.int64)
+    flat += np.arange(B, dtype=np.int64)[:, None] * (n * n)
+    counts = np.bincount(flat.ravel(), minlength=B * n * n).reshape(B, n, n)
+    if out is None:
+        return counts
+    out += counts
+    return out
 
 
 def backend_name():

@@ -6,9 +6,11 @@ stream indices, so Monte-Carlo trials can be generated independently, in any
 order, and merged deterministically.
 
 The trial chunk size (`TRIAL_CHUNK`) is part of the output contract, and so
-are the blocks of trials and the time slices in which an ergodic chain
-chunk draws its uniforms (`systems._BLOCK_CELLS`, `systems._STEP_CELLS`):
-changing any of them changes the sampled streams.
+is the slice rule (`systems.block_rows`, `_BLOCK_CELLS`, `_STEP_CELLS`): it
+fixes the blocks and time slices in which an ergodic chain chunk draws its
+uniforms, and the time slices in which other i.i.d. chunks draw their xs,
+then their ys.  Ergodic streams of rotations, noisy maps and SDEs do not
+depend on it: every lag draws for the whole chunk.
 """
 
 import numpy as np

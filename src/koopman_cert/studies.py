@@ -25,6 +25,7 @@ from .systems import (
     CircleRotationSystem,
     FiniteMarkovSystem,
     Regime,
+    block_rows,
     ergodic_chunk,
     iid_chunk,
     wrap_angle,
@@ -48,10 +49,6 @@ def _psi_on_states(dictionary, states):
     B, k = states.shape[:2]
     flat = dictionary.evaluate(states.reshape(B * k, *states.shape[2:]))
     return flat.T.reshape(B, k, -1)
-
-
-# cap on feature-block floats per slice (keeps peak memory ~tens of MB)
-_SLICE_BUDGET = 4_000_000
 
 
 def _gram_errors_block(Chat, Cphat, ref):
@@ -156,9 +153,10 @@ def _trial_grams(sys, dictionary, m, seed, chunk, count, regime):
     that statistic is sampled: chains use transition counts (i.i.d. trials
     draw them from their multinomial law, ergodic trials tally them on
     their trajectories), and ergodic rotations with a Fourier dictionary
-    use phase sums.  Every other case evaluates the dictionary on sampled
-    states (stationary trajectories, or i.i.d. pair sets from the system's
-    `initial_law`) under a fixed memory budget.
+    use phase sums.  Every other case streams sampled states (stationary
+    trajectories, or i.i.d. pair sets from the system's `initial_law`) one
+    time slice of the whole chunk at a time: each slice's dictionary values
+    are evaluated once and its `gram_block` added into the chunk's sums.
     """
     path, _ = _gram_path(sys, dictionary, regime, m)
     if path == "counts":
@@ -170,19 +168,21 @@ def _trial_grams(sys, dictionary, m, seed, chunk, count, regime):
         x0 = sys.initial_law()(rng.stream(seed, chunk), count)
         F = dictionary.metadata["max_freq"]
         G = rotation_phase_means(sys.t0, m, 2 * F)
-        rows = max(1, _SLICE_BUDGET // (2 * F + 1) ** 2)
+        rows = block_rows(count, (2 * F + 1) ** 2)
         for lo in range(0, count, rows):
             yield phase_grams(dictionary, sys.t0, G, x0[lo : lo + rows])
     else:
-        # one (count, m+1) trajectory block, or the (count, m) xs and ys
-        if regime is Regime.ERGODIC:
-            blocks = (ergodic_chunk(sys, m, seed, chunk, count),)
-        else:
-            blocks = iid_chunk(sys, m, seed, chunk, count)
-        rows = max(1, _SLICE_BUDGET // (sum(b.shape[1] for b in blocks) * dictionary.size))
-        for lo in range(0, count, rows):
-            psi = [_psi_on_states(dictionary, b[lo : lo + rows]) for b in blocks]
-            yield gram_block(psi[0][:, :m], psi[-1][:, -m:], m)
+        ergodic = regime is Regime.ERGODIC
+        sample = ergodic_chunk if ergodic else iid_chunk
+        sums = None
+        for states in sample(sys, m, seed, chunk, count, block_rows(m, count * dictionary.size)):
+            if ergodic:
+                psi = _psi_on_states(dictionary, states)
+                grams = gram_block(psi[:, :-1], psi[:, 1:], m)
+            else:
+                grams = gram_block(*(_psi_on_states(dictionary, b) for b in states), m)
+            sums = grams if sums is None else (sums[0] + grams[0], sums[1] + grams[1])
+        yield sums
 
 
 def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime):

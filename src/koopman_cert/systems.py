@@ -6,10 +6,10 @@ iterated maps, and Euler-Maruyama discretizations of SDEs.  A noisy map or
 SDE whose lag is exactly a Gaussian AR(1) step carries that law
 (`GaussianAR1`) and is sampled from it directly; one without a law is
 stepped from its `x0` through a fixed burn-in of `_BURN_IN` lags.  Every
-class implements one protocol (`System`), and every i.i.d. pair set starts
-from the system's own `initial_law`.  `ergodic_chunk` and `iid_chunk` run
-its blocks on explicit seeds, and `sample_ergodic` and `sample_iid` return
-a single trajectory or pair set: the block's one-trial case.
+class implements one protocol (`System`), sampled a time slice at a time,
+and every i.i.d. pair set starts from the system's own `initial_law`.
+`ergodic_chunk` and `iid_chunk` run it on explicit seeds, and
+`sample_ergodic` and `sample_iid` return one trajectory or pair set.
 """
 
 import enum
@@ -80,10 +80,15 @@ def _period(support, levels):
 
 
 class System:
-    """The protocol of a system class, with its defaults.  A class provides
-    `ergodic_block(m, gen, count)`, (count, m+1, ...) stationary states, and
-    `iid_block(m, gen, count)`, the (count, m, ...) xs and ys of count
-    independent sets of m pairs x ~ `initial_law`, y ~ rho(x, .)."""
+    """The protocol of a system class, with its defaults.  A chunk of count
+    trials is sampled one time slice of at most `span` lags at a time:
+    `ergodic_slices(m, gen, count, span)` yields the (count, s+1, ...)
+    stationary states of each slice of s lags, from the last state of the
+    slice before, and `iid_slices` the (count, s, ...) xs and ys of each
+    slice of count sets of m pairs: one `initial_law` draw of count * s,
+    then `successor(xs, gen)`, y ~ rho(x, .) for each x.  Every lag draws
+    for the whole chunk, so ergodic states do not depend on span, and
+    `ergodic_block`, their one slice, is (count, m+1, ...) states."""
 
     def initial_law(self):
         """The i.i.d. start law as a sampler (gen, m) -> m states."""
@@ -96,21 +101,34 @@ class System:
         in the space's coordinates) and optionally nodes and eigs."""
         raise UnsupportedSystem(f"no exact representation for {type(self).__name__}")
 
-    def _starts(self, m, gen, count):
-        """(count, m, ...) states from one `initial_law` draw of count * m."""
-        xs = self.initial_law()(gen, count * m)
-        return xs.reshape((count, m) + xs.shape[1:])
+    def iid_slices(self, m, gen, count, span):
+        law = self.initial_law()
+        # one slice, of no pairs, where m = 0
+        for t in range(0, max(m, 1), span):
+            s = min(span, m - t)
+            xs = law(gen, count * s)
+            shape = (count, s) + xs.shape[1:]
+            yield xs.reshape(shape), self.successor(xs, gen).reshape(shape)
+
+    def ergodic_block(self, m, gen, count):
+        return next(self.ergodic_slices(m, gen, count, max(m, 1)))
 
 
-# An ergodic chain chunk is drawn and stepped in blocks of at most
-# _BLOCK_CELLS // n^2 trials, which bounds a block's (rows, n, n) int64
-# counts near 32 MB, and each block in time slices of _STEP_CELLS (trial,
+# A block holds at most _BLOCK_CELLS cells (`block_rows`), so memory stays
+# bounded whatever m is: a chain chunk's (rows, n, n) counts, a rotation's
+# (rows, d, d) phase sums, a states chunk's (count, span, N) dictionary
+# values.  A chain block is stepped in time slices of _STEP_CELLS (trial,
 # step) cells, or of n^2 steps where that is longer (counting a slice
-# touches all rows * n^2 counts), so memory stays bounded whatever m is.
-# Each slice draws its own (rows, steps) uniforms, so both rules are part of
-# the output contract, like `rng.TRIAL_CHUNK`.
+# touches all rows * n^2 counts).  Each chain slice draws its own uniforms
+# and each i.i.d. slice its own xs: see `rng` for the output contract.
 _BLOCK_CELLS = 4_000_000
 _STEP_CELLS = 1 << 18
+
+
+def block_rows(count, cells):
+    """How many of `count` rows of `cells` cells each one block holds:
+    _BLOCK_CELLS // cells, and at least 1 and at most count."""
+    return max(1, min(_BLOCK_CELLS // cells, count))
 
 
 class FiniteMarkovSystem(System):
@@ -165,10 +183,6 @@ class FiniteMarkovSystem(System):
     def initial_law(self):
         return categorical_sampler(self.pi)
 
-    def _block_rows(self, count):
-        """Trials per block of a chunk of `count`: see `_BLOCK_CELLS`."""
-        return max(1, min(_BLOCK_CELLS // self.n_states**2, count))
-
     @functools.cached_property
     def _tables(self):
         """The chain's `kernels.ChainTables`, built on first sampling: not
@@ -186,7 +200,7 @@ class FiniteMarkovSystem(System):
             raise NonErgodicChain("ergodic sampling requires an ergodic chain")
         n = self.n_states
         x0 = self.initial_law()(gen, count)
-        rows = self._block_rows(count)
+        rows = block_rows(count, n * n)
         span = max(1, _STEP_CELLS // rows, n * n)
         for lo in range(0, count, rows):
             x = x0[lo : lo + rows]
@@ -219,11 +233,8 @@ class FiniteMarkovSystem(System):
             x[:] = kernels.chain_paths(self._tables, x, u, counts=counts)
         yield counts
 
-    def iid_block(self, m, gen, count):
-        xs = self._starts(m, gen, count)
-        u = gen.random((count * m, 1))
-        ys = kernels.chain_paths(self._tables, xs.ravel(), u)[:, 1].reshape(count, m)
-        return xs, ys
+    def successor(self, xs, gen):
+        return kernels.chain_paths(self._tables, xs, gen.random((len(xs), 1)))[:, 1]
 
     def iid_counts(self, m, gen, count):
         """Yield the (rows, n, n) int64 transition counts of count sets of m
@@ -231,7 +242,7 @@ class FiniteMarkovSystem(System):
         one Multinomial(m, pi_i P_ij) draw per trial."""
         n = self.n_states
         law = (self.pi[:, None] * self.transition).ravel()
-        rows = self._block_rows(count)
+        rows = block_rows(count, n * n)
         for lo in range(0, count, rows):
             size = min(rows, count - lo)
             yield gen.multinomial(m, law / law.sum(), size=size).reshape(size, n, n)
@@ -293,13 +304,13 @@ class CircleRotationSystem(System):
     def initial_law(self):
         return lambda gen, m: gen.random(m)
 
-    def ergodic_block(self, m, gen, count):
-        x0 = self.initial_law()(gen, count)
-        return np.mod(x0[:, None] + self.t0 * np.arange(m + 1)[None, :], 1.0)
+    def ergodic_slices(self, m, gen, count, span):
+        x0 = self.initial_law()(gen, count)[:, None]
+        for t in range(0, max(m, 1), span):
+            yield np.mod(x0 + self.t0 * np.arange(t, min(t + span, m) + 1), 1.0)
 
-    def iid_block(self, m, gen, count):
-        xs = self._starts(m, gen, count)
-        return xs, np.mod(xs + self.t0, 1.0)
+    def successor(self, xs, gen):
+        return np.mod(xs + self.t0, 1.0)
 
     def koopman_space(self, dictionary):
         """The Fourier space truncated at twice the dictionary's maximal
@@ -357,7 +368,7 @@ class SteppedSystem(System):
     """A system advanced by its own `step(x, gen)`, y ~ rho(x, .) for a
     batch of states: a noisy map or an SDE.  `law` is the GaussianAR1 one
     step follows exactly, or None; without one there is no i.i.d. start law
-    or exact space, and trajectories are `_stepped_block`s."""
+    or exact space, and trajectories start after a burn-in from `x0`."""
 
     law = None
 
@@ -367,26 +378,38 @@ class SteppedSystem(System):
         sd, dim = math.sqrt(self.law.v), self.state_dim
         return lambda gen, m: sd * gen.standard_normal((m, dim))
 
-    def ergodic_block(self, m, gen, count):
-        """With a law: x_0 ~ N(0, v), then one Gaussian block per lag.
-        Without: `_stepped_block`."""
+    def successor(self, xs, gen):
+        """One lag: with a law, one Gaussian AR(1) step; without, `step`."""
         law = self.law
         if law is None:
-            return _stepped_block(self, m, gen, count)
-        traj = np.empty((count, m + 1, self.state_dim))
-        traj[:, 0] = self.initial_law()(gen, count)
-        sd = math.sqrt(law.v * (1.0 - law.rho**2))
-        for k in range(1, m + 1):
-            xi = gen.standard_normal((count, self.state_dim))
-            traj[:, k] = law.rho * traj[:, k - 1] + sd * xi
-        return traj
+            return self.step(xs, gen)
+        return law.rho * xs + math.sqrt(law.v * (1.0 - law.rho**2)) * gen.standard_normal(xs.shape)
 
-    def iid_block(self, m, gen, count):
-        """x ~ N(0, v), then one Gaussian step; without a law, `initial_law`
-        raises UnsupportedSystem."""
-        xs = self._starts(m, gen, count)
-        rho, v = self.law.rho, self.law.v
-        return xs, rho * xs + math.sqrt(v * (1.0 - rho**2)) * gen.standard_normal(xs.shape)
+    def ergodic_slices(self, m, gen, count, span):
+        """From x_0 ~ N(0, v) with a law, else from x0 after `_BURN_IN` lags."""
+        if self.law is None:
+            lag = _BURN_IN
+            x = self._lags(np.tile(np.atleast_2d(self.x0), (count, 1)), gen, lag, 0)[:, -1]
+        else:
+            lag, x = 0, self.initial_law()(gen, count)
+        for t in range(0, max(m, 1), span):
+            block = self._lags(x, gen, min(span, m - t), lag + t)
+            x = block[:, -1]
+            yield block
+
+    def _lags(self, x, gen, steps, lag):
+        """(count, steps+1, state_dim): x, at lag `lag`, and `steps` lags on.
+        Without a law, raise DomainError at the first lag (counted from x0,
+        burn-in included) with a non-finite state, before stepping it."""
+        out = np.empty((len(x), steps + 1, self.state_dim))
+        for k in range(steps + 1):
+            if k:
+                x = self.successor(x, gen)
+            if self.law is None and not np.isfinite(x).all():
+                raise DomainError(f"non-finite state at lag {lag + k}; "
+                                  f"lags 1..{_BURN_IN} are the burn-in")
+            out[:, k] = x
+        return out
 
     def koopman_space(self, dictionary):
         """For a 1-d law and a monomial(d) dictionary: the polynomials of
@@ -528,16 +551,18 @@ def categorical_sampler(weights):
     return sampler
 
 
-def ergodic_chunk(sys, m, seed, chunk_index, count):
-    """One block of `count` independent stationary trajectories on stream
-    (seed, chunk_index): `sys.ergodic_block`.
+def ergodic_chunk(sys, m, seed, chunk_index, count, span=None):
+    """`count` independent stationary trajectories on stream (seed,
+    chunk_index): the iterator of `sys.ergodic_slices` of `span` lags, or
+    without a span their one slice, `sys.ergodic_block`.
 
     States are (count, m+1) for chains and the circle, and (count, m+1,
     state_dim) for noisy maps and SDEs.  The block is a pure function of
     (seed, chunk_index); Monte-Carlo drivers may therefore evaluate chunks in
     any order or in parallel.
     """
-    return sys.ergodic_block(m, rng.stream(seed, chunk_index), count)
+    gen = rng.stream(seed, chunk_index)
+    return sys.ergodic_slices(m, gen, count, span) if span else sys.ergodic_block(m, gen, count)
 
 
 # burn-in lags of a stepped system without a law, the same at every m; on
@@ -545,33 +570,9 @@ def ergodic_chunk(sys, m, seed, chunk_index, count):
 _BURN_IN = 100
 
 
-def _stepped_block(sys, m, gen, count):
-    """(count, m+1, state_dim) states from x0 after `_BURN_IN` burn-in lags.
-
-    Raise DomainError at the first lag (counted from x0, burn-in included)
-    at which a state has a non-finite coordinate: burn-in lags are checked
-    as they are stepped, the kept lags once the block is done.
-    """
-    x = np.tile(np.atleast_2d(sys.x0), (count, 1))
-    for lag in range(_BURN_IN):
-        if not np.all(np.isfinite(x)):
-            _non_finite(lag)
-        x = sys.step(x, gen)
-    traj = np.empty((count, m + 1, sys.state_dim))
-    traj[:, 0] = x
-    for k in range(1, m + 1):
-        traj[:, k] = x = sys.step(x, gen)
-    finite = np.isfinite(traj).all(axis=(0, 2))
-    if not finite.all():
-        _non_finite(_BURN_IN + int(np.argmin(finite)))
-    return traj
-
-
-def _non_finite(lag):
-    raise DomainError(f"non-finite state at lag {lag}; lags 1..{_BURN_IN} are the burn-in")
-
-
-def iid_chunk(sys, m, seed, chunk_index, count):
-    """One block of `count` independent i.i.d. pair sets on stream (seed,
-    chunk_index): `sys.iid_block`; xs and ys are (count, m, ...)."""
-    return sys.iid_block(m, rng.stream(seed, chunk_index), count)
+def iid_chunk(sys, m, seed, chunk_index, count, span=None):
+    """`count` independent i.i.d. pair sets on stream (seed, chunk_index):
+    the iterator of `sys.iid_slices` of `span` pairs, or without a span
+    their one slice, whose xs and ys are (count, m, ...)."""
+    slices = sys.iid_slices(m, rng.stream(seed, chunk_index), count, span or max(m, 1))
+    return slices if span else next(slices)

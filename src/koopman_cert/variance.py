@@ -109,17 +109,17 @@ def fejer_kernel(m, t):
     Evaluated via F_m(t) = (1/m) (sin(mt/2) / sin(t/2))^2, which equals the
     sum definition; note this is (1/m) (1-cos(mt)) / (1-cos t) *without* an
     outer square on the ratio - squaring the cosine ratio is a tempting
-    transcription slip that does not match the sum.  F_m(0) = m.
+    transcription slip that does not match the sum.  F_m(0) = m, the
+    removable singularity; t is first wrapped to [-pi, pi], where the ratio
+    is accurate at every other t, however small.
     """
     m = int(m)
     t = np.asarray(t, dtype=np.float64)
+    t = t - 2.0 * np.pi * np.round(t / (2.0 * np.pi))
     s = np.sin(t / 2.0)
-    small = np.abs(s) < 1e-9
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.sin(m * t / 2.0) / s
-        vals = ratio * ratio / m
-    # quadratic Taylor expansion around the removable singularity
-    vals = np.where(small, m * (1.0 - (m * m - 1.0) * t * t / 12.0), vals)
+        vals = np.where(s == 0.0, float(m), ratio * ratio / m)
     if vals.ndim == 0:
         return float(vals)
     return vals

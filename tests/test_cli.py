@@ -591,6 +591,17 @@ class TestInputAtFault:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys, command):
+        # 10^12 steps of one trajectory: its 8 TB of states cannot be allocated
+        cfg = {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"}}
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--m", str(10**12),
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "does not fit in memory" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "dictionary",
         [{"kind": "indicator", "n_states": 2}, {"kind": "fourier", "max_freq": 1},

@@ -40,7 +40,7 @@ def _check_counting(cdf, x0, u, n):
     and returns their last states."""
     naive = _naive_paths(cdf, x0, u)
     counts = np.ones((len(x0), n, n), dtype=np.int64)
-    last = kernels.chain_paths(cdf, x0, u, counts=counts)
+    last = kernels.chain_paths(kernels.chain_tables(cdf), x0, u, counts=counts)
     assert np.array_equal(counts - 1, kernels.pair_counts(naive[:, :-1], naive[:, 1:], n))
     assert np.array_equal(last, naive[:, -1])
 
@@ -74,7 +74,7 @@ def test_chain_paths_matches_naive(case):
     B, m, n, zero_frac = CASES[case]
     seed = sorted(CASES).index(case)
     cdf, x0, u, n = _random_inputs(seed, B=B, m=m, n=n, zero_frac=zero_frac)
-    paths = kernels.chain_paths(cdf, x0, u)
+    paths = kernels.chain_paths(kernels.chain_tables(cdf), x0, u)
     assert np.array_equal(paths, _naive_paths(cdf, x0, u))
     assert np.array_equal(paths[:, 0], x0)
     assert paths.size == 0 or (paths.min() >= 0 and paths.max() < n)
@@ -113,7 +113,8 @@ def test_counting_with_tied_and_zero_thresholds(case):
     ties = np.unique(cdf[:, :-1])
     on = g.random(u.shape) < 0.5
     u[on] = g.choice(ties[ties < 1.0], size=on.sum())
-    assert np.array_equal(kernels.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
+    assert np.array_equal(kernels.chain_paths(kernels.chain_tables(cdf), x0, u),
+                          _naive_paths(cdf, x0, u))
     _check_counting(cdf, x0, u, n)
 
 
@@ -155,7 +156,8 @@ def test_uniforms_equal_to_thresholds(n):
     cdf, x0, _, n = _random_inputs(12, B=50, m=30, n=n, zero_frac=0.3)
     ties = np.append(np.unique(cdf[:, :-1]), 0.0)
     u = np.random.default_rng(n).choice(ties[ties < 1.0], size=(50, 30))
-    assert np.array_equal(kernels.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
+    assert np.array_equal(kernels.chain_paths(kernels.chain_tables(cdf), x0, u),
+                          _naive_paths(cdf, x0, u))
 
 
 @pytest.mark.parametrize("B, m", [(120, 7), (20, 30), (50, 50), (5, 40)])
@@ -164,16 +166,17 @@ def test_chain_paths_slices_on_both_axes(monkeypatch, B, m):
     # of whole codes, then one of a code and a one-step tail
     cdf, x0, u, n = _random_inputs(5, B=B, m=m, n=3)
     monkeypatch.setattr(kernels, "_SLICE_CELLS", 50)
-    assert np.array_equal(kernels.chain_paths(cdf, x0, u), _naive_paths(cdf, x0, u))
+    assert np.array_equal(kernels.chain_paths(kernels.chain_tables(cdf), x0, u),
+                          _naive_paths(cdf, x0, u))
     _check_counting(cdf, x0, u, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 12])
 def test_binary_search_matches_table(monkeypatch, n):
     cdf, x0, u, n = _random_inputs(8, B=30, m=25, n=n, zero_frac=0.3)
-    table = kernels.chain_paths(cdf, x0, u)
+    table = kernels.chain_paths(kernels.chain_tables(cdf), x0, u)
     monkeypatch.setattr(kernels, "_TABLE_ENTRIES", 0)
-    assert np.array_equal(kernels.chain_paths(cdf, x0, u), table)
+    assert np.array_equal(kernels.chain_paths(kernels.chain_tables(cdf), x0, u), table)
     assert np.array_equal(table, _naive_paths(cdf, x0, u))
 
 
@@ -193,10 +196,10 @@ def test_chain_paths_memory_bounded(monkeypatch, shape, table_entries, counting)
     x0 = np.zeros(B, dtype=np.int64)
     u = np.random.default_rng(0).random((B, m))
     counts = np.zeros((B, n, n), dtype=np.int64) if counting else None
-    kernels.chain_paths(cdf, x0[:4], u[:4])  # first-call allocations
+    kernels.chain_paths(kernels.chain_tables(cdf), x0[:4], u[:4])  # first-call allocations
     tracemalloc.start()
     try:
-        out = kernels.chain_paths(cdf, x0, u, counts=counts)
+        out = kernels.chain_paths(kernels.chain_tables(cdf), x0, u, counts=counts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -210,7 +213,7 @@ def test_chain_paths_memory_bounded(monkeypatch, shape, table_entries, counting)
 
 def test_pair_counts_matches_naive():
     cdf, x0, u, n = _random_inputs(7, B=8, m=25)
-    paths = kernels.chain_paths(cdf, x0, u)
+    paths = kernels.chain_paths(kernels.chain_tables(cdf), x0, u)
     # an ergodic block (consecutive states) and an i.i.d. block (free pairs)
     iid = np.random.Generator(np.random.Philox(8)).integers(0, n, size=(2,) + u.shape)
     for xs, ys in [(paths[:, :-1], paths[:, 1:]), (iid[0], iid[1])]:
@@ -226,7 +229,7 @@ def test_pair_counts_matches_naive():
 
 def test_pair_counts_adds_into_out():
     cdf, x0, u, n = _random_inputs(9, B=5, m=40)
-    paths = kernels.chain_paths(cdf, x0, u)
+    paths = kernels.chain_paths(kernels.chain_tables(cdf), x0, u)
     out = kernels.pair_counts(paths[:, :-1], paths[:, 1:], n)
     first = kernels.pair_counts(paths[:, :21], paths[:, 1:22], n)
     total = kernels.pair_counts(paths[:, 21:-1], paths[:, 22:], n, out=first)
@@ -236,7 +239,7 @@ def test_pair_counts_adds_into_out():
 
 def test_searchsorted_convention_matches_numpy():
     cdf, x0, u, n = _random_inputs(11, B=16, m=1)
-    nxt = kernels.chain_paths(cdf, x0, u)[:, 1]
+    nxt = kernels.chain_paths(kernels.chain_tables(cdf), x0, u)[:, 1]
     expected = np.array(
         [np.searchsorted(cdf[x0[i]], u[i, 0], side="right") for i in range(len(x0))]
     )

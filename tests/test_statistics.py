@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -214,14 +215,14 @@ class TestErgodicCounts:
         gen, ref_gen = rng.stream(4, 3), rng.stream(4, 3)
         x0 = sys_.initial_law()(ref_gen, count)
         if count == 1:
-            ref = kernels.chain_paths(sys_._cdf, x0, ref_gen.random((1, m)))
+            ref = kernels.chain_paths(kernels.chain_tables(sys_._cdf), x0, ref_gen.random((1, m)))
         else:
             blocks = []
             for lo in range(0, count, 4):
                 block = x0[lo : lo + 4, None]
                 for t in range(0, m, 10):
                     u = ref_gen.random((len(block), min(10, m - t)))
-                    paths = kernels.chain_paths(sys_._cdf, block[:, -1], u)
+                    paths = kernels.chain_paths(kernels.chain_tables(sys_._cdf), block[:, -1], u)
                     block = np.concatenate([block, paths[:, 1:]], axis=1)
                 blocks.append(block)
             ref = np.concatenate(blocks)
@@ -269,81 +270,96 @@ def test_same_bytes_at_one_and_two_threads(system, dictionary, regime):
     assert json.dumps(one) == json.dumps(two)
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-def test_rotation_variance_check_memory_is_bounded_in_m():
-    # golden fourier(4), 200 trials at m = 1e6: streamed, the states alone
-    # would be 200 * 1e6 * 8 bytes.  The peak is VmHWM, the high-water mark
-    # of the child's own memory map; ru_maxrss would also count the forking
-    # test process, whose peak Linux carries across exec.
-    script = """
-import json, time
-start = time.perf_counter()
-from koopman_cert import studies
-golden = {"type": "circle_rotation",
-          "t0": {"form": "quadratic", "a": -1, "b": 1, "c": 2, "d": 5}}
-cfg = studies.StudyConfig(system=golden, dictionary={"kind": "fourier", "max_freq": 4},
-                          m_grid=[1000000], n_trials=200, seed=0)
-rows = studies.run_variance_check(cfg)
+def _child_peak(body):
+    """Run `body` in a fresh interpreter; return the dict it leaves in
+    `result`, with its wall seconds ("s") and peak memory ("peak_mb")
+    added.  The peak is VmHWM, the high-water mark of the child's own
+    memory map; ru_maxrss would also count the forking test process, whose
+    peak Linux carries across exec."""
+    script = "import json, time\nstart = time.perf_counter()\n" + textwrap.dedent(body) + """
 with open("/proc/self/status") as fh:
     hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(json.dumps({"s": time.perf_counter() - start, "peak_mb": hwm_kb / 1024,
-                  "finite": all(v == v for v in rows[0].values())}))
+result.update(s=time.perf_counter() - start, peak_mb=hwm_kb / 1024)
+print(json.dumps(result))
 """
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                reason="needs Linux /proc")
+
+
+@needs_proc
+def test_rotation_variance_check_memory_is_bounded_in_m():
+    # golden fourier(4), 200 trials at m = 1e6: streamed, the states alone
+    # would be 200 * 1e6 * 8 bytes
+    result = _child_peak("""
+        from koopman_cert import studies
+        golden = {"type": "circle_rotation",
+                  "t0": {"form": "quadratic", "a": -1, "b": 1, "c": 2, "d": 5}}
+        cfg = studies.StudyConfig(system=golden, dictionary={"kind": "fourier", "max_freq": 4},
+                                  m_grid=[1000000], n_trials=200, seed=0)
+        rows = studies.run_variance_check(cfg)
+        result = {"finite": all(v == v for v in rows[0].values())}
+    """)
     assert result["finite"]
     assert result["s"] < 20.0, result
     assert result["peak_mb"] < 200.0, result
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@needs_proc
 def test_chain_variance_oracle_memory_is_bounded_in_m():
     # 2-state chain, 256 ergodic trials at m = 2e5: with whole paths the
     # uniforms and states alone would be 256 * 2e5 * 16 bytes, 820 MB
-    script = """
-import json, time
-start = time.perf_counter()
-from koopman_cert import dictionaries, studies, systems, variance
-chain = systems.FiniteMarkovSystem([[0.9, 0.1], [0.2, 0.8]])
-rep = variance.build_rep(chain, dictionaries.indicator(2))
-oracle = studies.montecarlo_variance_oracle(rep, 200000, 256, seed=0)
-with open("/proc/self/status") as fh:
-    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(json.dumps({"s": time.perf_counter() - start, "peak_mb": hwm_kb / 1024,
-                  "var": oracle.var_C_hat}))
-"""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    result = _child_peak("""
+        from koopman_cert import dictionaries, studies, systems, variance
+        chain = systems.FiniteMarkovSystem([[0.9, 0.1], [0.2, 0.8]])
+        rep = variance.build_rep(chain, dictionaries.indicator(2))
+        oracle = studies.montecarlo_variance_oracle(rep, 200000, 256, seed=0)
+        result = {"var": oracle.var_C_hat}
+    """)
     assert result["var"] > 0
     assert result["s"] < 30.0, result
     assert result["peak_mb"] < 120.0, result
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+@needs_proc
 def test_many_state_chain_counts_memory_is_bounded_in_n_trials():
     # 200 states, one 1024-trial ergodic chunk at m = 1000: the counts are
     # tallied in blocks of 100 trials, 32 MB each; the whole chunk's
     # (1024, 200, 200) counts would be 328 MB
-    script = """
-import json
-import numpy as np
-from koopman_cert import dictionaries, rng, studies, systems, variance
-P = rng.stream(11).random((200, 200)) + 0.05
-chain = systems.FiniteMarkovSystem(P / P.sum(axis=1, keepdims=True))
-d = dictionaries.monomial(2)
-ref = studies.exact_reference(variance.build_rep(chain, d).gram)
-errs = studies.mc_trial_errors(chain, d, ref, 1000, 1024, 0, systems.Regime.ERGODIC)
-with open("/proc/self/status") as fh:
-    hwm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(json.dumps({"peak_mb": hwm_kb / 1024, "finite": bool(np.isfinite(errs[0]).all())}))
-"""
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    result = _child_peak("""
+        import numpy as np
+        from koopman_cert import dictionaries, rng, studies, systems, variance
+        P = rng.stream(11).random((200, 200)) + 0.05
+        chain = systems.FiniteMarkovSystem(P / P.sum(axis=1, keepdims=True))
+        d = dictionaries.monomial(2)
+        ref = studies.exact_reference(variance.build_rep(chain, d).gram)
+        errs = studies.mc_trial_errors(chain, d, ref, 1000, 1024, 0, systems.Regime.ERGODIC)
+        result = {"finite": bool(np.isfinite(errs[0]).all())}
+    """)
     assert result["finite"]
+    assert result["peak_mb"] < 250.0, result
+
+
+@needs_proc
+@pytest.mark.parametrize("regime", ["ergodic", "iid"])
+def test_ou_variance_oracle_memory_is_bounded_in_m(regime):
+    # OU with monomial(2), 256 trials at m = 1e5: the states path holds one
+    # time slice of the chunk at a time.  The whole chunk's states and
+    # dictionary values peaked at 332 MB (ergodic) and 624 MB (i.i.d.)
+    result = _child_peak(f"""
+        from koopman_cert import config, dictionaries, studies, systems, variance
+        ou = config.system_from_config({{"type": "sde", "model": "ornstein_uhlenbeck",
+                                         "rate": 10.0, "lag": 0.1, "integrator_dt": 0.01}})
+        rep = variance.build_rep(ou, dictionaries.monomial(2))
+        oracle = studies.montecarlo_variance_oracle(rep, 100000, 256, seed=0,
+                                                    regime=systems.Regime("{regime}"))
+        result = {{"var": oracle.var_C_hat}}
+    """)
+    assert result["var"] > 0
+    assert result["s"] < 30.0, result
     assert result["peak_mb"] < 250.0, result

@@ -246,6 +246,53 @@ class TestOneSamplerPerRegime:
             systems.sample_iid(two_state_chain, 0)
 
 
+SLICED = {
+    "ou_law": lambda: config.system_from_config(OU),
+    "double_well": lambda: config.system_from_config({"type": "sde", "model": "double_well"}),
+    "circle": golden_rotation,
+}
+
+
+class TestTimeSlices:
+    """A chunk is sampled one time slice at a time; ergodic states do not
+    depend on the span, and i.i.d. slices each draw their xs, then ys."""
+
+    @pytest.mark.parametrize("kind", sorted(SLICED))
+    @pytest.mark.parametrize("span", [1, 7, 30])
+    def test_joined_ergodic_slices_are_the_block(self, kind, span):
+        sys, m, count = SLICED[kind](), 30, 4
+        block = sys.ergodic_block(m, rng.stream(2, 5), count)
+        slices = list(sys.ergodic_slices(m, rng.stream(2, 5), count, span))
+        assert len(slices) == -(-m // span)
+        # each slice starts at the last state of the slice before
+        for a, b in zip(slices, slices[1:]):
+            assert np.array_equal(a[:, -1], b[:, 0])
+        joined = np.concatenate([slices[0]] + [s[:, 1:] for s in slices[1:]], axis=1)
+        assert joined.tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize("kind", ["ou_law", "circle"])
+    def test_iid_slices_draw_xs_then_ys(self, kind):
+        sys, count = SLICED[kind](), 3
+        (xs, ys), (xs2, ys2) = sys.iid_slices(9, rng.stream(1), count, 5)
+        gen = rng.stream(1)
+        for x, y, s in ((xs, ys, 5), (xs2, ys2, 4)):
+            law = sys.initial_law()(gen, count * s)
+            assert np.array_equal(x, law.reshape(x.shape))
+            assert np.array_equal(y, sys.successor(law, gen).reshape(y.shape))
+
+    def test_non_finite_lag_in_a_later_slice(self):
+        # x -> 2x from 1 first overflows at lag 1024, in the fourth slice of
+        # 300 kept lags; the slices before it are yielded
+        sys = systems.NoisyMapSystem(lambda x: 2.0 * x, lambda g, s: np.zeros(s), 1,
+                                     x0=[1.0])
+        slices = sys.ergodic_slices(1000, rng.stream(0), 3, 300)
+        with np.errstate(over="ignore"):
+            assert [next(slices)[0, 0, 0] for _ in range(3)] == [2.0**100, 2.0**400,
+                                                                 2.0**700]
+            with pytest.raises(DomainError, match=r"lag 1024;"):
+                next(slices)
+
+
 class TestIidSampling:
     def test_joint_law(self, two_state_chain):
         m = 10**5

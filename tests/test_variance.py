@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,24 @@ class TestFejerKernel:
         for m in [3, 9]:
             ts = np.linspace(-np.pi, np.pi, 101)
             assert np.all(variance.fejer_kernel(m, ts) >= -1e-12)
+
+    @pytest.mark.parametrize("m, t, value", [(10**10, 1e-9, 3.678e8), (10**12, 1.5e-9, 9.869e5)])
+    def test_small_angle_at_large_m(self, m, t, value):
+        # |sin(t/2)| < 1e-9, but m t is not small: a Taylor expansion in t
+        # about 0 is far off here (it gave -7.3e10 and -1.9e17)
+        ratio = math.sin(m * t / 2) / math.sin(t / 2)
+        assert variance.fejer_kernel(m, t) == pytest.approx(ratio**2 / m, rel=1e-12)
+        assert variance.fejer_kernel(m, t) == pytest.approx(value, rel=1e-3)
+
+    @pytest.mark.parametrize("m", [10**4, 10**6])
+    def test_periodic_near_two_pi(self, m):
+        # m t / 2 rounds before the sine near t = 2 pi k, where sin(t/2) is
+        # small too; unwrapped, F_m(2 pi) read 1573 at m = 1e4 and 3.3e6 at 1e6
+        for k in (1, -3):
+            for t in (0.0, 1e-9, -2e-7):
+                got = variance.fejer_kernel(m, 2 * np.pi * k + t)
+                assert got == pytest.approx(variance.fejer_kernel(m, t), rel=1e-6)
+        assert variance.fejer_kernel(m, 2 * np.pi) == m
 
 
 class TestFejerVariance:
