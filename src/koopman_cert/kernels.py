@@ -1,14 +1,17 @@
 """The hot kernels: batched finite-chain stepping and transition counts.
 
 Every Monte-Carlo run steps its chains through `chain_paths`, on the step
-tables `chain_tables` builds once per chain.  In paths mode it returns the
-states.  In counting mode (`counts=`) it adds each trajectory's transition
-counts into an array and returns only the last states: a chain whose rank
-alphabet is small (see `_JUMP_ENTRIES`) is then stepped k steps per gather
-through k-step jump tables, which also hold the k steps' counts, so no path
-is formed; any other chain is stepped one step per gather and its paths are
-counted with `pair_counts`.  Callers use the functions as module
-attributes.  All are pure numpy.
+tables `chain_tables` builds once per chain, over uniform draws.  A chain
+whose rank alphabet is small (see `_JUMP_ENTRIES`) has k-step jump tables:
+one uniform then draws a whole code of k steps from an alias table of the
+codes' law (Walker's method), stepped by one add and one gather.  Every
+other draw, past a row's codes or of a chain without jump tables, is one
+step, stepped by its rank.  In paths mode `chain_paths` returns the states,
+which the jump tables hold for each code.  In counting mode (`counts=`) it
+adds each trajectory's transition counts into an array and returns only
+the last states: the jump tables hold each code's counts, so no path is
+formed, and a chain without them has its paths counted with `pair_counts`.
+Callers use the functions as module attributes.  All are pure numpy.
 """
 
 from typing import NamedTuple
@@ -17,24 +20,28 @@ import numpy as np
 
 
 # Chains are stepped in slices of at most _SLICE_CELLS (trajectory, step)
-# cells.  A cell costs at most 48 bytes of buffers (rank, next state, a bool,
-# the flat index, and searchsorted's result and copy of the uniforms), so
-# the memory above the output array stays under 48 * _SLICE_CELLS bytes plus
-# the step tables, whatever B and m are.  Small slices also stay in cache.
-# Counting mode holds no states: a cell costs a one-byte rank, a bool and,
-# per k steps, an 8-byte code and the code's n^2 uint8 counts, under 48
-# bytes for every chain that has jump tables, plus the (rows, n^2) int64 sum
-# of a slice's counts, no larger than those rows of `counts`.
+# cells, a code of k steps counting k.  A step costs at most 48 bytes of
+# buffers (rank, next state, a bool, the flat index, and searchsorted's
+# result and copy of the uniforms; in counting mode the entry, a bool and
+# its n^2 uint8 counts), and a code 33 bytes (its scaled uniform, accept,
+# truncation and entry, and a bool) and its k uint8 states or n^2 counts:
+# at most 58 bytes, under 30 a step.  So the memory above the output array
+# stays under 48 * _SLICE_CELLS bytes plus the tables, whatever B and m
+# are, plus in counting mode the (rows, n^2) uint32 sum of a slice's counts
+# (at most _SLICE_CELLS a row), no larger than those rows of `counts`.
+# Small slices also stay in cache.
 _SLICE_CELLS = 1 << 15
 
 # The successor table has n * (K + 1) entries for K distinct thresholds, up
 # to n**3; past this many entries the same step function is binary-searched.
 _TABLE_ENTRIES = 1 << 18
 
-# The jump tables of k steps and of one step hold n * w**k and n * w states
-# for w = K + 1 ranks, each with its n^2 counts; k is the largest that keeps
-# all n * (n^2 + 1) * (w**k + w) entries within this budget (k = 7 for two
-# states).  A chain whose budget allows only k = 1 has no jump tables.
+# The jump tables of k steps and of one step hold, for w = K + 1 ranks,
+# n * w**k and n * w entries of a state and its n^2 counts, plus the k
+# states of each k-step entry and an alias pair per code; k is the largest
+# that keeps them all (`_jump_entries`) within this budget: 7 for two
+# states, 2 for five.  A chain whose budget allows only k = 1 has no jump
+# tables.
 _JUMP_ENTRIES = 1 << 16
 
 # A one-state chain has one rank, so its tables fit the budget at any k.
@@ -52,11 +59,19 @@ class ChainTables(NamedTuple):
     q: np.ndarray  # the distinct inner thresholds, sorted
     step: np.ndarray  # successor * w by i * w + rank, or None: search `keys`
     keys: np.ndarray
-    jumps: tuple  # ((k, jump, moves), (1, jump, moves)), or () for none
+    jumps: tuple  # ((k, jump, moves), (1, step, moves)), or () for none
+    path: np.ndarray = None  # (n * w**k, k) uint8: the states of each jump
+    accept: np.ndarray = None  # (w**k,) alias table of the codes' law
+    alias: np.ndarray = None
 
     @property
     def w(self):
         return len(self.q) + 1
+
+    @property
+    def k(self):
+        """Steps per code: 1 for a chain without jump tables."""
+        return self.jumps[0][0] if self.jumps else 1
 
 
 def chain_tables(cdf):
@@ -68,9 +83,11 @@ def chain_tables(cdf):
     its rank r = #{q <= v} among the distinct inner thresholds q.  With w =
     len(q) + 1 ranks, `step[i * w + r]` is that successor times w, so a step
     is one add and one gather.  k steps of ranks r_0..r_{k-1} form one code
-    c = sum_j r_j w**j; each (k, jump, moves) of `jumps` holds, at i * w**k
-    + c, the state after those k steps times w**k (`jump`) and their n^2
-    transition counts (`moves`, uint8).
+    c = sum_j r_j w**j.  The jump tables hold, at i * w**k + c, the states
+    of those k steps from i (`path`), the last one times w**k (`jump`) and
+    their n^2 transition counts (`moves`, uint8).  A rank does not depend on
+    the state and has the law p = diff([0, q, 1]), so a code has the product
+    law prod_j p[r_j], which `accept` and `alias` draw (see `_alias`).
     """
     cdf = np.ascontiguousarray(cdf, dtype=np.float64)
     n = cdf.shape[0]
@@ -89,28 +106,97 @@ def chain_tables(cdf):
     succ = np.repeat(np.tile(np.arange(n, dtype=np.int64), n), np.diff(bounds, axis=1).ravel())
     step = succ * w
     k = 1
-    while k < _MAX_JUMP and n * (n * n + 1) * (w ** (k + 1) + w) <= _JUMP_ENTRIES:
+    while k < _MAX_JUMP and _jump_entries(n, w, k + 1) <= _JUMP_ENTRIES:
         k += 1
-    return ChainTables(n, q, step, None, _jumps(succ.reshape(n, w), step, k) if k > 1 else ())
-
-
-def _jumps(succ, step, k):
-    """The (k, jump, moves) tables of k steps and of one step, from the (n,
-    w) successors and the one-step table.  A code c = r_0 + w c' takes state
-    i by rank r_0 to succ[i, r_0], and the k-1 steps of code c' from there."""
-    n, w = succ.shape
-    one = np.zeros((n, w, n * n), np.uint8)
-    one[np.arange(n)[:, None], np.arange(w), np.arange(n)[:, None] * n + succ] = 1
-    state, moves = succ, one
+    if k == 1:
+        return ChainTables(n, q, step, None, ())
+    succ = succ.reshape(n, w)
+    path, moves = _jump_tables(succ, k)
+    # a uniform's rank has the law p whatever the state (a threshold past 1,
+    # from round-off, is never reached)
+    p = np.diff(np.clip(np.concatenate([[0.0], q, [1.0]]), 0.0, 1.0))
+    law = p
     for _ in range(k - 1):
-        # [i, r_0, c'] -> [i, c', r_0], whose flat index is i * w**k + c
-        state = state[succ].transpose(0, 2, 1).reshape(n, -1)
-        moves = (moves[succ] + one[:, :, None]).transpose(0, 2, 1, 3).reshape(n, -1, n * n)
-    return ((k, state.ravel() * w**k, moves.reshape(-1, n * n)),
-            (1, step, one.reshape(-1, n * n)))
+        law = np.multiply.outer(p, law).ravel()
+    jumps = ((k, path[-1] * w**k, moves), (1, step, _jump_tables(succ, 1)[1]))
+    return ChainTables(n, q, step, None, jumps, np.ascontiguousarray(path.T, dtype=np.uint8),
+                       *_alias(law))
 
 
-def chain_paths(tables, x0, u, counts=None):
+def _jump_entries(n, w, k):
+    """The entries of the jump tables of k steps and of one step: n^2
+    counts and a state per (state, code), k states per k-step (state,
+    code) and an alias pair per code."""
+    return n * (n * n + 1) * (w**k + w) + (n * k + 2) * w**k
+
+
+def _jump_tables(succ, k):
+    """The (k, n * w**k) states and (n * w**k, n^2) uint8 transition counts
+    of the k steps of each code c from each state i, at i * w**k + c, from
+    the (n, w) successors: step j of code c takes rank c // w**j % w."""
+    n, w = succ.shape
+    N = w**k
+    succ = succ.ravel()
+    path = np.empty((k, n * N), dtype=np.int64)
+    moves = np.zeros(n * N * n * n, dtype=np.uint8)
+    base = np.arange(n * N) * (n * n)
+    cur = np.repeat(np.arange(n), N)
+    code = np.tile(np.arange(N), n)
+    for j in range(k):
+        nxt = succ.take(cur * w + code % w)
+        moves[base + cur * n + nxt] += 1
+        path[j] = cur = nxt
+        code //= w
+    return path, moves.reshape(n * N, n * n)
+
+
+def _alias(law):
+    """Walker's alias table (accept, alias) of the probability vector `law`
+    of N entries: for i uniform on 0..N-1 and f uniform on [0, 1), i if f <
+    accept[i], else alias[i], has the law `law`.
+
+    Built in one sweep: with s = N law, each entry below 1 (a small) is
+    topped up by the large (s >= 1) whose surplus s - 1, laid end to end
+    in order, holds the point where the smalls' deficits 1 - s, laid end
+    to end, reach it.  A large whose surplus runs out tops up the rest of
+    the small that passes it, and is topped up by the next large in turn.
+    So only larges are aliases and a zero entry is a small with accept 0.
+    The largest entry comes last, so the round-off of sum(s) = N lands
+    where it is smallest relative to the entry, and the running sums are
+    split into exact multiples of 2**-20 and small remainders, so their
+    differences keep the precision of the entries (within 1e-13 relative).
+    """
+    N = len(law)
+    s = law * (N / law.sum())
+    top = np.argmax(s)
+    small = s < 1.0
+    small[top] = False
+    S, L = np.flatnonzero(small), np.flatnonzero(~small)
+    L = np.append(L[L != top], top)
+    Dh, Dl = _running_sums(1.0 - s[S])
+    Eh, El = _running_sums(s[L] - 1.0)
+    D, E = Dh + Dl, Eh + El
+    accept, alias = np.ones(N), np.arange(N)
+    accept[S] = s[S]
+    before = np.concatenate([[0.0], D[:-1]])
+    alias[S] = L[np.minimum(E.searchsorted(before, "left"), len(L) - 1)]
+    # large j runs out within the first small whose deficits pass E[j]
+    i = D.searchsorted(E[:-1], "right")
+    j = np.flatnonzero(i < len(D))
+    i = i[j]
+    accept[L[j]] = np.clip(1.0 - ((Dh[i] - Eh[j]) + (Dl[i] - El[j])), 0.0, 1.0)
+    alias[L[j]] = L[j + 1]
+    return accept, alias
+
+
+def _running_sums(x):
+    """cumsum(x) as (hi, lo): the exact running sums of x rounded to
+    multiples of 2**-20 (exact while below 2**32), and of the remainders."""
+    hi = np.round(x * 2.0**20) / 2.0**20
+    return np.cumsum(hi), np.cumsum(x - hi)
+
+
+def chain_paths(tables, x0, u, counts=None, codes=0):
     """Step a batch of finite-chain trajectories.
 
     Parameters
@@ -119,37 +205,112 @@ def chain_paths(tables, x0, u, counts=None):
         The chain's step tables (see `chain_tables`).
     x0 : (B,) int64
         Initial states.
-    u : (B, m) float64
-        Uniform draws in [0, 1), one per step per trajectory.
+    u : (B, d) float64
+        Uniform draws in [0, 1): the first `codes` of each row each draw
+        one code of k steps, and the rest each draw one step.
     counts : (B, n, n) C-contiguous int64, optional
         Counting mode: add the transition counts of each trajectory into
         `counts` instead of returning its states.
+    codes : int
+        How many draws of each row are codes; 0 for a chain without jump
+        tables.
 
     Returns
     -------
-    (B, m+1) int64 array of states, whose column 0 equals x0; in counting
-    mode the (B,) last states.  The successor of state i under the uniform
-    v is the first j with v < cdf[i, j].
+    (B, m+1) int64 array of states, m = codes * k + d - codes steps, whose
+    column 0 equals x0; in counting mode the (B,) last states.  Under a
+    step's uniform v the successor of state i is the first j with v <
+    cdf[i, j]; a code's uniform v draws the code floor(N v) for N = w**k,
+    or its alias where the fraction N v - floor(N v) is not below its
+    accept, and its k states are the jump tables'.
     """
     x0 = np.asarray(x0, dtype=np.int64)
     u = np.asarray(u, dtype=np.float64)
+    if codes and not tables.jumps:
+        raise ValueError("only a chain with jump tables steps codes")
     if counts is None:
-        return _paths(tables, x0, u)
+        head = codes * tables.k
+        paths = np.empty((len(x0), head + u.shape[1] - codes + 1), dtype=np.int64)
+        paths[:, 0] = x0
+        if codes:
+            _walk(tables, x0.copy(), u[:, :codes], tables.jumps[0], paths=paths)
+        _steps(tables, u[:, codes:], paths[:, head:])
+        return paths
+    if not counts.flags.c_contiguous:
+        raise ValueError("counts must be C-contiguous: it is added into in place")
     if not tables.jumps:
-        paths = _paths(tables, x0, u)
+        paths = chain_paths(tables, x0, u)
         pair_counts(paths[:, :-1], paths[:, 1:], tables.n, out=counts)
         return paths[:, -1].copy()
-    return _count(tables, x0, u, counts)
+    last = x0.copy()
+    _walk(tables, last, u[:, :codes], tables.jumps[0], counts=counts)
+    _walk(tables, last, u[:, codes:], tables.jumps[1], counts=counts)
+    return last
 
 
-def _paths(tables, x0, u):
-    """The (B, m+1) states, one add and one gather (or search) per step."""
+def _walk(tables, x, u, jumps, paths=None, counts=None):
+    """Step the states x in place over the (B, c) draws u through `jumps`,
+    one (steps, jump, moves) of `tables.jumps`: each draw is a code of k
+    steps (`_draw`) or the rank of one step, and costs one add and one
+    gather.  The visited entries i * w**steps + code then give, per time
+    slice, each code's k states (into paths[:, 1:]) or the counts."""
+    B, c = u.shape
+    if B == 0 or c == 0:
+        return
+    steps, jump, moves = jumps
+    N = tables.w**steps
+    cells = max(1, _SLICE_CELLS // steps)
+    rows = min(B, cells)
+    span = min(c, cells // rows)
+    code = np.empty((span, rows), dtype=np.int64)
+    hit = np.empty((span, rows), dtype=bool)
+    if steps > 1:
+        # `_draw`'s scaled uniforms, their accepts and their truncations
+        scratch = (np.empty((span, rows)), np.empty((span, rows)),
+                   np.empty((span, rows), dtype=np.int64))
+    flat = None if counts is None else counts.reshape(B, -1)
+    for lo in range(0, B, rows):
+        hi = min(lo + rows, B)
+        cur = x[lo:hi] * N
+        for t0 in range(0, c, span):
+            t1 = min(t0 + span, c)
+            # time-major slice: row t holds draw t0 + t of every trajectory
+            sl = np.s_[: t1 - t0, : hi - lo]
+            ct, ut = code[sl], u[lo:hi, t0:t1].T
+            if steps > 1:
+                _draw(tables, ut, ct, hit[sl], *(a[sl] for a in scratch))
+            else:
+                _ranks(tables.q, ut, ct, hit[sl])
+            for cc in ct:
+                np.add(cur, cc, out=cc)
+                jump.take(cc, out=cur, mode="clip")
+            if flat is None:
+                states = tables.path.take(ct.T, axis=0)
+                paths[lo:hi, 1 + t0 * steps : 1 + t1 * steps] = states.reshape(hi - lo, -1)
+            else:
+                flat[lo:hi] += moves.take(ct, axis=0).sum(axis=0, dtype=np.uint32)
+        np.floor_divide(cur, N, out=x[lo:hi])
+
+
+def _draw(tables, u, out, hit, v, cut, idx):
+    """out[...] = the codes the uniforms u draw from the alias table: i =
+    floor(N u), kept where N u - i < accept[i], else alias[i]."""
+    accept = tables.accept
+    np.multiply(u, len(accept), out=v)
+    np.copyto(idx, v, casting="unsafe")
+    v -= idx
+    np.less(v, accept.take(idx, out=cut, mode="clip"), out=hit)
+    tables.alias.take(idx, out=out, mode="clip")
+    np.copyto(out, idx, where=hit)
+
+
+def _steps(tables, u, paths):
+    """Fill paths[:, 1:] from paths[:, 0], one add and one gather (or
+    search) per step by the rank of its uniform in u."""
     B, m = u.shape
     n, q, w, table, keys = tables.n, tables.q, tables.w, tables.step, tables.keys
-    paths = np.empty((B, m + 1), dtype=np.int64)
-    paths[:, 0] = x0
     if B == 0 or m == 0:
-        return paths
+        return
     rows = min(B, _SLICE_CELLS)
     span = min(m, _SLICE_CELLS // rows)
     rank = np.empty((span, rows), dtype=np.int64)
@@ -158,7 +319,7 @@ def _paths(tables, x0, u):
     idx = np.empty(rows, dtype=np.int64)
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
-        cur = x0[lo:hi] * w
+        cur = paths[lo:hi, 0] * w
         ix = idx[: hi - lo]
         for t0 in range(0, m, span):
             t1 = min(t0 + span, m)
@@ -176,65 +337,6 @@ def _paths(tables, x0, u):
                     cur = _search(keys, ix, w, n, out=cur_next)
             np.floor_divide(nx, w, out=r)
             paths[lo:hi, t0 + 1 : t1 + 1] = r.T
-    return paths
-
-
-def _count(tables, x0, u, counts):
-    """Counting mode on the jump tables: each time slice's ranks are folded
-    into codes of k steps, each stepped by one add and one gather, and the
-    slice's last m mod k steps by the one-step table; the counts are the
-    visited entries' `moves`, summed."""
-    B, m = u.shape
-    last = x0.copy()
-    if B == 0 or m == 0:
-        return last
-    if not counts.flags.c_contiguous:
-        raise ValueError("counts must be C-contiguous: it is added into in place")
-    flat = counts.reshape(B, -1)
-    q, w = tables.q, tables.w
-    k = tables.jumps[0][0]
-    rows = min(B, _SLICE_CELLS)
-    span = min(m, _SLICE_CELLS // rows)
-    if k <= span < m:
-        # slices of whole codes leave one-step codes only at the end
-        span -= span % k
-    # trajectory-major ranks, read along the rows of u; w**2 fits the
-    # budget, so a rank fits a byte
-    rank = np.empty((rows, span), dtype=np.uint8)
-    hit = np.empty((rows, span), dtype=bool)
-    for lo in range(0, B, rows):
-        hi = min(lo + rows, B)
-        x = last[lo:hi]
-        for t0 in range(0, m, span):
-            t1 = min(t0 + span, m)
-            r = rank[: hi - lo, : t1 - t0]
-            _ranks(q, u[lo:hi, t0:t1], r, hit[: hi - lo, : t1 - t0])
-            t = 0
-            for steps, jump, moves in tables.jumps:
-                blocks = (t1 - t0 - t) // steps
-                if blocks == 0:
-                    continue
-                codes = _fold(r[:, t : t + blocks * steps], steps, w)
-                scale = w**steps
-                cur = x * scale
-                for c in codes:
-                    np.add(cur, c, out=c)
-                    jump.take(c, out=cur, mode="clip")
-                np.floor_divide(cur, scale, out=x)
-                flat[lo:hi] += moves.take(codes, axis=0).sum(axis=0, dtype=np.int64)
-                t += blocks * steps
-    return last
-
-
-def _fold(r, k, w):
-    """The (blocks, rows) codes sum_j r[:, b k + j] w**j of the (rows, blocks
-    * k) ranks r, by Horner's rule."""
-    r = r.reshape(r.shape[0], -1, k)
-    code = r[:, :, k - 1].T.astype(np.int64, order="C")
-    for j in range(k - 2, -1, -1):
-        code *= w
-        code += r[:, :, j].T
-    return code
 
 
 def _search(keys, idx, w, n, out):

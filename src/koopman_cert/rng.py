@@ -11,6 +11,17 @@ fixes the blocks and time slices in which an ergodic chain chunk draws its
 uniforms, and the time slices in which other i.i.d. chunks draw their xs,
 then their ys.  Ergodic streams of rotations, noisy maps and SDEs do not
 depend on it: every lag draws for the whole chunk.
+
+A chain's draws are uniforms.  A chain with k-step jump tables
+(`kernels.chain_tables`; five states or fewer) draws one uniform per code
+of k steps, which names the code through the alias table of the codes'
+law, and one uniform per step only for the m mod k steps a row has left
+at its end: each time slice spans whole codes and draws its code uniforms
+and then those steps' (`FiniteMarkovSystem._slices`).  So the alias
+table's construction (`kernels._alias`) and the draw (`kernels._draw`)
+are part of the contract too; `test_golden_chain_streams` in
+tests/test_systems.py pins two such streams as literal states.  Any other
+chain draws one uniform per step.
 """
 
 import numpy as np

@@ -119,8 +119,9 @@ class System:
 # (rows, d, d) phase sums, a states chunk's (count, span, N) dictionary
 # values.  A chain block is stepped in time slices of _STEP_CELLS (trial,
 # step) cells, or of n^2 steps where that is longer (counting a slice
-# touches all rows * n^2 counts).  Each chain slice draws its own uniforms
-# and each i.i.d. slice its own xs: see `rng` for the output contract.
+# touches all rows * n^2 counts), cut to whole codes of k steps.  Each
+# chain slice draws its own uniforms and each i.i.d. slice its own xs: see
+# `rng` for the output contract.
 _BLOCK_CELLS = 4_000_000
 _STEP_CELLS = 1 << 18
 
@@ -190,29 +191,36 @@ class FiniteMarkovSystem(System):
         return kernels.chain_tables(self._cdf)
 
     def _slices(self, m, gen, count):
-        """Yield (lo, t, x, u) for each block of trials lo.. and each time
-        slice t..t+s of the block in turn: x holds the block's states at
-        step t, and the caller steps it in place over u, the (rows, s)
-        uniforms the slice draws from `gen`.  The chunk's starts are drawn
-        first.  `ergodic_block` and `ergodic_counts` both step these draws,
-        so both see one stream."""
+        """Yield (lo, t, x, u, codes) for each block of trials lo.. and each
+        time slice t..t+s of the block in turn: x holds the block's states
+        at step t, and the caller steps it in place over u, the draws the
+        slice takes from `gen` in one (rows, codes + s - codes * k) array:
+        for a chain with k-step jump tables, s // k code uniforms, then one
+        uniform for each of the s mod k steps left; for any other chain (k =
+        1, no codes), one uniform per step.  The chunk's starts are drawn
+        first, and a slice spans a multiple of k steps, so only a row's last
+        slice has steps left.  `ergodic_block` and `ergodic_counts` both
+        step these draws, so both see one stream."""
         if not self.is_ergodic:
             raise NonErgodicChain("ergodic sampling requires an ergodic chain")
-        n = self.n_states
+        n, k = self.n_states, self._tables.k
         x0 = self.initial_law()(gen, count)
         rows = block_rows(count, n * n)
         span = max(1, _STEP_CELLS // rows, n * n)
+        span = max(k, span - span % k)
         for lo in range(0, count, rows):
             x = x0[lo : lo + rows]
             # one slice, of no steps, where m = 0
             for t in range(0, max(m, 1), span):
-                yield lo, t, x, gen.random((len(x), min(span, m - t)))
+                s = min(span, m - t)
+                codes = s // k if k > 1 else 0
+                yield lo, t, x, gen.random((len(x), codes + s - codes * k)), codes
 
     def ergodic_block(self, m, gen, count):
         """The (count, m+1) paths, stepped over the draws of `_slices`."""
         out = np.empty((count, m + 1), dtype=np.int64)
-        for lo, t, x, u in self._slices(m, gen, count):
-            paths = kernels.chain_paths(self._tables, x, u)
+        for lo, t, x, u, codes in self._slices(m, gen, count):
+            paths = kernels.chain_paths(self._tables, x, u, codes=codes)
             out[lo : lo + len(x), t : t + paths.shape[1]] = paths
             x[:] = paths[:, -1]
         return out
@@ -225,12 +233,12 @@ class FiniteMarkovSystem(System):
         them, with no paths formed, and otherwise by `kernels.pair_counts`
         on the slice's paths.  `gen` ends where `ergodic_block` leaves it."""
         counts = None
-        for _, t, x, u in self._slices(m, gen, count):
+        for _, t, x, u, codes in self._slices(m, gen, count):
             if t == 0:
                 if counts is not None:
                     yield counts
                 counts = np.zeros((len(x), self.n_states, self.n_states), dtype=np.int64)
-            x[:] = kernels.chain_paths(self._tables, x, u, counts=counts)
+            x[:] = kernels.chain_paths(self._tables, x, u, counts=counts, codes=codes)
         yield counts
 
     def successor(self, xs, gen):
@@ -400,15 +408,17 @@ class SteppedSystem(System):
     def _lags(self, x, gen, steps, lag):
         """(count, steps+1, state_dim): x, at lag `lag`, and `steps` lags on.
         Without a law, raise DomainError at the first lag (counted from x0,
-        burn-in included) with a non-finite state, before stepping it."""
+        burn-in included) with a non-finite state, before stepping it.  A
+        lag that overflows does so silently: that check reports it."""
         out = np.empty((len(x), steps + 1, self.state_dim))
-        for k in range(steps + 1):
-            if k:
-                x = self.successor(x, gen)
-            if self.law is None and not np.isfinite(x).all():
-                raise DomainError(f"non-finite state at lag {lag + k}; "
-                                  f"lags 1..{_BURN_IN} are the burn-in")
-            out[:, k] = x
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps + 1):
+                if k:
+                    x = self.successor(x, gen)
+                if self.law is None and not np.isfinite(x).all():
+                    raise DomainError(f"non-finite state at lag {lag + k}; "
+                                      f"lags 1..{_BURN_IN} are the burn-in")
+                out[:, k] = x
         return out
 
     def koopman_space(self, dictionary):

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from koopman_cert import dictionaries, galerkin, systems, variance
+from koopman_cert import dictionaries, galerkin, kernels, systems, variance
 from koopman_cert.errors import ConfigError
 
 
@@ -23,6 +23,14 @@ def random_ergodic_chain(n, seed):
     g = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
     A = g.random((n, n)) + 0.05
     return systems.FiniteMarkovSystem(A / A.sum(axis=1, keepdims=True))
+
+
+def draw_codes(tables, u):
+    """The codes the uniforms u draw through `kernels`' alias draw."""
+    codes = np.empty(u.shape, dtype=np.int64)
+    kernels._draw(tables, u, codes, np.empty(u.shape, dtype=bool), np.empty(u.shape),
+                  np.empty(u.shape), np.empty(u.shape, dtype=np.int64))
+    return codes
 
 
 @pytest.fixture

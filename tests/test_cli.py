@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -443,6 +444,26 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["regime"] == "ergodic"
+
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_diverging_trajectory_prints_one_line(self, tmp_path, threads):
+        # a double-well of noise 3 and one Euler substep per lag of 2
+        # overflows in its burn-in; numpy's warnings stay off stderr
+        cfg = write_cfg(tmp_path, {
+            "system": {"type": "sde", "model": "double_well", "sigma": 3, "lag": 2,
+                       "integrator_dt": 2},
+            "dictionary": {"kind": "monomial", "degree": 2}, "m_grid": [4, 8],
+            "n_trials": 30, "seed": 3})
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "koopman_cert.cli", "study", "--config", cfg,
+             "--out", str(tmp_path), "--threads", str(threads)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == ("numerical failure: non-finite state at lag 7; "
+                               "lags 1..100 are the burn-in\n")
 
 
 OU_SYSTEM = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,

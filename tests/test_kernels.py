@@ -211,6 +211,147 @@ def test_chain_paths_memory_bounded(monkeypatch, shape, table_entries, counting)
         assert sum(len(jump) + moves.size for _, jump, moves in jumps) <= kernels._JUMP_ENTRIES
 
 
+def _naive_code_paths(cdf, x0, u, codes):
+    """The code draws as step uniforms, stepped one at a time: code uniform v
+    names i = floor(N v), or alias[i] where N v - i is not below accept[i];
+    its ranks r_j = code // w**j % w each step as the uniform q[r_j - 1],
+    the lowest of rank r_j (0 for rank 0)."""
+    tables = kernels.chain_tables(cdf)
+    N, w, k = len(tables.accept), tables.w, tables.k
+    v = u[:, :codes] * N
+    i = v.astype(np.int64)
+    code = np.where(v - i < tables.accept[i], i, tables.alias[i])
+    ranks = code[:, :, None] // w ** np.arange(k) % w
+    lowest = np.concatenate([[0.0], tables.q])
+    steps = np.concatenate([lowest[ranks].reshape(len(u), codes * k), u[:, codes:]], axis=1)
+    # the first j with v < cdf[i, j] is the count of j with cdf[i, j] <= v
+    paths = np.empty((len(u), steps.shape[1] + 1), dtype=np.int64)
+    paths[:, 0] = x0
+    for t, v in enumerate(steps.T):
+        paths[:, t + 1] = (cdf[paths[:, t]] <= v[:, None]).sum(axis=1)
+    return paths
+
+
+def _check_codes(cdf, x0, u, codes):
+    """Paths and counting mode step the codes as `_naive_code_paths` does."""
+    tables = kernels.chain_tables(cdf)
+    naive = _naive_code_paths(cdf, x0, u, codes)
+    paths = kernels.chain_paths(tables, x0, u, codes=codes)
+    assert np.array_equal(paths, naive)
+    n = tables.n
+    counts = np.ones((len(x0), n, n), dtype=np.int64)
+    last = kernels.chain_paths(tables, x0, u, counts=counts, codes=codes)
+    assert np.array_equal(counts - 1, kernels.pair_counts(naive[:, :-1], naive[:, 1:], n))
+    assert np.array_equal(last, naive[:, -1])
+
+
+def _product_law(tables):
+    """prod_j p[r_j] over the ranks r_j of each code, p[r] the measure of
+    the uniforms of rank r: q[r] - q[r-1] within [0, 1]."""
+    w, k = tables.w, tables.k
+    p = np.diff(np.clip(np.concatenate([[0.0], tables.q, [1.0]]), 0.0, 1.0))
+    ranks = np.arange(w**k)[:, None] // w ** np.arange(k) % w
+    return np.prod(p[ranks], axis=1)
+
+
+def _check_alias(tables):
+    """The alias table's implied law is the codes' product law, and a code
+    of no mass is never drawn: accept 0, and no entry's alias."""
+    law = _product_law(tables)
+    accept, alias = tables.accept, tables.alias
+    N = len(law)
+    assert np.all((accept >= 0.0) & (accept <= 1.0))
+    implied = (accept + np.bincount(alias, weights=1.0 - accept, minlength=N)) / N
+    assert np.all(np.abs(implied - law) <= 1e-12 * law)
+    zero = law == 0.0
+    assert np.all(accept[zero] == 0.0)
+    assert not np.isin(alias, np.flatnonzero(zero)).any()
+
+
+def _chain_cdf(P):
+    cdf = np.cumsum(np.asarray(P, dtype=float), axis=1)
+    cdf[:, -1] = np.maximum(cdf[:, -1], 1.0)
+    return cdf
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][2] <= 5))
+def test_code_draws_match_naive(case):
+    B, m, n, zero_frac = CASES[case]
+    cdf, x0, u, n = _random_inputs(sorted(CASES).index(case), B=B, m=m, n=n,
+                                   zero_frac=zero_frac)
+    tables = kernels.chain_tables(cdf)
+    if not tables.jumps:
+        with pytest.raises(ValueError, match="jump tables"):
+            kernels.chain_paths(tables, x0, u, codes=1)
+        return
+    # every draw a code, none, and codes with a few steps left
+    for codes in {m, 0, max(m - 3, 0)}:
+        _check_codes(cdf, x0, u, codes)
+        assert kernels.chain_paths(tables, x0, u, codes=codes).shape == (
+            B, codes * tables.k + m - codes + 1)
+
+
+@pytest.mark.parametrize("case", sorted(TIED))
+def test_code_draws_with_tied_and_zero_thresholds(case):
+    cdf = _chain_cdf(TIED[case])
+    cdf[:, -1] = 1.0
+    tables = kernels.chain_tables(cdf)
+    _check_alias(tables)
+    g = np.random.default_rng(sorted(TIED).index(case))
+    _check_codes(cdf, g.integers(0, len(cdf), size=25), g.random((25, 40)), 37)
+
+
+@pytest.mark.parametrize("B, c", [(120, 3), (20, 30), (5, 40)])
+def test_code_draws_slice_on_both_axes(monkeypatch, B, c):
+    # 50 cells hold 16 codes of 3 steps: slices of whole rows and of codes
+    cdf, x0, u, n = _random_inputs(5, B=B, m=c, n=3)
+    monkeypatch.setattr(kernels, "_SLICE_CELLS", 50)
+    assert kernels.chain_tables(cdf).k == 3
+    _check_codes(cdf, x0, u, c - 1)
+
+
+def test_jump_budget_holds_every_table():
+    # a 5-state chain of 21 distinct thresholds still steps 2 a gather
+    for n, k in [(1, 16), (2, 7), (3, 3), (4, 2), (5, 2)]:
+        cdf = _random_inputs(n, B=1, m=1, n=n)[0]
+        tables = kernels.chain_tables(cdf)
+        assert tables.k == k and tables.w == n * (n - 1) + 1
+        entries = sum(len(jump) + moves.size for _, jump, moves in tables.jumps)
+        entries += tables.path.size + tables.accept.size + tables.alias.size
+        assert entries <= kernels._JUMP_ENTRIES
+        _check_alias(tables)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_alias_law_on_random_chains(seed):
+    """1 to 5 states, with rows that put a threshold at 0 (a zero first
+    entry), at 1 (trailing zeros) and ties across rows."""
+    g = np.random.default_rng(seed)
+    n = seed % 5 + 1
+    P = g.random((n, n)) * (g.random((n, n)) < 0.8)
+    P[:, -1] += P.sum(axis=1) == 0
+    if n > 1 and seed % 3 == 0:
+        P[1] = P[0]
+    P /= P.sum(axis=1, keepdims=True)
+    _check_alias(kernels.chain_tables(_chain_cdf(P)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_code_draws_on_small_chains(n, data):
+    """Small integer weights tie many thresholds and put some at 0 and 1."""
+    weights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n,
+                                          max_size=n * n)), dtype=float).reshape(n, n)
+    weights[:, 0] += weights.sum(axis=1) == 0
+    cdf = _chain_cdf(weights / weights.sum(axis=1, keepdims=True))
+    tables = kernels.chain_tables(cdf)
+    _check_alias(tables)
+    B, c = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 12))
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = g.random((B, c + data.draw(st.integers(0, tables.k - 1))))
+    _check_codes(cdf, g.integers(0, n, size=B), u, c)
+
+
 def test_pair_counts_matches_naive():
     cdf, x0, u, n = _random_inputs(7, B=8, m=25)
     paths = kernels.chain_paths(kernels.chain_tables(cdf), x0, u)

@@ -21,7 +21,7 @@ import pytest
 from koopman_cert import dictionaries, galerkin, kernels, rng, studies, systems, variance
 from koopman_cert.errors import NonErgodicChain
 
-from conftest import golden_rotation, random_ergodic_chain
+from conftest import draw_codes, golden_rotation, random_ergodic_chain
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -206,23 +206,29 @@ class TestErgodicCounts:
 
     @pytest.mark.parametrize("count, m", [(10, 25), (10, 7), (1, 100)])
     def test_draw_order(self, count, m, monkeypatch):
-        # 3 states in blocks of 4 trials step 10 steps a slice, and each
-        # slice of each block is one (rows, steps) draw after the starts.
-        # One trial steps 40 a slice, and its slices draw its whole row
+        # 3 states step 3 steps a code.  In blocks of 4 trials they step 9
+        # steps a slice (10, cut to whole codes), and each slice of each
+        # block is one (rows, draws) draw after the starts: a code uniform
+        # per 3 steps, then one uniform per step of the s mod 3 left, which
+        # only a row's last slice has.  One trial steps 39 a slice, and its
+        # slices draw its whole row: 33 code uniforms, then 1 step's
         monkeypatch.setattr(systems, "_STEP_CELLS", 40)
         monkeypatch.setattr(systems, "_BLOCK_CELLS", 4 * 9)
         sys_ = random_ergodic_chain(3, 7)
+        tables = kernels.chain_tables(sys_._cdf)
+        assert tables.k == 3
         gen, ref_gen = rng.stream(4, 3), rng.stream(4, 3)
         x0 = sys_.initial_law()(ref_gen, count)
         if count == 1:
-            ref = kernels.chain_paths(kernels.chain_tables(sys_._cdf), x0, ref_gen.random((1, m)))
+            ref = kernels.chain_paths(tables, x0, ref_gen.random((1, 34)), codes=33)
         else:
             blocks = []
             for lo in range(0, count, 4):
                 block = x0[lo : lo + 4, None]
-                for t in range(0, m, 10):
-                    u = ref_gen.random((len(block), min(10, m - t)))
-                    paths = kernels.chain_paths(kernels.chain_tables(sys_._cdf), block[:, -1], u)
+                for t in range(0, m, 9):
+                    s = min(9, m - t)
+                    u = ref_gen.random((len(block), s // 3 + s % 3))
+                    paths = kernels.chain_paths(tables, block[:, -1], u, codes=s // 3)
                     block = np.concatenate([block, paths[:, 1:]], axis=1)
                 blocks.append(block)
             ref = np.concatenate(blocks)
@@ -244,6 +250,26 @@ class TestErgodicCounts:
     def test_nonergodic_raises(self):
         with pytest.raises(NonErgodicChain):
             next(systems.FiniteMarkovSystem(np.eye(2)).ergodic_counts(5, rng.stream(0), 2))
+
+
+@pytest.mark.parametrize("P", [[[0.7, 0.3], [0.3, 0.7]],
+                               [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]]],
+                         ids=["two_states", "thresholds_at_0_and_1"])
+def test_alias_codes_follow_the_product_law(P):
+    # 2e6 draws of 3**7 and 5**4 codes, the second with codes of no mass
+    tables = systems.FiniteMarkovSystem(P)._tables
+    w, k = tables.w, tables.k
+    assert (w, k) in [(3, 7), (5, 4)]
+    p = np.diff(np.clip(np.concatenate([[0.0], tables.q, [1.0]]), 0.0, 1.0))
+    law = np.prod(p[np.arange(w**k)[:, None] // w ** np.arange(k) % w], axis=1)
+    draws = 2_000_000
+    seen = np.bincount(draw_codes(tables, rng.stream(5, k).random(draws)).ravel(),
+                       minlength=w**k)
+    assert np.all(seen[law == 0.0] == 0)
+    expected = draws * law[law > 0.0]
+    chi2 = np.sum((seen[law > 0.0] - expected) ** 2 / expected)
+    df = len(expected) - 1
+    assert abs(chi2 - df) <= 4.0 * np.sqrt(2.0 * df), (chi2, df)
 
 
 @pytest.mark.parametrize(

@@ -167,6 +167,31 @@ class TestErgodicSampling:
             systems.sample_ergodic(sys, 10, seed=0)
 
 
+# sample_ergodic(chain, 50, seed=0) as states x_0..x_50: the golden
+# streams of the chain draw contract (`rng`).  The 2-state chain steps 7
+# codes of 7 steps and 1 step left, the 3-state chain (a threshold at 1)
+# 12 codes of 4 steps and 2 steps left.  Any change to the alias table's
+# construction or the draw order moves them.
+GOLDEN_STREAMS = {
+    "two_states": ([[0.7, 0.3], [0.3, 0.7]],
+                   [1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0,
+                    0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1,
+                    1]),
+    "three_states": ([[0.8, 0.2, 0.0], [0.1, 0.8, 0.1], [0.3, 0.0, 0.7]],
+                     [1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 0, 0, 1, 1, 1, 0, 0, 0,
+                      0, 0, 1, 1, 2, 2, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+                      1, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STREAMS))
+def test_golden_chain_streams(name):
+    P, states = GOLDEN_STREAMS[name]
+    pairs = systems.sample_ergodic(systems.FiniteMarkovSystem(P), 50, seed=0)
+    assert pairs.xs.tolist() + [pairs.ys[-1]] == states
+    assert pairs.ys.tolist() == states[1:]
+
+
 def _noisy_linear(A):
     A = np.asarray(A)
     return systems.NoisyMapSystem(lambda x: x @ A.T,
