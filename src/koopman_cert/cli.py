@@ -125,10 +125,8 @@ def cmd_simulate(args):
     path = _out_file(args, f"pairs.{args.format}")
     pairs = _sample(system_from_config(cfg.system), args, cfg.seed)
     if args.format == "csv":
-        lines = ["k,x,y"]
-        for k, (x, y) in enumerate(zip(np.asarray(pairs.xs), np.asarray(pairs.ys))):
-            lines.append(f"{k},{_scalar(x)},{_scalar(y)}")
-        text = "\n".join(lines) + "\n"
+        xs, ys = _rows(pairs.xs), _rows(pairs.ys)
+        text = "".join(["k,x,y\n", *(f"{k},{x},{y}\n" for k, (x, y) in enumerate(zip(xs, ys)))])
         if path:
             with open(path, "w") as fh:
                 fh.write(text)
@@ -152,8 +150,13 @@ def _sample(system, args, seed):
     return sample_iid(system, args.m, seed=seed)
 
 
-def _scalar(v):
-    return ";".join(repr(x) for x in np.ravel(v).tolist())
+def _rows(states):
+    """Each state of an (m,) or (m, state_dim) array as the reprs of its
+    coordinates joined by ';', from one `tolist`."""
+    states = np.asarray(states)
+    if states.ndim == 1:
+        return list(map(repr, states.tolist()))
+    return [";".join(map(repr, row)) for row in states.reshape(len(states), -1).tolist()]
 
 
 def cmd_estimate(args):

@@ -7,7 +7,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericalError
 
 
 class DictionaryKind(enum.Enum):
@@ -29,13 +29,17 @@ class Dictionary:
     def evaluate(self, states):
         """Psi(states) as an (N, m) matrix; column k is Psi(states[k]).
 
-        Scalar states may come as (m,) or (m, 1)."""
+        Scalar states may come as (m,) or (m, 1).  Values that overflow do
+        so silently, and raise NumericalError: no Gram of them is finite."""
         states = np.asarray(states)
         if states.ndim == 2 and states.shape[1] == 1:
             states = states[:, 0]
         if np.issubdtype(states.dtype, np.floating) and not np.all(np.isfinite(states)):
             raise DomainError("states contain non-finite coordinates")
-        out = self._eval(np.atleast_1d(states))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._eval(np.atleast_1d(states))
+        if not np.isfinite(out).all():
+            raise NumericalError(f"{self.kind.value} dictionary values overflow")
         return out
 
 

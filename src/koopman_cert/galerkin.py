@@ -53,11 +53,18 @@ class KoopmanGalerkinMatrix:
 def is_singular(C):
     """The singularity gate: s_min <= SINGULAR_RTOL * s_max.
 
-    C is one matrix or a stack of them (the result is then a boolean array).
-    A zero matrix is singular.
+    C is one symmetric matrix or a stack of them (the result is then a
+    boolean array); every caller passes a mass matrix.  The singular values
+    of a symmetric matrix are the moduli of its eigenvalues, so they come
+    from one batched `eigvalsh`, which reads the lower triangle.  A zero
+    matrix is singular; a non-finite entry anywhere in the stack raises
+    NumericalError, since it has no verdict.
     """
-    s = np.linalg.svd(C, compute_uv=False)
-    return s[..., -1] <= SINGULAR_RTOL * s[..., 0]
+    C = np.asarray(C)
+    if not np.isfinite(C).all():
+        raise NumericalError("mass matrix has non-finite entries")
+    s = np.abs(np.linalg.eigvalsh(C))
+    return s.min(axis=-1) <= SINGULAR_RTOL * s.max(axis=-1)
 
 
 def gram_block(psi_x, psi_y, m):

@@ -118,22 +118,42 @@ def rotation_phase_means(t0, m, Q):
     return np.exp(1j * np.pi * (m - 1) * theta) * ratio
 
 
+def _phase_modes(dictionary, F, t0):
+    """The (2 (2F+1), 2 N^2) real mode matrix of `phase_grams`.
+
+    With A the `_fourier_modes`, M_c = sum_{a+b=c} A_a A_b^T, c = 0..4F
+    (columns a, b of A), and M+_c the same sum with A_b scaled by e^{2 pi i
+    (b-F) t0}.  D(-q) = conj(D(q)) folds mode c = 2F - q into mode 2F + q:
+    row q = 0..2F holds P_q = M_{2F+q} + conj(M_{2F-q}) (P_0 = M_{2F}),
+    flattened, beside the same for M+.  The real matrix stacks Re P over
+    -Im P, so that [Re D, Im D] @ it = Re(D P)."""
+    A = _fourier_modes(dictionary, F)
+    K, N = 2 * F + 1, len(A)
+    shift = np.exp(2j * np.pi * (np.arange(K) - F) * t0)
+    right = np.stack([A.T, A.T * shift[:, None]], axis=1)  # (K, 2, N): A_b, A_b e^{..}
+    M = np.zeros((2 * K - 1, 2, N, N), dtype=complex)
+    for a in range(K):
+        M[a : a + K] += A[:, a, None] * right[:, :, None, :]
+    P = M[2 * F :].copy()
+    P[1:] += np.conj(M[: 2 * F][::-1])
+    P = P.reshape(K, 2 * N * N)
+    return np.concatenate([P.real, -P.imag])
+
+
 def phase_grams(dictionary, t0, G, x0):
     """C_hat and C_hat_plus of a fourier(F) dictionary, psi = A e, on the
     rotation orbits x0 + k t0, k <= m, from the phase means G = G(0..2F) of
-    `rotation_phase_means`: with D(q) = e^{2 pi i q x0} G(q) and H[a, b] =
-    D(a + b), C_hat = Re(A H A^T) (symmetrised) and C_hat_plus =
-    Re(A H diag(e^{2 pi i b t0}) A^T)."""
+    `rotation_phase_means`: with D(q) = e^{2 pi i q x0} G(q), C_hat = Re
+    sum_{a,b} D(a + b - 2F) A_a A_b^T (symmetrised), and C_hat_plus the same
+    with A_b scaled by e^{2 pi i (b-F) t0}.  The sum over a + b = c is the
+    mode matrix of `_phase_modes`, so a block is one real matmul."""
     F = (len(G) - 1) // 2
     D = np.exp(2j * np.pi * np.outer(x0, np.arange(2 * F + 1))) * G
-    # D(-q) = conj(D(q)); columns run over q = -2F..2F
-    D = np.concatenate([np.conj(D[:, :0:-1]), D], axis=1)
-    i = np.arange(2 * F + 1)
-    H = D[:, i[:, None] + i[None, :]]
-    A = _fourier_modes(dictionary, F)
-    shift = np.exp(2j * np.pi * (i - F) * t0)
-    C = (A @ H @ A.T).real
-    return 0.5 * (C + np.swapaxes(C, 1, 2)), (A @ (H * shift) @ A.T).real
+    N = dictionary.size
+    out = (np.concatenate([D.real, D.imag], axis=1)
+           @ _phase_modes(dictionary, F, t0)).reshape(len(x0), 2, N, N)
+    C = out[:, 0]
+    return 0.5 * (C + np.swapaxes(C, 1, 2)), out[:, 1]
 
 
 def _gram_path(sys, dictionary, regime, m):
@@ -473,9 +493,12 @@ def _roundoff_slack(rep, regime, m, n_trials, mc):
     so ||fl(C_hat) - C_hat||_F <= delta = gamma(L + 2) tr(C) (Cauchy-Schwarz
     on the sum of |psi| |psi|^T, tr(C_hat) at its mean), and so is C_plus.
     L is m for sampled states; n_states + 1 for exact integer counts, which
-    weigh each product; 8 size for phases: two chained complex sums over the
-    modes, whose moduli sum to at most 2 tr(C), of Dirichlet means whose
-    error does not grow with m.  A trial's squared error moves by at most
+    weigh each product; 8 size for phases (`phase_grams`), which chain at
+    most 5 size sums: each product of two Fourier modes (DFTs of size terms
+    each) is summed into the mode matrix (at most size terms) and the matmul
+    sums 2 size terms of the Dirichlet means against it.  The products'
+    moduli sum to at most 2 tr(C), and the means' error does not grow with
+    m.  A trial's squared error moves by at most
     2 ||C - C_hat|| delta + delta^2, the mean by 2 sqrt(mc) delta + delta^2;
     the size^2 squares, the sqrt and the mean over trials add a relative
     gamma(size^2 + 3) + gamma(n_trials).  The exact sigma^2 = E + S sums E

@@ -5,9 +5,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from koopman_cert import cli, studies, variance
+from koopman_cert import cli, config, studies, systems, variance
 
 CHAIN_SYSTEM = {"type": "finite_chain", "transition": [[0.7, 0.3], [0.3, 0.7]]}
 
@@ -85,6 +86,26 @@ class TestSimulate:
                 coords = cell.split(";")
                 assert len(coords) == width
                 assert all(repr(float(c)) == c for c in coords)
+
+    @pytest.mark.parametrize("system", [
+        CHAIN_SYSTEM,
+        {"type": "sde", "model": "ornstein_uhlenbeck", "lag": 0.1, "integrator_dt": 0.01},
+        {"type": "noisy_map", "noise_sigma": 0.1,
+         "map": {"name": "linear", "matrix": [[0.5, 0.1], [0.0, 0.3]]}},
+    ], ids=["chain", "sde_1d", "linear_2d"])
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path, system):
+        # the reference formats each state on its own, as a ravel of its
+        # coordinates through `tolist`
+        def per_value(v):
+            return ";".join(repr(x) for x in np.ravel(v).tolist())
+
+        cfg = write_cfg(tmp_path, {"system": system, "seed": 5})
+        out = tmp_path / "pairs.csv"
+        assert cli.main(["simulate", "--config", cfg, "--m", "300", "--out", str(out)]) == 0
+        pairs = systems.sample_ergodic(config.system_from_config(system), 300, seed=5)
+        lines = ["k,x,y"] + [f"{k},{per_value(x)},{per_value(y)}" for k, (x, y)
+                             in enumerate(zip(np.asarray(pairs.xs), np.asarray(pairs.ys)))]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestEstimate:
@@ -464,6 +485,30 @@ class TestEntryPoint:
         assert proc.returncode == 3
         assert proc.stderr == ("numerical failure: non-finite state at lag 7; "
                                "lags 1..100 are the burn-in\n")
+
+    def test_overflowing_dictionary_prints_one_line(self, tmp_path):
+        # monomials of scale 1e200 square to inf on OU states; numpy's
+        # warnings stay off stderr
+        cfg = write_cfg(tmp_path, {
+            "system": OU_SYSTEM, "dictionary": {"kind": "monomial", "degree": 2, "scale": 1e200},
+            "m_grid": [4, 8, 16, 32], "n_trials": 30, "seed": 0})
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "koopman_cert.cli", "study", "--config", cfg,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "numerical failure: monomial dictionary values overflow\n"
+
+    # finite values of 1e199 whose squares overflow in the exact Gram
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_mass_matrix_exit_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {
+            "system": OU_SYSTEM, "dictionary": {"kind": "monomial", "degree": 1, "scale": 1e200},
+            "m_grid": [4, 8, 16, 32], "n_trials": 30, "seed": 0})
+        assert cli.main(["study", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "numerical failure: mass matrix has non-finite entries\n"
 
 
 OU_SYSTEM = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,

@@ -57,8 +57,10 @@ dictionaries = st.one_of(
     st.just({"kind": "indicator"}),
     st.builds(lambda n: {"kind": "indicator", "n_states": n}, st.integers(1, 3)),
     st.builds(lambda F: {"kind": "fourier", "max_freq": F}, st.integers(0, 2)),
+    # scales of 1e100 and up overflow the dictionary values or their Grams
     st.builds(lambda d, s: {"kind": "monomial", "degree": d, "scale": s},
-              st.integers(0, 3), st.floats(0.1, 2.0)),
+              st.integers(0, 3), st.one_of(st.floats(0.1, 2.0),
+                                           st.sampled_from([1e100, 1e160, 1e200, 1e300]))),
     st.builds(lambda n, b, dim: {"kind": "rff", "n_features": n, "bandwidth": b, "dim": dim},
               st.sampled_from([2, 4]), st.floats(0.5, 2.0), st.integers(1, 2)),
 )

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopman_cert import dictionaries, edmd, galerkin, studies, systems, variance
-from koopman_cert.errors import SingularEmpiricalMass, SingularMass
+from koopman_cert.errors import NumericalError, SingularEmpiricalMass, SingularMass
 
 from conftest import IndependenceLevel, check_mu_linear_independence
 
@@ -210,3 +212,41 @@ class TestSingularityGate:
     def test_stack_of_matrices(self):
         stack = np.stack([np.diag([1.0, 1e-11]), np.diag([1.0, 1e-13]), np.zeros((2, 2))])
         assert galerkin.is_singular(stack).tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_a_stack_raises(self, bad):
+        # one bad trial among regular ones has no verdict, and must not pass
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 1, 0] = stack[2, 0, 1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            galerkin.is_singular(stack)
+        with pytest.raises(NumericalError, match="non-finite"):
+            galerkin.is_singular(stack[2])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(0.0, 16.0),
+           st.integers(-100, 100))
+    def test_agrees_with_the_svd_criterion(self, n, seed, cond, exponent):
+        """On symmetric stacks (PSD Grams of every rank, matrices of a drawn
+        condition number, indefinite ones) the verdict equals s_min <=
+        SINGULAR_RTOL s_max from the singular values, wherever s_min / s_max
+        lies outside [1e-13, 1e-11], where round-off may decide either way."""
+        gen = np.random.default_rng(seed)
+        mats = []
+        for rank in range(n + 1):
+            X = gen.standard_normal((n, rank))
+            mats.append(X @ X.T)
+        Q = np.linalg.qr(gen.standard_normal((n, n)))[0]
+        mats.append((Q * np.logspace(-cond, 0, n)) @ Q.T)
+        S = gen.standard_normal((n, n))
+        mats.append(S + S.T)
+        stack = np.stack(mats) * 10.0**exponent
+        stack = 0.5 * (stack + np.swapaxes(stack, 1, 2))
+        s = np.linalg.svd(stack, compute_uv=False)
+        svd_verdict = s[:, -1] <= galerkin.SINGULAR_RTOL * s[:, 0]
+        ratio = np.divide(s[:, -1], s[:, 0], out=np.zeros(len(s)), where=s[:, 0] > 0)
+        decided = (ratio < 1e-13) | (ratio > 1e-11)
+        verdict = galerkin.is_singular(stack)
+        assert np.array_equal(verdict[decided], svd_verdict[decided])
+        for C, v, ok in zip(stack, verdict, decided):
+            assert not ok or bool(galerkin.is_singular(C)) is bool(v)

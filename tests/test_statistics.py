@@ -4,7 +4,8 @@ Ergodic rotations with a Fourier dictionary form C_hat and C_hat_plus from
 phase sums, and i.i.d. chain trials from multinomial transition counts.
 The streamed `gram_block` sum over sampled states stays the naive
 reference for both; past the m a streamed sum reaches, the phase means
-meet a doubling recurrence on exactly reduced phases.  Ergodic chain
+meet a doubling recurrence on exactly reduced phases, and the phase Grams
+meet the triple products over the Hankel matrix of the phase means.  Ergodic chain
 trials tally their transition counts one time slice at a time; the counts
 of their whole paths are the naive reference.
 """
@@ -59,12 +60,43 @@ class TestPhaseSums:
         assert _close(C, C2, scale) and _close(Cp, Cp2, scale)
         assert np.array_equal(C2, np.swapaxes(C2, 1, 2))
 
+    @pytest.mark.parametrize("angle", ["golden", "sqrt2", "third"])
+    @pytest.mark.parametrize("rows", [1, 7, 1024])
+    @pytest.mark.parametrize("F", range(9))
+    def test_match_triple_product(self, angle, rows, F):
+        t0 = ANGLES[angle].t0
+        d = dictionaries.fourier(F)
+        x0 = np.random.default_rng(rows + F).random(rows)
+        for m in (1, 2201):
+            G = studies.rotation_phase_means(t0, m, 2 * F)
+            C, Cp = triple_product_grams(d, t0, G, x0)
+            C2, Cp2 = studies.phase_grams(d, t0, G, x0)
+            scale = max(np.max(np.abs(C)), np.max(np.abs(Cp)))
+            assert np.max(np.abs(C - C2)) <= 1e-14 * scale
+            assert np.max(np.abs(Cp - Cp2)) <= 1e-14 * scale
+
     @pytest.mark.parametrize("angle", ["golden", "sqrt2"])
     @pytest.mark.parametrize("m", [7, 2201, 10**5, 10**7, 10**9])
     def test_match_doubling_recurrence(self, angle, m):
         t0 = ANGLES[angle].t0
         G = studies.rotation_phase_means(t0, m, 16)
         assert np.max(np.abs(G - doubling_phase_means(t0, m, 16))) <= 1e-13
+
+
+def triple_product_grams(dictionary, t0, G, x0):
+    """`phase_grams` as two batched triple products: with D(q) = e^{2 pi i q
+    x0} G(q), q = -2F..2F, and the Hankel matrix H[a, b] = D(a + b - 2F),
+    C_hat = Re(A H A^T) (symmetrised) and C_hat_plus = Re(A H diag(e^{2 pi i
+    (b-F) t0}) A^T)."""
+    F = (len(G) - 1) // 2
+    D = np.exp(2j * np.pi * np.outer(x0, np.arange(2 * F + 1))) * G
+    D = np.concatenate([np.conj(D[:, :0:-1]), D], axis=1)
+    i = np.arange(2 * F + 1)
+    H = D[:, i[:, None] + i[None, :]]
+    A = studies._fourier_modes(dictionary, F)
+    shift = np.exp(2j * np.pi * (i - F) * t0)
+    C = (A @ H @ A.T).real
+    return 0.5 * (C + np.swapaxes(C, 1, 2)), (A @ (H * shift) @ A.T).real
 
 
 def doubling_phase_means(t0, m, Q):
