@@ -77,7 +77,9 @@ def bound_inputs_from_exact(rep, thin_params=None) -> BoundInputs:
     """Assemble BoundInputs from an exact representation (`variance.build_rep`).
 
     thin_params, when given, is the (alpha, theta) of `certify_family`.
+    The singularity gate runs on C before anything is computed from it.
     """
+    norm_Cinv = inv_fro_norm(rep.gram.C)
     phi = phi_function(rep.dictionary)
     norm_phi = math.sqrt(float(np.sum(rep.weights * rep.family["phi"] ** 2)))
     sup_phi = phi.sup_bound
@@ -90,7 +92,7 @@ def bound_inputs_from_exact(rep, thin_params=None) -> BoundInputs:
         r_plus = r_zero = None
     thin = None if thin_params is None else certify_family(rep, *thin_params)
     return BoundInputs(
-        norm_Cinv=inv_fro_norm(rep.gram.C),
+        norm_Cinv=norm_Cinv,
         norm_Cplus=float(np.linalg.norm(rep.gram.Cplus)),
         E_plus=rep.E_plus,
         E_zero=rep.E_zero,

@@ -67,12 +67,14 @@ def is_singular(C):
     return s.min(axis=-1) <= SINGULAR_RTOL * s.max(axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gram_block(psi_x, psi_y, m):
     """C_hat = psi_x^T psi_x / m and C_hat_plus = psi_x^T psi_y / m, batched.
 
     psi_x and psi_y are (B, m, N) dictionary values at the pairs' first and
     second states; the result is two (B, N, N) stacks, each from one batched
-    matmul.  C_hat is symmetrised.
+    matmul.  C_hat is symmetrised.  Sums that overflow are left to the
+    singularity gate, which rejects them, without numpy's warnings.
     """
     xt = np.swapaxes(psi_x, 1, 2)
     C = (xt @ psi_x) / m

@@ -9,9 +9,10 @@ other draw, past a row's codes or of a chain without jump tables, is one
 step, stepped by its rank.  In paths mode `chain_paths` returns the states,
 which the jump tables hold for each code.  In counting mode (`counts=`) it
 adds each trajectory's transition counts into an array and returns only
-the last states: the jump tables hold each code's counts, so no path is
-formed, and a chain without them has its paths counted with `pair_counts`.
-Callers use the functions as module attributes.  All are pure numpy.
+the last states: the jump tables hold each code's counts, so codes form no
+path, and `pair_counts` counts the paths of the single steps, which the
+caller bounds (see `_SLICE_CELLS`).  Callers use the functions as module
+attributes.  All are pure numpy.
 """
 
 from typing import NamedTuple
@@ -22,26 +23,26 @@ import numpy as np
 # Chains are stepped in slices of at most _SLICE_CELLS (trajectory, step)
 # cells, a code of k steps counting k.  A step costs at most 48 bytes of
 # buffers (rank, next state, a bool, the flat index, and searchsorted's
-# result and copy of the uniforms; in counting mode the entry, a bool and
-# its n^2 uint8 counts), and a code 33 bytes (its scaled uniform, accept,
-# truncation and entry, and a bool) and its k uint8 states or n^2 counts:
-# at most 58 bytes, under 30 a step.  So the memory above the output array
-# stays under 48 * _SLICE_CELLS bytes plus the tables, whatever B and m
-# are, plus in counting mode the (rows, n^2) uint32 sum of a slice's counts
-# (at most _SLICE_CELLS a row), no larger than those rows of `counts`.
-# Small slices also stay in cache.
+# result and copy of the uniforms), and a code 33 bytes (its scaled uniform,
+# accept, truncation and entry, and a bool) and its k uint8 states or n^2
+# counts: at most 58 bytes, under 30 a step.  So above the output array the
+# memory stays under 48 * _SLICE_CELLS bytes plus the tables, whatever B and
+# m are, and small slices stay in cache.  Counting mode adds a slice's (rows,
+# n^2) uint32 code counts, no larger than those rows of `counts`, and the
+# (B, d - codes + 1) paths of the single steps with `pair_counts`'
+# temporaries of their size, which `FiniteMarkovSystem._slices` bounds: at
+# most k - 1 steps a row with jump tables, one time slice without.
 _SLICE_CELLS = 1 << 15
 
 # The successor table has n * (K + 1) entries for K distinct thresholds, up
 # to n**3; past this many entries the same step function is binary-searched.
 _TABLE_ENTRIES = 1 << 18
 
-# The jump tables of k steps and of one step hold, for w = K + 1 ranks,
-# n * w**k and n * w entries of a state and its n^2 counts, plus the k
-# states of each k-step entry and an alias pair per code; k is the largest
-# that keeps them all (`_jump_entries`) within this budget: 7 for two
-# states, 2 for five.  A chain whose budget allows only k = 1 has no jump
-# tables.
+# The k-step jump tables hold, for w = K + 1 ranks, n * w**k entries of a
+# state and its n^2 counts, plus the k states of each entry and an alias
+# pair per code; k is the largest that keeps them (`_jump_entries`) within
+# this budget: 7 for two states, 2 for five.  A chain whose budget allows
+# only k = 1 has no jump tables.
 _JUMP_ENTRIES = 1 << 16
 
 # A one-state chain has one rank, so its tables fit the budget at any k.
@@ -59,7 +60,9 @@ class ChainTables(NamedTuple):
     q: np.ndarray  # the distinct inner thresholds, sorted
     step: np.ndarray  # successor * w by i * w + rank, or None: search `keys`
     keys: np.ndarray
-    jumps: tuple  # ((k, jump, moves), (1, step, moves)), or () for none
+    k: int = 1  # steps per code: 1 for a chain without jump tables
+    jump: np.ndarray = None  # (n * w**k,) the state k steps on, times w**k
+    moves: np.ndarray = None  # (n * w**k, n^2) uint8: the counts of each jump
     path: np.ndarray = None  # (n * w**k, k) uint8: the states of each jump
     accept: np.ndarray = None  # (w**k,) alias table of the codes' law
     alias: np.ndarray = None
@@ -67,11 +70,6 @@ class ChainTables(NamedTuple):
     @property
     def w(self):
         return len(self.q) + 1
-
-    @property
-    def k(self):
-        """Steps per code: 1 for a chain without jump tables."""
-        return self.jumps[0][0] if self.jumps else 1
 
 
 def chain_tables(cdf):
@@ -99,7 +97,7 @@ def chain_tables(cdf):
     edges = where.reshape(inner.shape) + 1
     if n * w > _TABLE_ENTRIES:
         keys = (edges + np.arange(n, dtype=np.int64)[:, None] * w).ravel()
-        return ChainTables(n, q, None, keys, ())
+        return ChainTables(n, q, None, keys)
     bounds = np.concatenate(
         [np.zeros((n, 1), np.int64), edges, np.full((n, 1), w, np.int64)], axis=1
     )
@@ -109,24 +107,23 @@ def chain_tables(cdf):
     while k < _MAX_JUMP and _jump_entries(n, w, k + 1) <= _JUMP_ENTRIES:
         k += 1
     if k == 1:
-        return ChainTables(n, q, step, None, ())
-    succ = succ.reshape(n, w)
-    path, moves = _jump_tables(succ, k)
+        return ChainTables(n, q, step, None)
+    path, moves = _jump_tables(succ.reshape(n, w), k)
     # a uniform's rank has the law p whatever the state (a threshold past 1,
     # from round-off, is never reached)
     p = np.diff(np.clip(np.concatenate([[0.0], q, [1.0]]), 0.0, 1.0))
     law = p
     for _ in range(k - 1):
         law = np.multiply.outer(p, law).ravel()
-    jumps = ((k, path[-1] * w**k, moves), (1, step, _jump_tables(succ, 1)[1]))
-    return ChainTables(n, q, step, None, jumps, np.ascontiguousarray(path.T, dtype=np.uint8),
-                       *_alias(law))
+    return ChainTables(n, q, step, None, k, path[-1] * w**k, moves,
+                       np.ascontiguousarray(path.T, dtype=np.uint8), *_alias(law))
 
 
 def _jump_entries(n, w, k):
-    """The entries of the jump tables of k steps and of one step: n^2
-    counts and a state per (state, code), k states per k-step (state,
-    code) and an alias pair per code."""
+    """The entries that set k: n^2 counts and a state per (state, code), k
+    states per (state, code) and an alias pair per code.  The `+ w` term
+    counted a one-step table, which no chain builds any more; it is kept so
+    that no chain's k, and so no chain's draws, move."""
     return n * (n * n + 1) * (w**k + w) + (n * k + 2) * w**k
 
 
@@ -226,48 +223,45 @@ def chain_paths(tables, x0, u, counts=None, codes=0):
     """
     x0 = np.asarray(x0, dtype=np.int64)
     u = np.asarray(u, dtype=np.float64)
-    if codes and not tables.jumps:
+    if codes and tables.jump is None:
         raise ValueError("only a chain with jump tables steps codes")
+    head, tail = codes * tables.k, u.shape[1] - codes
     if counts is None:
-        head = codes * tables.k
-        paths = np.empty((len(x0), head + u.shape[1] - codes + 1), dtype=np.int64)
+        paths = np.empty((len(x0), head + tail + 1), dtype=np.int64)
         paths[:, 0] = x0
         if codes:
-            _walk(tables, x0.copy(), u[:, :codes], tables.jumps[0], paths=paths)
+            _walk(tables, x0.copy(), u[:, :codes], paths=paths)
         _steps(tables, u[:, codes:], paths[:, head:])
         return paths
     if not counts.flags.c_contiguous:
         raise ValueError("counts must be C-contiguous: it is added into in place")
-    if not tables.jumps:
-        paths = chain_paths(tables, x0, u)
-        pair_counts(paths[:, :-1], paths[:, 1:], tables.n, out=counts)
-        return paths[:, -1].copy()
     last = x0.copy()
-    _walk(tables, last, u[:, :codes], tables.jumps[0], counts=counts)
-    _walk(tables, last, u[:, codes:], tables.jumps[1], counts=counts)
-    return last
+    _walk(tables, last, u[:, :codes], counts=counts)
+    if not tail:
+        return last
+    paths = np.empty((len(x0), tail + 1), dtype=np.int64)
+    paths[:, 0] = last
+    _steps(tables, u[:, codes:], paths)
+    pair_counts(paths[:, :-1], paths[:, 1:], tables.n, out=counts)
+    return paths[:, -1].copy()
 
 
-def _walk(tables, x, u, jumps, paths=None, counts=None):
-    """Step the states x in place over the (B, c) draws u through `jumps`,
-    one (steps, jump, moves) of `tables.jumps`: each draw is a code of k
-    steps (`_draw`) or the rank of one step, and costs one add and one
-    gather.  The visited entries i * w**steps + code then give, per time
-    slice, each code's k states (into paths[:, 1:]) or the counts."""
+def _walk(tables, x, u, paths=None, counts=None):
+    """Step the states x in place over the (B, c) code draws u: each draws
+    a code of k steps (`_draw`), which costs one add and one gather through
+    `tables.jump`.  The visited entries i * w**k + code then give, per time
+    slice, each code's k states (into paths[:, 1:]) or their counts."""
     B, c = u.shape
     if B == 0 or c == 0:
         return
-    steps, jump, moves = jumps
-    N = tables.w**steps
-    cells = max(1, _SLICE_CELLS // steps)
+    k, jump, N = tables.k, tables.jump, len(tables.accept)
+    cells = max(1, _SLICE_CELLS // k)
     rows = min(B, cells)
     span = min(c, cells // rows)
     code = np.empty((span, rows), dtype=np.int64)
-    hit = np.empty((span, rows), dtype=bool)
-    if steps > 1:
-        # `_draw`'s scaled uniforms, their accepts and their truncations
-        scratch = (np.empty((span, rows)), np.empty((span, rows)),
-                   np.empty((span, rows), dtype=np.int64))
+    # `_draw`'s accepts, scaled uniforms and their truncations
+    scratch = (np.empty((span, rows), dtype=bool), np.empty((span, rows)),
+               np.empty((span, rows)), np.empty((span, rows), dtype=np.int64))
     flat = None if counts is None else counts.reshape(B, -1)
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
@@ -276,19 +270,16 @@ def _walk(tables, x, u, jumps, paths=None, counts=None):
             t1 = min(t0 + span, c)
             # time-major slice: row t holds draw t0 + t of every trajectory
             sl = np.s_[: t1 - t0, : hi - lo]
-            ct, ut = code[sl], u[lo:hi, t0:t1].T
-            if steps > 1:
-                _draw(tables, ut, ct, hit[sl], *(a[sl] for a in scratch))
-            else:
-                _ranks(tables.q, ut, ct, hit[sl])
+            ct = code[sl]
+            _draw(tables, u[lo:hi, t0:t1].T, ct, *(a[sl] for a in scratch))
             for cc in ct:
                 np.add(cur, cc, out=cc)
                 jump.take(cc, out=cur, mode="clip")
             if flat is None:
                 states = tables.path.take(ct.T, axis=0)
-                paths[lo:hi, 1 + t0 * steps : 1 + t1 * steps] = states.reshape(hi - lo, -1)
+                paths[lo:hi, 1 + t0 * k : 1 + t1 * k] = states.reshape(hi - lo, -1)
             else:
-                flat[lo:hi] += moves.take(ct, axis=0).sum(axis=0, dtype=np.uint32)
+                flat[lo:hi] += tables.moves.take(ct, axis=0).sum(axis=0, dtype=np.uint32)
         np.floor_divide(cur, N, out=x[lo:hi])
 
 

@@ -450,6 +450,7 @@ def run_variance_check(cfg: StudyConfig):
     sys = system_from_config(cfg.system)
     dictionary = dictionary_from_config(cfg.dictionary, system=sys)
     rep = build_rep(sys, dictionary)
+    exact_reference(rep.gram)  # the singularity gate, before any variance
     regime = Regime(cfg.regime)
     rows = []
     for mi, m in enumerate(cfg.m_grid):

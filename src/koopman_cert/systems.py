@@ -229,9 +229,11 @@ class FiniteMarkovSystem(System):
         """Yield the (rows, n, n) int64 transition counts of the trajectories
         `ergodic_block(m, gen, count)` returns, bit for bit, block by block,
         each tallied one time slice at a time by `kernels.chain_paths` in
-        counting mode: through the chain's k-step jump tables where it has
-        them, with no paths formed, and otherwise by `kernels.pair_counts`
-        on the slice's paths.  `gen` ends where `ergodic_block` leaves it."""
+        counting mode: its codes through the chain's k-step jump tables,
+        with no paths formed, and its single steps by `kernels.pair_counts`
+        on their paths, which `_slices` bounds (at most k - 1 steps a row
+        for a chain with jump tables, one time slice for any other).  `gen`
+        ends where `ergodic_block` leaves it."""
         counts = None
         for _, t, x, u, codes in self._slices(m, gen, count):
             if t == 0:

@@ -91,14 +91,6 @@ def mean_power_apply(M, U, m):
     return (S @ U) / m
 
 
-def spectral_gap_of(M):
-    """Distance of 1 from the spectrum of the reduced operator."""
-    lam = np.linalg.eigvals(M)
-    if lam.size == 0:
-        return np.inf
-    return float(np.min(np.abs(1.0 - lam)))
-
-
 # ---------------------------------------------------------------------------
 # Fejer kernel
 # ---------------------------------------------------------------------------
@@ -147,9 +139,11 @@ class KoopmanMatrixRep:
     the rep across threads): `family`, the dictionary's product family
     (`function_family`); `reduced`, the family's g_ij, psi_ij and gs_ij
     stacks in reduced coordinates, one (3, dim-1, N^2) array; `gram`, the
-    exact GramPair with C symmetrised; and `E_plus`, `E_zero`.
+    exact GramPair with C symmetrised; and `E_plus`, `E_zero`.  Overflow is
+    silent, but a Gram pair that is not finite raises the gate's error.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, system, dictionary, K, weights, one, psi, nodes=None, eigs=None):
         self.system = system
         self.dictionary = dictionary
@@ -179,6 +173,8 @@ class KoopmanMatrixRep:
         w = self.psi * weights
         C = w @ self.psi.T
         self.gram = GramPair(0.5 * (C + C.T), w @ (K @ self.psi.T), Provenance("exact"))
+        if not np.isfinite([self.gram.C, self.gram.Cplus]).all():
+            raise NumericalError("mass matrix has non-finite entries")
         self.E_plus, self.E_zero = variance_constants(self)
 
     # -- geometry ---------------------------------------------------------
@@ -202,7 +198,9 @@ class KoopmanMatrixRep:
 
     # -- operators --------------------------------------------------------
     def spectral_gap(self):
-        return spectral_gap_of(self.M)
+        """Distance of 1 from the spectrum of the reduced operator."""
+        lam = np.linalg.eigvals(self.M)
+        return float(np.min(np.abs(1.0 - lam))) if lam.size else np.inf
 
     def resolvent_norms(self):
         """(||(I-K0)^{-1}||, ||K0 (I-K0)^{-1}||) in the weighted operator norm."""
@@ -345,39 +343,20 @@ def exact_variance(rep, m, regime=Regime.ERGODIC) -> VarianceReport:
     )
 
 
-def _family_fejer_forms(rep, vectors_reduced, m):
-    """(ergodic-average form, spectral form) for a stack of reduced vectors."""
-    V = vectors_reduced
-    avg = mean_power_apply(rep.M, V, m)
-    form_avg = float(np.sum(avg * avg))
-    ts, E = rep.eigen_system()
-    proj = E.conj().T @ V  # (n_eigs, n_funcs)
-    weights = np.abs(proj) ** 2
-    form_spec = float(
-        np.sum(fejer_kernel(m, 2.0 * np.pi * ts)[:, None] * weights) / m
-    )
-    return form_avg, form_spec
+def fejer_variance(rep, m) -> VarianceReport:
+    """Unitary-case variances by ergodic averages:
 
-
-def fejer_variance(rep, m, rtol=1e-9) -> VarianceReport:
-    """Unitary-case variances via ergodic averages, cross-checked spectrally.
-
-    E||C_+ - C_hat_plus||^2 = sum_ij ||(1/m) sum_{k<m} K0^k Q g_ij||^2 and
-    the analogous psi_ij expression for C; the spectral evaluation
-    integrates the Fejer kernel against each function's spectral measure.
+    E||C_+ - C_hat_plus||^2 = sum_ij ||(1/m) sum_{k<m} K0^k Q g_ij||^2, and
+    the analogous psi_ij expression for C.  The spectral form, which
+    integrates the Fejer kernel against each function's spectral measure,
+    is the same value; acceptance criterion 2 checks that they agree.
     """
     if not rep.unitary:
         raise NotUnitary("Fejer variance requires a unitary representation")
     m = int(m)
     U, V, _ = rep.reduced
-    var_plus, var_plus_spec = _family_fejer_forms(rep, U, m)
-    var_zero, var_zero_spec = _family_fejer_forms(rep, V, m)
-    for a, b in ((var_plus, var_plus_spec), (var_zero, var_zero_spec)):
-        scale = max(abs(a), abs(b), 1e-300)
-        if abs(a - b) > rtol * scale:
-            raise NumericalError(
-                f"Fejer forms disagree: ergodic-average {a} vs spectral {b}"
-            )
+    plus, zero = mean_power_apply(rep.M, U, m), mean_power_apply(rep.M, V, m)
+    var_plus, var_zero = float(np.sum(plus * plus)), float(np.sum(zero * zero))
     return VarianceReport(
         m, m * var_plus, m * var_zero, rep.E_plus, rep.E_zero, var_plus, var_zero
     )

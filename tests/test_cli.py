@@ -502,13 +502,31 @@ class TestEntryPoint:
         assert proc.stderr == "numerical failure: monomial dictionary values overflow\n"
 
     # finite values of 1e199 whose squares overflow in the exact Gram
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_mass_matrix_exit_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
             "system": OU_SYSTEM, "dictionary": {"kind": "monomial", "degree": 1, "scale": 1e200},
             "m_grid": [4, 8, 16, 32], "n_trials": 30, "seed": 0})
         assert cli.main(["study", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == "numerical failure: mass matrix has non-finite entries\n"
+
+    @pytest.mark.parametrize("command", ["study", "variance", "bounds", "estimate"])
+    @pytest.mark.parametrize("scale", [1e200, 1e120])
+    def test_overflowing_grams_print_one_line(self, tmp_path, scale, command):
+        # finite monomial values whose Grams overflow (1e200), or whose exact
+        # C is singular and whose exact constants overflow (1e120): the gate
+        # speaks first, and numpy's warnings stay off stderr
+        cfg = write_cfg(tmp_path, {
+            "system": OU_SYSTEM, "dictionary": {"kind": "monomial", "degree": 1, "scale": scale},
+            "m_grid": [4, 8, 16, 32], "n_trials": 30, "seed": 0})
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "koopman_cert.cli", command, "--config", cfg,
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("numerical failure: ")
 
 
 OU_SYSTEM = {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0, "lag": 0.1,

@@ -46,8 +46,7 @@ def _check_counting(cdf, x0, u, n):
 
 
 def _steps_per_gather(cdf):
-    jumps = kernels.chain_tables(cdf).jumps
-    return jumps[0][0] if jumps else 1
+    return kernels.chain_tables(cdf).k
 
 
 # (B, m, n, zero_frac): each case selects a distinct branch or edge of the kernel
@@ -125,7 +124,7 @@ def test_counting_without_jump_tables(monkeypatch, case):
     B, m, n, zero_frac = CASES[case]
     cdf, x0, u, n = _random_inputs(4, B=B, m=m, n=n, zero_frac=zero_frac)
     monkeypatch.setattr(kernels, "_JUMP_ENTRIES", 0)
-    assert kernels.chain_tables(cdf).jumps == ()
+    assert kernels.chain_tables(cdf).jump is None
     _check_counting(cdf, x0, u, n)
 
 
@@ -193,22 +192,25 @@ def test_chain_paths_memory_bounded(monkeypatch, shape, table_entries, counting)
         monkeypatch.setattr(kernels, "_TABLE_ENTRIES", table_entries)
     n, B, m = shape
     cdf, x0, _, n = _random_inputs(9, B=1, m=1, n=n)
+    tables = kernels.chain_tables(cdf)
     x0 = np.zeros(B, dtype=np.int64)
-    u = np.random.default_rng(0).random((B, m))
+    # counting draws as `FiniteMarkovSystem._slices` does: m // k codes of k
+    # steps, then the steps left (1,428 codes and 4 steps for m = 10,000)
+    codes = m // tables.k if counting else 0
+    u = np.random.default_rng(0).random((B, codes + m - codes * tables.k))
     counts = np.zeros((B, n, n), dtype=np.int64) if counting else None
-    kernels.chain_paths(kernels.chain_tables(cdf), x0[:4], u[:4])  # first-call allocations
+    kernels.chain_paths(tables, x0[:4], u[:4], codes=codes)  # first-call allocations
     tracemalloc.start()
     try:
-        out = kernels.chain_paths(kernels.chain_tables(cdf), x0, u, counts=counts)
+        out = kernels.chain_paths(kernels.chain_tables(cdf), x0, u, counts=counts, codes=codes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes <= 48 * kernels._SLICE_CELLS
     if counting:
         assert out.shape == (B,) and counts.sum() == B * m
-        jumps = kernels.chain_tables(cdf).jumps
-        assert jumps[0][0] == 7
-        assert sum(len(jump) + moves.size for _, jump, moves in jumps) <= kernels._JUMP_ENTRIES
+        assert tables.k == 7 and codes == 1428
+        assert len(tables.jump) + tables.moves.size <= kernels._JUMP_ENTRIES
 
 
 def _naive_code_paths(cdf, x0, u, codes):
@@ -280,7 +282,7 @@ def test_code_draws_match_naive(case):
     cdf, x0, u, n = _random_inputs(sorted(CASES).index(case), B=B, m=m, n=n,
                                    zero_frac=zero_frac)
     tables = kernels.chain_tables(cdf)
-    if not tables.jumps:
+    if tables.jump is None:
         with pytest.raises(ValueError, match="jump tables"):
             kernels.chain_paths(tables, x0, u, codes=1)
         return
@@ -310,13 +312,50 @@ def test_code_draws_slice_on_both_axes(monkeypatch, B, c):
     _check_codes(cdf, x0, u, c - 1)
 
 
+# k for n states and w ranks, w = 1..n(n-1)+1.  k sets how many uniforms a
+# row draws, so it is part of every chain's stream.  Without
+# `_jump_entries`' `+ w` term, (7, 13) alone would move, from k = 1 to 2.
+PINNED_K = {
+    1: [16],
+    2: [16, 10, 7],
+    3: [16, 10, 6, 5, 4, 4, 3],
+    4: [16, 9, 5, 4, 4, 3, 3, 3, 3, 2, 2, 2, 2],
+    5: [16, 8, 5, 4, 3, 3, 3] + [2] * 14,
+    6: [16, 7, 5, 4, 3, 3] + [2] * 10 + [1] * 15,
+    7: [16, 7, 4, 3, 3] + [2] * 7 + [1] * 31,
+}
+
+
+def _cdf_of_ranks(n, w):
+    """An n-state cdf whose inner entries take w - 1 distinct values."""
+    q = list(np.arange(1, w) / w)
+    inner = np.sort(np.reshape(sorted(q + q[-1:] * (n * (n - 1) - len(q))), (n, n - 1)), axis=1)
+    return np.concatenate([inner, np.ones((n, 1))], axis=1)
+
+
+def test_k_is_pinned():
+    assert PINNED_K[7][13 - 1] == 1
+    for n, ks in PINNED_K.items():
+        assert len(ks) == n * (n - 1) + 1
+        for w, k in enumerate(ks, start=1):
+            # the budget rule, at every (n, w)
+            fits = [j for j in range(2, kernels._MAX_JUMP + 1)
+                    if kernels._jump_entries(n, w, j) <= kernels._JUMP_ENTRIES]
+            assert max(fits, default=1) == k
+            # a chain of two states or more has a threshold, so w >= 2
+            if n == 1 or w > 1:
+                tables = kernels.chain_tables(_cdf_of_ranks(n, w))
+                assert (tables.w, tables.k) == (w, k)
+                assert (tables.jump is None) == (k == 1)
+
+
 def test_jump_budget_holds_every_table():
     # a 5-state chain of 21 distinct thresholds still steps 2 a gather
     for n, k in [(1, 16), (2, 7), (3, 3), (4, 2), (5, 2)]:
         cdf = _random_inputs(n, B=1, m=1, n=n)[0]
         tables = kernels.chain_tables(cdf)
         assert tables.k == k and tables.w == n * (n - 1) + 1
-        entries = sum(len(jump) + moves.size for _, jump, moves in tables.jumps)
+        entries = len(tables.jump) + tables.moves.size
         entries += tables.path.size + tables.accept.size + tables.alias.size
         assert entries <= kernels._JUMP_ENTRIES
         _check_alias(tables)
