@@ -81,7 +81,7 @@ def bound_inputs_from_exact(rep, thin_params=None) -> BoundInputs:
     """
     norm_Cinv = inv_fro_norm(rep.gram.C)
     phi = phi_function(rep.dictionary)
-    norm_phi = math.sqrt(float(np.sum(rep.weights * rep.family["phi"] ** 2)))
+    norm_phi = math.sqrt(float(np.sum(rep.weights * rep.phi ** 2)))
     sup_phi = phi.sup_bound
     if sup_phi is None and rep.nodes is None:
         # values on finitely many states: the sup is a max

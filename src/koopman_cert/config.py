@@ -87,6 +87,16 @@ def _grid(cfg, key):
     return out
 
 
+def _keys(cfg, known, path):
+    """Raise ConfigError naming every key of the object cfg at path that is
+    not in known, the keys read from it."""
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        names = ", ".join(_name(path, k) for k in unknown)
+        raise ConfigError(f"unknown key{'s' if len(unknown) > 1 else ''} {names}; "
+                          f"this {path} takes {', '.join(known)}")
+
+
 def _choice(cfg, key, choices):
     if cfg[key] not in choices:
         raise ConfigError(f"{key} must be one of {list(choices)}, got {cfg[key]!r}")
@@ -98,12 +108,15 @@ def system_from_config(cfg):
         raise ConfigError(f"config needs a 'system' object with a 'type' key, got {cfg!r}")
     kind = cfg["type"]
     if kind == "finite_chain":
+        _keys(cfg, ("type", "transition"), "system")
         return FiniteMarkovSystem(_array(cfg, "transition", "system"))
     if kind == "circle_rotation":
+        _keys(cfg, ("type", "t0"), "system")
         t0 = cfg.get("t0")
         if isinstance(t0, dict):
             if t0.get("form") != "quadratic":
                 raise ConfigError("t0 object must have form='quadratic'")
+            _keys(t0, ("form", "a", "b", "c", "d"), "system.t0")
             return CircleRotationSystem(QuadraticIrrational(
                 *(_number(t0, k, None, "system.t0", int) for k in "abcd")))
         return CircleRotationSystem(_number(cfg, "t0", None, "system"))
@@ -114,11 +127,22 @@ def system_from_config(cfg):
     raise ConfigError(f"unknown system type {kind!r}")
 
 
+# the keys each noisy map, SDE model and dictionary kind reads
+MAP_KEYS = {"logistic": ("name", "r"), "linear": ("name", "matrix")}
+SDE_KEYS = {"ornstein_uhlenbeck": ("rate", "sigma", "state_dim"), "double_well": ("sigma",)}
+DICTIONARY_KEYS = {"indicator": ("n_states",), "fourier": ("max_freq",),
+                   "monomial": ("degree", "scale"),
+                   "rff": ("n_features", "bandwidth", "seed", "dim")}
+
+
 def _noisy_map_from_config(cfg):
+    _keys(cfg, ("type", "map", "noise_sigma", "x0"), "system")
     spec = cfg.get("map", {})
     if not isinstance(spec, dict):
         raise ConfigError(f"system.map must be an object, got {spec!r}")
     name = spec.get("name")
+    if name in MAP_KEYS:
+        _keys(spec, MAP_KEYS[name], "system.map")
     if name == "logistic":
         r = _number(spec, "r", 3.9, "system.map")
 
@@ -159,6 +183,8 @@ def _noisy_map_from_config(cfg):
 
 def _sde_from_config(cfg):
     name = cfg.get("model")
+    if name in SDE_KEYS:
+        _keys(cfg, ("type", "model", "lag", "integrator_dt", *SDE_KEYS[name]), "system")
     if name == "ornstein_uhlenbeck":
         rate = _number(cfg, "rate", 1.0, "system")
         sigma = _number(cfg, "sigma", 1.0, "system")
@@ -206,6 +232,8 @@ def dictionary_from_config(cfg, system=None):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"config needs a 'dictionary' object with a 'kind' key, got {cfg!r}")
     kind = cfg["kind"]
+    if kind in DICTIONARY_KEYS:
+        _keys(cfg, ("kind", *DICTIONARY_KEYS[kind]), "dictionary")
     # chain and circle states are scalars
     state_dim = getattr(system, "state_dim", 1)
     if kind in ("indicator", "fourier", "monomial") and state_dim != 1:
@@ -338,6 +366,7 @@ class BoundsConfig(RunConfig):
             if not isinstance(self.thin, dict):
                 raise ConfigError(f"thin must be an object with numbers alpha and theta, "
                                   f"got {self.thin!r}")
+            _keys(self.thin, ("alpha", "theta"), "thin")
             self.thin = {k: _number(self.thin, k, None, "thin") for k in ("alpha", "theta")}
 
     @property

@@ -67,19 +67,24 @@ def _gram_errors_block(Chat, Cphat, ref):
 
 
 def _indicator_errors(counts, ref, m):
-    """Closed-form indicator estimates from (B, n, n) transition counts."""
+    """Closed-form indicator estimates from (B, n, n) transition counts,
+    each error's squares formed in place in one (B, n, n) buffer."""
     C, Cplus, KV = ref
-    counts = counts.astype(np.float64)
     visits = counts.sum(axis=2)
-    Cp_hat = counts / m
-    err_Cp = np.sqrt(np.sum((Cp_hat - Cplus) ** 2, axis=(1, 2)))
     diag_err = visits / m - np.diag(C)
     err_C = np.sqrt(np.sum(diag_err**2, axis=1))
+    sq = np.divide(counts, m)
+    sq -= Cplus
+    sq *= sq
+    err_Cp = np.sqrt(sq.sum(axis=(1, 2)))
     good = np.all(visits > 0, axis=1)
     err_K = np.full(len(visits), np.nan)
     if np.any(good):
-        Khat = counts[good] / visits[good][:, :, None]
-        err_K[good] = np.sqrt(np.sum((Khat - KV) ** 2, axis=(1, 2)))
+        # rows with an unvisited state keep their C_plus squares, unread
+        np.divide(counts, visits[:, :, None], out=sq, where=good[:, None, None])
+        sq -= KV
+        sq *= sq
+        err_K[good] = np.sqrt(sq.sum(axis=(1, 2)))[good]
     return err_C, err_Cp, err_K
 
 
@@ -502,12 +507,20 @@ def _roundoff_slack(rep, regime, m, n_trials, mc):
     m.  A trial's squared error moves by at most
     2 ||C - C_hat|| delta + delta^2, the mean by 2 sqrt(mc) delta + delta^2;
     the size^2 squares, the sqrt and the mean over trials add a relative
-    gamma(size^2 + 3) + gamma(n_trials).  The exact sigma^2 = E + S sums E
-    and (dim - 1) size^2 products of inner products of length dim - 1: an
-    error of gamma(dim (size^2 + 1)) times their magnitude, taken as |E| +
-    |S| <= 2 |E| + sigma^2 (E the larger of E_zero and E_plus, sigma^2 at m
-    mc; p_m(K0)'s own error, unbounded here, measures far below).  This term
-    dominates on a rotation, where sigma^2 cancels down to O(1/m).
+    gamma(size^2 + 3) + gamma(n_trials).  The exact sigma^2 = E + S is
+    charged an error of gamma(dim (size^2 + 1)) times the magnitude of its
+    terms, taken as |E| + |S| <= 2 |E| + sigma^2 (E the larger of E_zero
+    and E_plus, sigma^2 at m mc; p_m(K0)'s own error, unbounded here,
+    measures far below).  dim (size^2 + 1) is the chain of S summed as N^2
+    inner products of length dim - 1.  `variance` sums S as a trace against
+    a cross-Gram, a chain of size + 2 n + 2 dim + dim (dim - 1) (an N-term
+    Gram on n values, the map back from n nodes, n = 0 on a chain, the
+    reduction to mean-zero coordinates, and the product and sum of
+    (dim - 1) x (dim - 1) matrices).  That is within the charge whenever
+    size^2 >= dim + 3, as for every indicator dictionary and every Fourier
+    dictionary on a circle, but not for a few monomials on a many-state
+    chain.  This term dominates on a rotation, where sigma^2 cancels down
+    to O(1/m).
     """
     u = float(np.finfo(np.float64).eps) / 2
 

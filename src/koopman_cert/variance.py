@@ -8,22 +8,25 @@ to mean-zero functions (K0), the polynomial
 
 and, in the unitary case, the Fejer kernel.  Everything here is evaluated
 exactly on a finite matrix representation.  Both p_m(K0) and the ergodic
-average (1/m) sum_{k<m} K0^k come from one matrix power: for
+average (1/m) sum_{k<m} K0^k come from the power sums S_k = sum_{j<k} K0^j:
+p_m(K0) = (2/m) sum_{k=1}^{m-1} S_k, and the average is S_m / m.  One
+doubling recurrence on d x d blocks gives S_m and sum_{k<m} S_k in
+O(d^3 log m) operations (`_power_sums`).
 
-    T = [[K0, I, 0], [0, I, I], [0, 0, I]],
-
-the top block row of T^m is [K0^m, S_m, sum_{k=1}^{m-1} S_k] with
-S_k = sum_{j<k} K0^j, so p_m(K0) = (2/m) sum_{k=1}^{m-1} S_k.
-
-Only p_m(K0) depends on m.  `build_rep` builds everything else once per
-(system, dictionary) on the system's `koopman_space`: the product family
-psi_i psi_j and psi_i K psi_j with its reduced mean-zero stacks, the exact
-Gram pair C, C_+, and the constants E_0, E_+.
+Only p_m(K0) depends on m.  The variances are sums over the N^2 product
+functions psi_i psi_j and psi_i K psi_j of inner products against p_m(K0);
+the sums are linear, so each equals one trace of p_m(K0) against a
+(d-1) x (d-1) cross-Gram of the product family.  `build_rep` builds
+everything else once per (system, dictionary) on the system's
+`koopman_space`: the three cross-Grams of the product family, the exact
+Gram pair C, C_+, and the constants E_0, E_+.  The product family itself is
+built only when read.
 It is the package's one exact reference for finite chains, Fourier circles
 and monomials on a 1-d Gaussian AR(1) system (Hermite polynomials).  The
 Monte-Carlo oracle that checks these values lives in `studies`.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,26 +58,35 @@ def pm_polynomial(m, z):
 
 
 def _power_sums(M, m):
-    """(S_m, sum_{k=1}^{m-1} S_k) with S_k = sum_{j<k} M^j.
+    """(S_m, sum_{k=1}^{m-1} S_k) with S_k = sum_{j<k} M^j, for m >= 1.
 
-    Both are blocks of one matrix power: for T = [[M, I, 0], [0, I, I],
-    [0, 0, I]], the top block row of T^m is [M^m, S_m, sum_{k<m} S_k]
-    (Van Loan 1978).  The cost is O(d^3 log m) for any M, with or without
-    a spectral gap.
+    Walks the bits of m with (A, S, R) = (M^n, S_n, sum_{k<n} S_k) from
+    n = 1: doubling n uses S_{2n} = S_n + M^n S_n and
+    sum_{k<2n} S_k = R + n S_n + M^n R, and a one bit adds S_{n+1} =
+    S_n + M^n.  This is the top block row of T^m for T = [[M, I, 0],
+    [0, I, I], [0, 0, I]] (Van Loan 1978) without its constant blocks: the
+    cost is O(d^3 log m) for any M, with or without a spectral gap.
     """
-    d = M.shape[0]
-    I = np.eye(d)
-    Z = np.zeros((d, d))
-    T = np.block([[M, I, Z], [Z, I, I], [Z, Z, I]])
-    top = np.linalg.matrix_power(T, int(m))[:d]
-    return top[:, d : 2 * d], top[:, 2 * d :]
+    A, S, R = M, np.eye(M.shape[0]), np.zeros_like(M)
+    n = 1
+    for bit in bin(int(m))[3:]:
+        R = R + n * S + A @ R
+        S = S + A @ S
+        A = A @ A
+        n *= 2
+        if bit == "1":
+            R = R + S
+            S = S + A
+            A = A @ M
+            n += 1
+    return S, R
 
 
 def pm_apply_vectors(M, U, m):
     """Columns of p_m(M) @ U for the reduced mean-zero operator M.
 
-    p_m(M) = (2/m) sum_{k=1}^{m-1} S_k with S_k = sum_{j<k} M^j, which is
-    the (0, 2) block of T^m for the block matrix T of `_power_sums`.
+    p_m(M) = (2/m) sum_{k=1}^{m-1} S_k with S_k = sum_{j<k} M^j
+    (`_power_sums`).
     """
     m = int(m)
     U = np.asarray(U, dtype=np.float64)
@@ -136,11 +148,15 @@ class KoopmanMatrixRep:
     the weighted L2 geometry.
 
     Construction also builds, once and eagerly (the Monte-Carlo pools share
-    the rep across threads): `family`, the dictionary's product family
-    (`function_family`); `reduced`, the family's g_ij, psi_ij and gs_ij
-    stacks in reduced coordinates, one (3, dim-1, N^2) array; `gram`, the
+    the rep across threads): `phi` = sum_i psi_i^2; the three (dim-1) x
+    (dim-1) cross-Grams of the product family in reduced coordinates,
+    `W_plus` = U Us^T, `W_zero` = V V^T and `W_g` = U U^T for the reduced
+    g_ij, psi_ij and gs_ij stacks U, V and Us (dim-1, N^2); `gram`, the
     exact GramPair with C symmetrised; and `E_plus`, `E_zero`.  Overflow is
     silent, but a Gram pair that is not finite raises the gate's error.
+    `family`, the product family itself (`function_family`, N^2 functions
+    on dim coordinates), is built on first read: the spectral certificate
+    reads it, and no variance does.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -166,16 +182,19 @@ class KoopmanMatrixRep:
         self.M = self.B.T @ G @ self.B
         self.unitary = bool(np.linalg.norm(G.T @ G - np.eye(self.dim)) <= UNITARY_TOL)
 
-        self.family = function_family(self)
-        N2 = self.psi.shape[0] ** 2
-        self.reduced = np.stack([self.to_reduced(self.family[key].reshape(N2, self.dim).T)
-                                 for key in ("g_ij", "psi_ij", "gs_ij")])
+        self.phi = sum_of_squares(self)
+        self.W_plus, self.W_zero, self.W_g = cross_grams(self)
         w = self.psi * weights
         C = w @ self.psi.T
         self.gram = GramPair(0.5 * (C + C.T), w @ (K @ self.psi.T), Provenance("exact"))
         if not np.isfinite([self.gram.C, self.gram.Cplus]).all():
             raise NumericalError("mass matrix has non-finite entries")
         self.E_plus, self.E_zero = variance_constants(self)
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def family(self):
+        return function_family(self)
 
     # -- geometry ---------------------------------------------------------
     def norm_sq(self, f):
@@ -272,30 +291,60 @@ def build_rep(sys, dictionary):
     return KoopmanMatrixRep(sys, dictionary, **sys.koopman_space(dictionary))
 
 
+def _values(rep):
+    """psi, K psi and K* psi as (N, n) values on the rep's n points, and the
+    map from values back to natural coordinates (None where coordinates are
+    values, as on a chain)."""
+    psis = rep.psi
+    kpsis = (rep.K @ psis.T).T
+    kstar_psis = (rep.Kstar @ psis.T).T
+    if rep.nodes is None:
+        return psis, kpsis, kstar_psis, None
+    _, E, back = rep.nodes
+    return psis @ E.T, kpsis @ E.T, kstar_psis @ E.T, back
+
+
+def sum_of_squares(rep):
+    """phi = sum_i psi_i^2 in natural coordinates: the diagonal of
+    `function_family`'s psi_ij, summed."""
+    v, _, _, back = _values(rep)
+    squares = v * v
+    return (squares if back is None else squares @ back).sum(axis=0)
+
+
 def function_family(rep):
     """psi_ij = psi_i psi_j, g_ij = psi_i K psi_j, gs[i,j] = psi_j K* psi_i,
-    and phi = sum_j psi_j^2, all in natural coordinates.
+    and phi = sum_j psi_j^2 (`rep.phi`), all in natural coordinates.
 
     Products are pointwise on values.  Chain coordinates are values; other
     reps map coefficients to values at their nodes and back (`rep.nodes`),
     which is exact because the products stay in the rep's space.
     """
-    psis = rep.psi
-    N = psis.shape[0]
-    kpsis = (rep.K @ psis.T).T
-    kstar_psis = (rep.Kstar @ psis.T).T
-    if rep.nodes is None:
-        psi_ij = psis[:, None, :] * psis[None, :, :]
-        g_ij = psis[:, None, :] * kpsis[None, :, :]
-        gs_ij = kstar_psis[:, None, :] * psis[None, :, :]
-    else:
-        _, E, back = rep.nodes
-        v, kv, ksv = psis @ E.T, kpsis @ E.T, kstar_psis @ E.T
-        psi_ij = (v[:, None, :] * v[None, :, :]) @ back
-        g_ij = (v[:, None, :] * kv[None, :, :]) @ back
-        gs_ij = (ksv[:, None, :] * v[None, :, :]) @ back
-    phi = psi_ij.reshape(N * N, rep.dim)[:: N + 1].sum(axis=0)
-    return {"psi": psis, "psi_ij": psi_ij, "g_ij": g_ij, "gs_ij": gs_ij, "phi": phi}
+    v, kv, ksv, back = _values(rep)
+    psi_ij = v[:, None, :] * v[None, :, :]
+    g_ij = v[:, None, :] * kv[None, :, :]
+    gs_ij = ksv[:, None, :] * v[None, :, :]
+    if back is not None:
+        psi_ij, g_ij, gs_ij = psi_ij @ back, g_ij @ back, gs_ij @ back
+    return {"psi": rep.psi, "psi_ij": psi_ij, "g_ij": g_ij, "gs_ij": gs_ij, "phi": rep.phi}
+
+
+def cross_grams(rep):
+    """(W_plus, W_zero, W_g) = (U Us^T, V V^T, U U^T) for the family's g_ij,
+    psi_ij and gs_ij in reduced coordinates, as columns of U, V and Us.
+
+    Each sum over the N^2 pairs ij factors on values into a Hadamard product
+    of N-term Grams, for example sum_ij psi_ij(x) psi_ij(y) =
+    (sum_i psi_i(x) psi_i(y))^2, so no N^2 stack is read.  Nodes map the
+    values' Gram G to natural coordinates as back^T G back.
+    """
+    v, kv, ksv, back = _values(rep)
+    P = v.T @ v
+    grams = ((v.T @ ksv) * (kv.T @ v), P * P, P * (kv.T @ kv))
+    if back is not None:
+        grams = (back.T @ G @ back for G in grams)
+    scale = rep.sqrtw[:, None] * rep.sqrtw[None, :]
+    return tuple(rep.B.T @ (scale * G) @ rep.B for G in grams)
 
 
 @dataclass
@@ -314,7 +363,7 @@ class VarianceReport:
 def variance_constants(rep):
     """E_plus = <K phi, phi> - ||C_+||_F^2 and E_zero = ||phi||^2 - ||C||_F^2."""
     C, Cplus = rep.gram.C, rep.gram.Cplus
-    phi = rep.family["phi"]
+    phi = rep.phi
     E_plus = float(np.sum(rep.weights * (rep.K @ phi) * phi) - np.sum(Cplus * Cplus))
     E_zero = float(np.sum(rep.weights * phi * phi) - np.sum(C * C))
     return E_plus, E_zero
@@ -325,18 +374,19 @@ def exact_variance(rep, m, regime=Regime.ERGODIC) -> VarianceReport:
 
     Under ergodic sampling
     sigma2_plus = E_plus + sum_ij <p_m(K0) Q g_ij, Q g*_ji> and
-    sigma2_zero = E_zero + sum_ij <K0 p_m(K0) Q psi_ij, Q psi_ij>.
-    Under i.i.d. sampling from the invariant law the m summands are
-    independent, so sigma2 = E: the p_m = 0 case.
+    sigma2_zero = E_zero + sum_ij <K0 p_m(K0) Q psi_ij, Q psi_ij>,
+    evaluated as the traces tr(p_m(K0) W_plus) and tr(K0 p_m(K0) W_zero)
+    against the rep's cross-Grams.  Under i.i.d. sampling from the
+    invariant law the m summands are independent, so sigma2 = E: the
+    p_m = 0 case.
     """
     m = int(m)
     if regime is Regime.IID:
         return VarianceReport(m, rep.E_plus, rep.E_zero, rep.E_plus, rep.E_zero,
                               rep.E_plus / m, rep.E_zero / m)
-    U, V, Us = rep.reduced
-    PU, PV = pm_apply_vectors(rep.M, rep.reduced[:2], m)
-    sigma2_plus = rep.E_plus + float(np.sum(PU * Us))
-    sigma2_zero = rep.E_zero + float(np.sum((rep.M @ PV) * V))
+    PW_plus, PW_zero = pm_apply_vectors(rep.M, np.stack([rep.W_plus, rep.W_zero]), m)
+    sigma2_plus = rep.E_plus + float(np.trace(PW_plus))
+    sigma2_zero = rep.E_zero + float(np.sum(rep.M.T * PW_zero))
     return VarianceReport(
         m, sigma2_plus, sigma2_zero, rep.E_plus, rep.E_zero,
         sigma2_plus / m, sigma2_zero / m,
@@ -347,16 +397,17 @@ def fejer_variance(rep, m) -> VarianceReport:
     """Unitary-case variances by ergodic averages:
 
     E||C_+ - C_hat_plus||^2 = sum_ij ||(1/m) sum_{k<m} K0^k Q g_ij||^2, and
-    the analogous psi_ij expression for C.  The spectral form, which
-    integrates the Fejer kernel against each function's spectral measure,
-    is the same value; acceptance criterion 2 checks that they agree.
+    the analogous psi_ij expression for C, each the trace of A W A^T for
+    the average A = (1/m) sum_{k<m} K0^k and the rep's cross-Gram W.  The
+    spectral form, which integrates the Fejer kernel against each
+    function's spectral measure, is the same value; acceptance criterion 2
+    checks that they agree.
     """
     if not rep.unitary:
         raise NotUnitary("Fejer variance requires a unitary representation")
     m = int(m)
-    U, V, _ = rep.reduced
-    plus, zero = mean_power_apply(rep.M, U, m), mean_power_apply(rep.M, V, m)
-    var_plus, var_zero = float(np.sum(plus * plus)), float(np.sum(zero * zero))
+    A = mean_power_apply(rep.M, np.eye(rep.dim - 1), m)
+    var_plus, var_zero = (float(np.sum((A @ W) * A)) for W in (rep.W_g, rep.W_zero))
     return VarianceReport(
         m, m * var_plus, m * var_zero, rep.E_plus, rep.E_zero, var_plus, var_zero
     )

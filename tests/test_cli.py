@@ -149,6 +149,21 @@ class TestEstimate:
         assert lines[0].startswith("note: no exact reference for sde double_well")
         assert "no exact representation" in lines[0]
 
+    def test_singular_exact_mass_matrix_exits_3_before_sampling(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # at scale 1e120 the exact C is singular; the sample would be blamed
+        # for it ("need m >= N") if it were drawn first
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before the exact reference was gated")
+
+        monkeypatch.setattr(cli, "_sample", never)
+        cfg = write_cfg(tmp_path, {"system": OU_SYSTEM, "dictionary": {
+            "kind": "monomial", "degree": 1, "scale": 1e120}})
+        assert cli.main(["estimate", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: exact mass matrix is numerically singular\n"
+
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         # m < N makes the empirical mass matrix singular
         cfg = write_cfg(
@@ -419,28 +434,30 @@ GOLDEN = {"type": "circle_rotation",
 
 
 class TestOneExactReference:
-    """A command builds the product family of its exact representation once,
-    whatever its grid."""
+    """A command builds the product family of its exact representation at
+    most once, whatever its grid: once where it reads the family (the thin
+    spectral certificate), and not at all where it does not (the variances
+    read the rep's cross-Grams and phi)."""
 
     @pytest.mark.parametrize(
-        "command, cfg",
+        "command, cfg, builds",
         [("study", {"system": GOLDEN, "dictionary": {"kind": "fourier", "max_freq": 2},
-                    "m_grid": [10, 20, 40, 80], "n_trials": 30, "seed": 1}),
+                    "m_grid": [10, 20, 40, 80], "n_trials": 30, "seed": 1}, 0),
          ("study", {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
                     "m_grid": [10, 20, 40, 80, 160], "n_trials": 30, "seed": 1,
-                    "tail_epsilon": 1.0, "tail_branch": "ergodic_linear"}),
+                    "tail_epsilon": 1.0, "tail_branch": "ergodic_linear"}, 0),
          ("variance", {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
-                       "m_grid": [8, 16, 32], "n_trials": 30, "seed": 1}),
+                       "m_grid": [8, 16, 32], "n_trials": 30, "seed": 1}, 0),
          ("bounds", {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
                      "branch": "ergodic_linear", "m_grid": [100, 200],
-                     "epsilons": [1.0, 2.0], "n_trials": 30, "seed": 1}),
+                     "epsilons": [1.0, 2.0], "n_trials": 30, "seed": 1}, 0),
          ("bounds", {"system": GOLDEN, "dictionary": {"kind": "fourier", "max_freq": 1},
                      "branch": "ergodic_superlinear", "thin": {"alpha": 1.5, "theta": 0.2},
-                     "m_grid": [100, 300], "epsilons": [1.0], "n_trials": 30, "seed": 1})],
+                     "m_grid": [100, 300], "epsilons": [1.0], "n_trials": 30, "seed": 1}, 1)],
         ids=["rotation_study", "chain_study_with_tail", "variance", "bounds",
              "bounds_thin"],
     )
-    def test_one_family_per_command(self, tmp_path, monkeypatch, command, cfg):
+    def test_one_family_per_command(self, tmp_path, monkeypatch, command, cfg, builds):
         calls = []
         family = variance.function_family
 
@@ -452,7 +469,7 @@ class TestOneExactReference:
         rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
                        "--out", str(tmp_path)])
         assert rc == 0
-        assert len(calls) == 1
+        assert len(calls) == builds
 
 
 class TestEntryPoint:
@@ -783,6 +800,36 @@ class TestMalformedStructure:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and path in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, cfg, path",
+        [("estimate", {"system": {"type": "finite_chain", "transition": [[0.7, 0.3], [0.3, 0.7]],
+                                  "bogus": 1}, "dictionary": {"kind": "indicator"}},
+          "system.bogus"),
+         ("estimate", {"system": {"type": "finite_chain", "transition": [[0.7, 0.3], [0.3, 0.7]]},
+                       "dictionary": {"kind": "indicator", "degre": 3}}, "dictionary.degre"),
+         ("estimate", {"system": dict(OU_SYSTEM, sigmaa=0.2),
+                       "dictionary": {"kind": "monomial", "degree": 2}}, "system.sigmaa"),
+         ("estimate", {"system": {"type": "noisy_map", "noise": 0.1,
+                                  "map": {"name": "linear", "matrix": [[0.5]]}},
+                       "dictionary": {"kind": "monomial", "degree": 2}}, "system.noise"),
+         ("simulate", {"system": {"type": "sde", "model": "double_well", "rate": 1.0}},
+          "system.rate"),
+         ("simulate", {"system": {"type": "noisy_map", "map": {"name": "logistic", "rr": 3}}},
+          "system.map.rr"),
+         ("simulate", {"system": dict(GOLDEN, t0=dict(GOLDEN["t0"], e=1))}, "system.t0.e"),
+         ("bounds", {"system": GOLDEN, "dictionary": {"kind": "fourier", "max_freq": 1},
+                     "branch": "ergodic_kappa_zero", "thin": {"alpha": 1.5, "theta": 0.2,
+                                                             "gamma": 1},
+                     "m_grid": [50], "n_trials": 20}, "thin.gamma")],
+        ids=["chain", "indicator", "ou", "linear_map", "double_well", "logistic_map",
+             "quadratic_t0", "thin"],
+    )
+    def test_unknown_nested_key_exit_2(self, tmp_path, capsys, command, cfg, path):
+        rc = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown key {path}; ") and len(err.splitlines()) == 1
 
     def test_integral_float_and_scalar_x0_accepted(self, tmp_path, capsys):
         system = {"type": "noisy_map", "map": {"name": "logistic"}, "noise_sigma": 0.01,

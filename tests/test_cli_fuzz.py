@@ -1,5 +1,6 @@
 """Property test: every generated config gets exit code 0, 2 or 3 from
-`cli.main`, and never a traceback."""
+`cli.main`, and never a traceback; one with a misspelt system or dictionary
+key gets 2."""
 
 import contextlib
 import io
@@ -35,12 +36,15 @@ circles = st.one_of(
                                   "t0": {"form": "quadratic", "a": a, "b": b, "c": c, "d": d}},
               st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3), st.integers(0, 6)),
 )
-sdes = st.builds(
-    lambda model, rate, sigma, lag, dim: {
-        "type": "sde", "model": model, "rate": rate, "sigma": sigma, "lag": lag,
+sdes = st.one_of(
+    st.builds(lambda rate, sigma, lag, dim: {
+        "type": "sde", "model": "ornstein_uhlenbeck", "rate": rate, "sigma": sigma, "lag": lag,
         "integrator_dt": 0.05, "state_dim": dim},
-    st.sampled_from(["ornstein_uhlenbeck", "double_well"]), st.floats(0.0, 50.0),
-    st.floats(0.0, 2.0), st.sampled_from([0.05, 0.1]), st.integers(1, 2),
+        st.floats(0.0, 50.0), st.floats(0.0, 2.0), st.sampled_from([0.05, 0.1]),
+        st.integers(1, 2)),
+    st.builds(lambda sigma, lag: {
+        "type": "sde", "model": "double_well", "sigma": sigma, "lag": lag, "integrator_dt": 0.05},
+        st.floats(0.0, 2.0), st.sampled_from([0.05, 0.1])),
 )
 noisy_maps = st.one_of(
     st.builds(lambda r, sigma, x0: {"type": "noisy_map", "noise_sigma": sigma, "x0": x0,
@@ -107,29 +111,55 @@ def drawn_keys(draw, good, bad):
     return {k: v for k, v in keys.items() if not k.startswith("--")}, argv
 
 
+def misspell(draw, obj):
+    """A copy of obj with one key misspelt, by a letter dropped or doubled;
+    half the time the key is one of a nested object (a quadratic `t0`, a
+    `map`) where obj has one."""
+    obj = dict(obj)
+    nested = [k for k, v in obj.items() if isinstance(v, dict)]
+    if nested and draw(st.booleans()):
+        key = draw(st.sampled_from(nested))
+        obj[key] = misspell(draw, obj[key])
+        return obj
+    key = draw(st.sampled_from(sorted(obj)))
+    i = draw(st.integers(0, len(key) - 1))
+    typo = key[:i] + key[i + 1:] if draw(st.booleans()) else key[:i] + key[i] + key[i:]
+    obj[typo] = obj.pop(key)
+    return obj
+
+
 @st.composite
 def runs(draw):
-    """(argv after the config path, config) for one small CLI run."""
+    """(argv after the config path, config, whether a system or dictionary
+    key is misspelt) for one small CLI run."""
     system = draw(st.one_of(chains(), circles, sdes, noisy_maps))
-    cfg = {"system": system, "dictionary": draw(dictionaries), "seed": draw(st.integers(0, 9))}
+    dictionary = draw(dictionaries)
+    typo = draw(st.sampled_from([None, None, None, "system", "dictionary"]))
+    if typo == "system":
+        system = misspell(draw, system)
+    elif typo == "dictionary":
+        dictionary = misspell(draw, dictionary)
+    cfg = {"system": system, "dictionary": dictionary, "seed": draw(st.integers(0, 9))}
     command = draw(st.sampled_from(["simulate", "estimate", "variance", "bounds", "study"]))
+    # `simulate` never builds the dictionary
+    typo = typo if (typo, command) != ("dictionary", "simulate") else None
     regime = draw(st.sampled_from(["ergodic", "iid"]))
     if command in ("simulate", "estimate"):
         _, argv = drawn_keys(draw, {}, {})
-        return [command, *argv, "--m", "6", "--regime", regime], cfg
+        return [command, *argv, "--m", "6", "--regime", regime], cfg, typo
     if command == "bounds":
         keys, argv = drawn_keys(draw, BOUNDS_KEYS, BAD_BOUNDS_KEYS)
         cfg.update(m_grid=[20], n_trials=20, **keys)
-        return [command, *argv], cfg
+        return [command, *argv], cfg, typo
     keys, argv = drawn_keys(draw, STUDY_KEYS, BAD_STUDY_KEYS)
     cfg.update(regime=regime, m_grid=[4, 8], n_trials=30, **keys)
-    return [command, *argv], cfg
+    return [command, *argv], cfg, typo
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @hypothesis.given(runs())
 def test_cli_exits_0_2_or_3_without_traceback(run):
-    argv, cfg = run
+    argv, cfg, typo = run
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
@@ -139,3 +169,6 @@ def test_cli_exits_0_2_or_3_without_traceback(run):
             rc = cli.main([argv[0], "--config", path, "--out", tmp, *argv[1:]])
     assert rc in (0, 2, 3), (rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # a misspelt key the command reads is a config error
+    if typo:
+        assert rc == 2, (typo, cfg, err.getvalue())

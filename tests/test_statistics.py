@@ -158,6 +158,29 @@ class TestChainCounts:
             ok = ~np.isnan(a)
             assert np.max(np.abs(a[ok] - b[ok])) <= 1e-12
 
+    def test_indicator_errors_match_fresh_arrays_bitwise(self):
+        # the closed form written with a fresh array per step; rows 0 and 3
+        # leave a state unvisited, so their err_K is NaN and the in-place
+        # buffer's leftovers there must reach no other row
+        sys_ = random_ergodic_chain(4, 5)
+        C, Cplus, KV = ref = studies.exact_reference(
+            variance.build_rep(sys_, dictionaries.indicator(4)).gram)
+        counts = rng.stream(3, 0).integers(0, 6, size=(7, 4, 4))
+        counts[0, 1] = 0
+        counts[3, 2] = 0
+        m = 40
+        f = counts.astype(np.float64)
+        visits = f.sum(axis=2)
+        good = np.all(visits > 0, axis=1)
+        err_K = np.full(7, np.nan)
+        err_K[good] = np.sqrt(np.sum((f[good] / visits[good][:, :, None] - KV) ** 2,
+                                     axis=(1, 2)))
+        want = (np.sqrt(np.sum((visits / m - np.diag(C)) ** 2, axis=1)),
+                np.sqrt(np.sum((f / m - Cplus) ** 2, axis=(1, 2))), err_K)
+        assert list(good) == [False, True, True, False, True, True, True]
+        for got, expected in zip(studies._indicator_errors(counts, ref, m), want):
+            np.testing.assert_array_equal(got, expected)
+
     def test_counts_follow_the_multinomial_law(self, monkeypatch):
         # blocks of 7 trials leave a short last block, and join to one
         # whole multinomial draw on the same stream

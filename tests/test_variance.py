@@ -7,7 +7,7 @@ from koopman_cert import config, dictionaries, studies, systems, variance
 from koopman_cert.errors import NotUnitary, UnsupportedSystem
 
 from conftest import (ergodic_average_sq_norm, golden_rotation, pm_operator_norms, projector,
-                      weighted_inner)
+                      random_ergodic_chain, weighted_inner)
 
 
 def fejer_kernel_sum(m, t):
@@ -292,6 +292,107 @@ class TestExactVariance:
             (vr.var_Cplus, oracle.var_Cplus_hat, oracle.stderr_Cplus),
         ]:
             assert abs(exact - mc) <= 3.5 * se + 1e-12 * max(exact, 1.0)
+
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+def naive_sums(rep, m):
+    """The variance sums over the N^2 product functions, one right-hand side
+    per function: sum_ij <p_m(K0) U_ij, Us_ij> and sum_ij <K0 p_m(K0) V_ij,
+    V_ij> for the reduced g_ij, psi_ij and gs_ij stacks U, V and Us, and, for
+    the average A = (1/m) sum_{k<m} K0^k, sum_ij ||A U_ij||^2 and
+    sum_ij ||A V_ij||^2."""
+    N2 = rep.psi.shape[0] ** 2
+    U, V, Us = (rep.to_reduced(rep.family[key].reshape(N2, rep.dim).T)
+                for key in ("g_ij", "psi_ij", "gs_ij"))
+    PU, PV = variance.pm_apply_vectors(rep.M, U, m), variance.pm_apply_vectors(rep.M, V, m)
+    AU, AV = variance.mean_power_apply(rep.M, U, m), variance.mean_power_apply(rep.M, V, m)
+    return (float(np.sum(PU * Us)), float(np.sum((rep.M @ PV) * V)),
+            float(np.sum(AU * AU)), float(np.sum(AV * AV)))
+
+
+def cross_gram_cases():
+    five = random_ergodic_chain(5, 123)
+    return {
+        "chain2": (random_ergodic_chain(2, 1), dictionaries.indicator(2)),
+        "chain3": (random_ergodic_chain(3, 2), dictionaries.indicator(3)),
+        "chain5": (five, dictionaries.indicator(5)),
+        "chain5_monomial": (five, dictionaries.monomial(2, scale=0.25)),
+        "chain50": (random_ergodic_chain(50, 3), dictionaries.indicator(50)),
+        "ou_monomial2": (config.system_from_config(OU), dictionaries.monomial(2)),
+        "golden_fourier4": (golden_rotation(), dictionaries.fourier(4)),
+    }
+
+
+class TestCrossGrams:
+    """The variances as traces against the rep's cross-Grams equal the sums
+    over the product family that define them."""
+
+    @pytest.mark.parametrize("case", sorted(cross_gram_cases()))
+    def test_traces_match_family_sums(self, case):
+        rep = variance.build_rep(*cross_gram_cases()[case])
+        for m in [1, 2, 3, 10, 64, 1000]:
+            plus, zero, avg_plus, avg_zero = naive_sums(rep, m)
+            vr = variance.exact_variance(rep, m)
+            # 1e-12 of the sum, plus the two roundings of adding E to it
+            for sigma2, E, want in ((vr.sigma2_plus, vr.E_plus, plus),
+                                    (vr.sigma2_zero, vr.E_zero, zero)):
+                assert abs(sigma2 - (E + want)) <= 1e-12 * abs(want) + EPS * abs(sigma2)
+            if rep.unitary:
+                fj = variance.fejer_variance(rep, m)
+                assert abs(fj.var_Cplus - avg_plus) <= 1e-12 * avg_plus
+                assert abs(fj.var_C - avg_zero) <= 1e-12 * avg_zero
+
+    def test_grams_match_family_stacks(self):
+        for case, (sys, dictionary) in cross_gram_cases().items():
+            rep = variance.build_rep(sys, dictionary)
+            N2 = rep.psi.shape[0] ** 2
+            U, V, Us = (rep.to_reduced(rep.family[key].reshape(N2, rep.dim).T)
+                        for key in ("g_ij", "psi_ij", "gs_ij"))
+            for got, want in ((rep.W_plus, U @ Us.T), (rep.W_zero, V @ V.T), (rep.W_g, U @ U.T)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), case
+
+
+class TestPowerSums:
+    @pytest.mark.parametrize("m", [*range(1, 10), 16, 17, 64])
+    def test_explicit_sums_non_normal(self, m):
+        g = np.random.Generator(np.random.Philox(7))
+        # upper triangular plus noise: far from normal, spectral radius below 1
+        M = 0.3 * g.standard_normal((6, 6)) + np.triu(np.full((6, 6), 0.5), 1)
+        assert np.linalg.norm(M @ M.T - M.T @ M) > 1.0
+        powers = [np.linalg.matrix_power(M, j) for j in range(m)]
+        sums = [sum(powers[:k], np.zeros((6, 6))) for k in range(m + 1)]
+        S, R = variance._power_sums(M, m)
+        want_S, want_R = sums[m], sum(sums[1:m], np.zeros((6, 6)))
+        assert np.max(np.abs(S - want_S)) <= 1e-13 * np.max(np.abs(want_S))
+        assert np.max(np.abs(R - want_R)) <= 1e-13 * max(np.max(np.abs(want_R)), 1.0)
+
+
+class TestLargeMPrecision:
+    """`var_C` of the golden rotation with `fourier(4)` against 40-digit values.
+
+    The literals were computed once with mpmath at 60 and 90 digits (they
+    agree) through the Fejer sum on exactly reduced phases:
+    var_C = sum_{0 < |q| <= 8} w_q sin^2(pi frac(m q t0)) / (m^2 sin^2(pi frac(q t0))),
+    with t0 the float golden angle taken exactly (`fractions.Fraction`),
+    frac reduced in integers, and w_q = sum_ij |c_q(psi_i psi_j)|^2 from the
+    dictionary's exact complex Fourier coefficients.  sigma^2 = E + S cancels
+    E = O(1) down to O(1/m), so the float value loses precision like m; the
+    tolerances are twice the errors of the block-matrix power evaluation
+    this module had before its d x d doubling recurrence (9.4e-9, 7.1e-7
+    and 8.4e-4).
+    """
+
+    @pytest.mark.parametrize("m, want, rtol", [
+        (10**6, 1.010892817069057344995436409416990542375e-11, 2 * 9.4e-9),
+        (10**9, 1.341070726086103741112903431356745718450e-16, 2 * 7.1e-7),
+        (10**12, 1.937163184799406905623223291239674695092e-22, 2 * 8.4e-4),
+    ])
+    def test_golden_fourier4_var_C(self, golden, m, want, rtol):
+        rep = variance.build_rep(golden, dictionaries.fourier(4))
+        got = variance.exact_variance(rep, m).var_C
+        assert abs(got - want) <= rtol * want
 
 
 class TestFejerKernel:
