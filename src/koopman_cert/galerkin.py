@@ -14,6 +14,8 @@ import numpy as np
 from .errors import NumericalError, SingularMass
 
 SINGULAR_RTOL = 1e-12
+WEYL_MARGIN = 1e-9  # 1000 SINGULAR_RTOL; see `is_singular`
+_SUBNORMAL_ROOT = float(np.sqrt(np.finfo(float).smallest_subnormal))
 QUADRATURE_NODES = 2**16
 
 
@@ -50,7 +52,7 @@ class KoopmanGalerkinMatrix:
     source: GramPair
 
 
-def is_singular(C):
+def is_singular(C, ref=None, dist=None):
     """The singularity gate: s_min <= SINGULAR_RTOL * s_max.
 
     C is one symmetric matrix or a stack of them (the result is then a
@@ -59,12 +61,42 @@ def is_singular(C):
     from one batched `eigvalsh`, which reads the lower triangle.  A zero
     matrix is singular; a non-finite entry anywhere in the stack raises
     NumericalError, since it has no verdict.
+
+    A stack near a known symmetric matrix ref, with dist[b] = ||C[b] -
+    ref||_F, is pre-gated by Weyl's inequality: each eigenvalue of C[b] lies
+    within ||C[b] - ref||_2 <= dist[b] of the matching eigenvalue of ref, so
+    s_min(C[b]) >= s_min(ref) - dist[b] and s_max(C[b]) <= s_max(ref) +
+    dist[b].  A trial with s_min(ref) - dist[b] > WEYL_MARGIN (s_max(ref) +
+    dist[b]) is regular, from one N x N `eigvalsh` of ref; only the other
+    trials reach the batched `eigvalsh`.  A non-finite trial has an inf or
+    NaN dist, fails the test, and still raises.  The verdicts are those of
+    the batched `eigvalsh` alone: it is backward stable, so the computed
+    eigenvalues of ref and C[b] and the computed dist are each off by about
+    N^2 u at most, relative to the matrices' norms (u the unit round-off).
+    A cleared trial's computed s_min / s_max is then above WEYL_MARGIN -
+    O(N^2 u), which the factor 1000 between WEYL_MARGIN and SINGULAR_RTOL
+    keeps above SINGULAR_RTOL for any N below a few thousand.  Squares that
+    underflow are off by at most the smallest subnormal each, so dist is
+    charged N sqrt(smallest subnormal) more; without that, a singular trial
+    near a reference of scale 1e-160 would be cleared.
     """
     C = np.asarray(C)
-    if not np.isfinite(C).all():
-        raise NumericalError("mass matrix has non-finite entries")
-    s = np.abs(np.linalg.eigvalsh(C))
-    return s.min(axis=-1) <= SINGULAR_RTOL * s.max(axis=-1)
+    if ref is None:
+        if not np.isfinite(C).all():
+            raise NumericalError("mass matrix has non-finite entries")
+        s = np.abs(np.linalg.eigvalsh(C))
+        return s.min(axis=-1) <= SINGULAR_RTOL * s.max(axis=-1)
+    s = np.abs(np.linalg.eigvalsh(ref))
+    # the Weyl test solved for dist, less the underflow charge
+    radius = ((s.min() - WEYL_MARGIN * s.max()) / (1.0 + WEYL_MARGIN)
+              - len(ref) * _SUBNORMAL_ROOT)
+    clear = dist < radius
+    if not clear.any():
+        return is_singular(C)
+    verdict = np.zeros(len(C), dtype=bool)
+    if not clear.all():
+        verdict[~clear] = is_singular(C[~clear])
+    return verdict
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -54,11 +54,13 @@ def _psi_on_states(dictionary, states):
 def _gram_errors_block(Chat, Cphat, ref):
     """Per-trial Frobenius errors (err_C, err_Cplus, err_K) of (B, N, N)
     Gram stacks against ref = (C, C_plus, K_V); err_K is NaN where
-    `galerkin.is_singular(C_hat)`."""
+    `galerkin.is_singular(C_hat)`.  err_C is each trial's distance from C,
+    so the gate clears the trials near a well-conditioned C by Weyl's
+    inequality and factorises only the others."""
     C, Cplus, KV = ref
     err_C = np.sqrt(np.sum((Chat - C) ** 2, axis=(1, 2)))
     err_Cp = np.sqrt(np.sum((Cphat - Cplus) ** 2, axis=(1, 2)))
-    good = ~is_singular(Chat)
+    good = ~is_singular(Chat, C, err_C)
     err_K = np.full(len(Chat), np.nan)
     if np.any(good):
         Khat = np.linalg.solve(Chat[good], Cphat[good])
@@ -145,18 +147,20 @@ def _phase_modes(dictionary, F, t0):
     return np.concatenate([P.real, -P.imag])
 
 
-def phase_grams(dictionary, t0, G, x0):
+def phase_grams(dictionary, t0, G, x0, modes=None):
     """C_hat and C_hat_plus of a fourier(F) dictionary, psi = A e, on the
     rotation orbits x0 + k t0, k <= m, from the phase means G = G(0..2F) of
     `rotation_phase_means`: with D(q) = e^{2 pi i q x0} G(q), C_hat = Re
     sum_{a,b} D(a + b - 2F) A_a A_b^T (symmetrised), and C_hat_plus the same
     with A_b scaled by e^{2 pi i (b-F) t0}.  The sum over a + b = c is the
-    mode matrix of `_phase_modes`, so a block is one real matmul."""
+    mode matrix of `_phase_modes` (built here unless passed as modes), so a
+    block is one real matmul."""
     F = (len(G) - 1) // 2
+    if modes is None:
+        modes = _phase_modes(dictionary, F, t0)
     D = np.exp(2j * np.pi * np.outer(x0, np.arange(2 * F + 1))) * G
     N = dictionary.size
-    out = (np.concatenate([D.real, D.imag], axis=1)
-           @ _phase_modes(dictionary, F, t0)).reshape(len(x0), 2, N, N)
+    out = (np.concatenate([D.real, D.imag], axis=1) @ modes).reshape(len(x0), 2, N, N)
     C = out[:, 0]
     return 0.5 * (C + np.swapaxes(C, 1, 2)), out[:, 1]
 
@@ -171,7 +175,7 @@ def _gram_path(sys, dictionary, regime, m):
     return "states", m
 
 
-def _trial_grams(sys, dictionary, m, seed, chunk, count, regime):
+def _trial_grams(sys, dictionary, m, seed, chunk, count, regime, modes=None):
     """The chunk's (C_hat, C_hat_plus) stacks, a block of trials at a time.
 
     Where a trial's estimates depend on it only through a small statistic,
@@ -182,6 +186,7 @@ def _trial_grams(sys, dictionary, m, seed, chunk, count, regime):
     trajectories, or i.i.d. pair sets from the system's `initial_law`) one
     time slice of the whole chunk at a time: each slice's dictionary values
     are evaluated once and its `gram_block` added into the chunk's sums.
+    modes, if given, are the phase path's `engine_modes`.
     """
     path, _ = _gram_path(sys, dictionary, regime, m)
     if path == "counts":
@@ -195,7 +200,7 @@ def _trial_grams(sys, dictionary, m, seed, chunk, count, regime):
         G = rotation_phase_means(sys.t0, m, 2 * F)
         rows = block_rows(count, (2 * F + 1) ** 2)
         for lo in range(0, count, rows):
-            yield phase_grams(dictionary, sys.t0, G, x0[lo : lo + rows])
+            yield phase_grams(dictionary, sys.t0, G, x0[lo : lo + rows], modes)
     else:
         ergodic = regime is Regime.ERGODIC
         sample = ergodic_chunk if ergodic else iid_chunk
@@ -210,7 +215,7 @@ def _trial_grams(sys, dictionary, m, seed, chunk, count, regime):
         yield sums
 
 
-def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime):
+def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime, modes=None):
     """Per-trial Frobenius errors (err_C, err_Cplus, err_K) for one chunk:
     `_trial_grams` scored against ref, or for an indicator dictionary on a
     chain the counts' closed form.  err_K is NaN for trials whose empirical
@@ -221,7 +226,7 @@ def _chunk_trial_errors(sys, dictionary, ref, m, seed, chunk, count, regime):
                  in _chain_count_slices(sys, m, seed, chunk, count, regime)]
     else:
         parts = [_gram_errors_block(*grams, ref) for grams
-                 in _trial_grams(sys, dictionary, m, seed, chunk, count, regime)]
+                 in _trial_grams(sys, dictionary, m, seed, chunk, count, regime, modes)]
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
@@ -242,12 +247,22 @@ def _map_chunks(work, n_trials, threads):
     return [work(*spec) for spec in chunks]
 
 
-def mc_trial_errors(sys, dictionary, ref, m, n_trials, seed, regime, threads=1):
+def engine_modes(sys, dictionary, regime):
+    """The m-independent `_phase_modes` of the engine's phase path, or None
+    on other paths: a command builds them once for all its grid points."""
+    if _gram_path(sys, dictionary, regime, 1)[0] != "phases":
+        return None
+    return _phase_modes(dictionary, dictionary.metadata["max_freq"], sys.t0)
+
+
+def mc_trial_errors(sys, dictionary, ref, m, n_trials, seed, regime, threads=1,
+                    modes=None):
     """Stacked per-trial errors over n_trials independent estimates; i.i.d.
-    trials start from the system's `initial_law`."""
+    trials start from the system's `initial_law`.  modes are the command's
+    `engine_modes`, built per block if not given."""
     out = _map_chunks(
         lambda c, count: _chunk_trial_errors(sys, dictionary, ref, m, seed, c, count,
-                                             regime),
+                                             regime, modes),
         n_trials, threads)
     return tuple(np.concatenate(col) for col in zip(*out))
 
@@ -275,13 +290,13 @@ def _mean_stderr(x):
 
 
 def montecarlo_variance_oracle(rep, m, n_trials, seed, threads=1,
-                               regime=Regime.ERGODIC) -> OracleResult:
+                               regime=Regime.ERGODIC, modes=None) -> OracleResult:
     """Sample mean of ||C - C_hat||_F^2 (and the C_+ analogue) over
     independent trials of the rep's system, with standard errors: stationary
     trajectories, or i.i.d. pairs from the invariant law."""
     err_C, err_Cp, _ = mc_trial_errors(
         rep.system, rep.dictionary, exact_reference(rep.gram), int(m), int(n_trials),
-        seed, regime, threads=threads,
+        seed, regime, threads=threads, modes=modes,
     )
     vc, sc = _mean_stderr(err_C**2)
     vp, sp = _mean_stderr(err_Cp**2)
@@ -394,11 +409,12 @@ def run_convergence_study(cfg: StudyConfig):
         tail_p = {m: bounds_mod.branch_bound(inputs, cfg.tail_branch, m, cfg.tail_epsilon).p_bound
                   for m in cfg.m_grid}
 
+    modes = engine_modes(sys, dictionary, regime)
     rows = []
     for mi, m in enumerate(cfg.m_grid):
         err_C, err_Cp, err_K = mc_trial_errors(
             sys, dictionary, ref, m, cfg.n_trials,
-            _derived_seed(cfg.seed, mi), regime, threads=cfg.threads,
+            _derived_seed(cfg.seed, mi), regime, threads=cfg.threads, modes=modes,
         )
         good = np.isfinite(err_K)
         row = {
@@ -457,11 +473,13 @@ def run_variance_check(cfg: StudyConfig):
     rep = build_rep(sys, dictionary)
     exact_reference(rep.gram)  # the singularity gate, before any variance
     regime = Regime(cfg.regime)
+    modes = engine_modes(sys, dictionary, regime)
     rows = []
     for mi, m in enumerate(cfg.m_grid):
         vr = exact_variance(rep, int(m), regime)
         oracle = montecarlo_variance_oracle(
             rep, int(m), cfg.n_trials, _derived_seed(cfg.seed, mi), cfg.threads, regime,
+            modes,
         )
 
         # degenerate trials (constant error) have zero stderr, so the
@@ -556,11 +574,12 @@ def run_bound_validity(rep, inputs, branch, m_values, epsilons, n_trials, seed,
                  bounds_mod.estimator_error_bounds(inputs, int(m), float(eps), branch),
                  bounds_mod.split_threshold(inputs, eps)) for eps in epsilons]
                for m in m_values]
+    modes = engine_modes(rep.system, rep.dictionary, regime)
     rows = []
     for gi, m in enumerate(m_values):
         err_C, err_Cp, err_K = mc_trial_errors(
             rep.system, rep.dictionary, ref, int(m), n_trials,
-            _derived_seed(seed, gi), regime, threads=threads,
+            _derived_seed(seed, gi), regime, threads=threads, modes=modes,
         )
         exceed_base = ~np.isfinite(err_K)
         for eps, (report, (rc, rp), (_, delta_p, delta_c)) in zip(epsilons, reports[gi]):

@@ -34,6 +34,21 @@ def draw_codes(tables, u):
 
 
 @pytest.fixture
+def eigvalsh_stacks(monkeypatch):
+    """The size of every (B, N, N) stack that reaches `np.linalg.eigvalsh`."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            sizes.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return sizes
+
+
+@pytest.fixture
 def five_state_chain():
     return random_ergodic_chain(5, 123)
 

@@ -250,3 +250,52 @@ class TestSingularityGate:
         assert np.array_equal(verdict[decided], svd_verdict[decided])
         for C, v, ok in zip(stack, verdict, decided):
             assert not ok or bool(galerkin.is_singular(C)) is bool(v)
+
+
+class TestWeylPreGate:
+    """`is_singular(stack, ref, dist)` clears the trials near a
+    well-conditioned reference by Weyl's inequality, with the verdicts of
+    `is_singular(stack)`."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(0.0, 16.0),
+           st.integers(-200, 200))
+    def test_verdicts_equal_the_batched_gate(self, n, seed, cond, exponent):
+        """Around a reference of drawn condition number: trials moved toward
+        singularity along its weakest eigenvector, so that s_min / s_max
+        spans 1e-16..1 and the distance is what Weyl's inequality charges;
+        trials moved in a random symmetric direction by distances on both
+        sides of the margin's radius; and unrelated matrices of condition
+        1..1e16.  Scales of 1e+-200 make the distances' squares underflow
+        or overflow."""
+        gen = np.random.default_rng(seed)
+        Q = np.linalg.qr(gen.standard_normal((n, n)))[0]
+        lam = np.logspace(-cond, 0, n)
+        ref = (Q * lam) @ Q.T
+        mats = [ref - (1.0 - 10.0**-k) * lam[0] * np.outer(Q[:, 0], Q[:, 0])
+                for k in range(17)]
+        radius = (lam[0] - galerkin.WEYL_MARGIN) / (1.0 + galerkin.WEYL_MARGIN)
+        S = gen.standard_normal((n, n))
+        S = (S + S.T) / np.linalg.norm(S + S.T)
+        mats += [ref + f * (radius if radius > 0 else lam[0]) * S
+                 for f in (1e-3, 0.5, 0.999, 1.001, 2.0, 1e3)]
+        mats += [(Q * np.logspace(-k, 0, n)) @ Q.T for k in range(17)]
+        scale = 10.0**exponent
+        ref = 0.5 * (ref + ref.T) * scale
+        stack = np.stack(mats) * scale
+        stack = 0.5 * (stack + np.swapaxes(stack, 1, 2))
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(np.sum((stack - ref) ** 2, axis=(1, 2)))
+        verdict = galerkin.is_singular(stack, ref, dist)
+        assert np.array_equal(verdict, galerkin.is_singular(stack))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_trial_raises_among_cleared_ones(self, eigvalsh_stacks, bad):
+        C = np.diag([2.0, 1.0, 0.5])
+        Chat = np.stack([C + 1e-3 * k * np.eye(3) for k in range(4)])
+        ref = (C, C, np.eye(3))
+        _, _, err_K = studies._gram_errors_block(Chat, Chat, ref)
+        assert np.isfinite(err_K).all() and eigvalsh_stacks == []  # every trial cleared
+        Chat[2, 1, 0] = Chat[2, 0, 1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            studies._gram_errors_block(Chat, Chat, ref)

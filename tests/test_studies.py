@@ -320,3 +320,38 @@ class TestCsv:
         assert b1 == p2.read_bytes()
         head = b1.decode().splitlines()[0]
         assert head == "# schema: koopman-cert/convergence-v1"
+
+
+class TestWeylPreGate:
+    def test_chain_monomial_fallback_keeps_its_values(self, eigvalsh_stacks):
+        """A reversible 3-state chain with `monomial(2)`: at m = 3 and 4 most
+        trials are singular, and at every m some trials leave the Weyl test
+        for the batched `eigvalsh`.  The literals were recorded from the same
+        study with every trial sent to the batched `eigvalsh`, before the
+        Weyl test existed, and must match bit for bit."""
+        P = [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]]
+        cfg = studies.StudyConfig(
+            system={"type": "finite_chain", "transition": P},
+            dictionary={"kind": "monomial", "degree": 2},
+            m_grid=[3, 4, 8, 30, 1000], n_trials=60, seed=11)
+        rows, _ = studies.run_convergence_study(cfg)
+        assert [r["n_singular"] for r in rows] == [49, 39, 10, 0, 0]
+        assert [r["rmse_K"] for r in rows] == [
+            7.143719428471897, 5.981757983354765, 4.182570979672662,
+            1.8244162279347462, 0.27961722388539123]
+        # both sides of the gate ran: some trials cleared, the rest factorised
+        assert len(eigvalsh_stacks) == 5 and 0 < sum(eigvalsh_stacks) < 5 * cfg.n_trials
+
+    def test_golden_rotation_factorises_no_stack(self, monkeypatch, eigvalsh_stacks):
+        """Every trial of a golden `fourier(4)` study is cleared by the Weyl
+        test, so no (B, N, N) stack reaches `eigvalsh`, and the phase path's
+        mode matrix is built once for the whole grid."""
+        builds = []
+        phase_modes = studies._phase_modes
+        monkeypatch.setattr(studies, "_phase_modes",
+                            lambda *args: builds.append(args) or phase_modes(*args))
+        cfg = studies.StudyConfig(**ROTATION_CFG, m_grid=[100, 316, 1000, 3162],
+                                  n_trials=200, seed=1)
+        rows, _ = studies.run_convergence_study(cfg)
+        assert eigvalsh_stacks == [] and len(builds) == 1
+        assert all(r["n_singular"] == 0 for r in rows)
