@@ -52,7 +52,17 @@ class KoopmanGalerkinMatrix:
     source: GramPair
 
 
-def is_singular(C, ref=None, dist=None):
+def weyl_radius(ref):
+    """The distance from the symmetric matrix ref within which `is_singular`
+    clears a trial by Weyl's inequality: one N x N `eigvalsh` of ref, which
+    a caller that gates many stacks near one ref computes once."""
+    s = np.abs(np.linalg.eigvalsh(ref))
+    # the Weyl test solved for dist, less the underflow charge
+    return ((s.min() - WEYL_MARGIN * s.max()) / (1.0 + WEYL_MARGIN)
+            - len(ref) * _SUBNORMAL_ROOT)
+
+
+def is_singular(C, ref=None, dist=None, radius=None):
     """The singularity gate: s_min <= SINGULAR_RTOL * s_max.
 
     C is one symmetric matrix or a stack of them (the result is then a
@@ -78,18 +88,17 @@ def is_singular(C, ref=None, dist=None):
     keeps above SINGULAR_RTOL for any N below a few thousand.  Squares that
     underflow are off by at most the smallest subnormal each, so dist is
     charged N sqrt(smallest subnormal) more; without that, a singular trial
-    near a reference of scale 1e-160 would be cleared.
+    near a reference of scale 1e-160 would be cleared.  radius, if given, is
+    `weyl_radius(ref)`, computed once for all the stacks near one ref.
     """
     C = np.asarray(C)
-    if ref is None:
+    if ref is None and radius is None:
         if not np.isfinite(C).all():
             raise NumericalError("mass matrix has non-finite entries")
         s = np.abs(np.linalg.eigvalsh(C))
         return s.min(axis=-1) <= SINGULAR_RTOL * s.max(axis=-1)
-    s = np.abs(np.linalg.eigvalsh(ref))
-    # the Weyl test solved for dist, less the underflow charge
-    radius = ((s.min() - WEYL_MARGIN * s.max()) / (1.0 + WEYL_MARGIN)
-              - len(ref) * _SUBNORMAL_ROOT)
+    if radius is None:
+        radius = weyl_radius(ref)
     clear = dist < radius
     if not clear.any():
         return is_singular(C)

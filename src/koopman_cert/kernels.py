@@ -6,13 +6,15 @@ whose rank alphabet is small (see `_JUMP_ENTRIES`) has k-step jump tables:
 one uniform then draws a whole code of k steps from an alias table of the
 codes' law (Walker's method), stepped by one add and one gather.  Every
 other draw, past a row's codes or of a chain without jump tables, is one
-step, stepped by its rank.  In paths mode `chain_paths` returns the states,
-which the jump tables hold for each code.  In counting mode (`counts=`) it
-adds each trajectory's transition counts into an array and returns only
-the last states: the jump tables hold each code's counts, so codes form no
-path, and `pair_counts` counts the paths of the single steps, which the
-caller bounds (see `_SLICE_CELLS`).  Callers use the functions as module
-attributes.  All are pure numpy.
+step, stepped by its rank among the chain's distinct thresholds, which a
+bucket index (a guide table: Chen & Asau, 1974; Devroye, 1986, III.2.4)
+and a short fixed-step search find (`_ranks`).  In paths mode `chain_paths`
+returns the states, which the jump tables hold for each code.  In counting
+mode (`counts=`) it adds each trajectory's transition counts into an array
+and returns only the last states: the jump tables hold each code's counts,
+so codes form no path, and `pair_counts` counts the paths of the single
+steps, which the caller bounds (see `_SLICE_CELLS`).  Callers use the
+functions as module attributes.  All are pure numpy.
 """
 
 from typing import NamedTuple
@@ -21,21 +23,27 @@ import numpy as np
 
 
 # Chains are stepped in slices of at most _SLICE_CELLS (trajectory, step)
-# cells, a code of k steps counting k.  A step costs at most 48 bytes of
-# buffers (rank, next state, a bool, the flat index, and searchsorted's
-# result and copy of the uniforms), and a code 33 bytes (its scaled uniform,
-# accept, truncation and entry, and a bool) and its k uint8 states or n^2
-# counts: at most 58 bytes, under 30 a step.  So above the output array the
-# memory stays under 48 * _SLICE_CELLS bytes plus the tables, whatever B and
-# m are, and small slices stay in cache.  Counting mode adds a slice's (rows,
-# n^2) uint32 code counts, no larger than those rows of `counts`, and the
-# (B, d - codes + 1) paths of the single steps with `pair_counts`'
-# temporaries of their size, which `FiniteMarkovSystem._slices` bounds: at
-# most k - 1 steps a row with jump tables, one time slice without.
+# cells, a code of k steps counting k.  A step costs at most 41 bytes of
+# buffers (its rank, then flat index, its next state, a bool, `_ranks`' copy
+# of its uniform and gathered threshold, and `_search`'s result), and a code
+# 33 bytes (its scaled uniform, accept, truncation and entry, and a bool)
+# and its k uint8 states or n^2 counts: at most 58 bytes, under 30 a step.
+# So above the output array the memory stays under 48 * _SLICE_CELLS bytes
+# plus the tables, whatever B and m are, and small slices stay in cache.
+# Counting mode adds a slice's (rows, n^2) uint32 code counts, no larger than
+# those rows of `counts`, and the (B, d - codes + 1) paths of the single
+# steps with `pair_counts`' flat indices of their size, which
+# `FiniteMarkovSystem._slices` bounds: at most k - 1 steps a row with jump
+# tables, one time slice without.
 _SLICE_CELLS = 1 << 15
 
 # The successor table has n * (K + 1) entries for K distinct thresholds, up
 # to n**3; past this many entries the same step function is binary-searched.
+# Every chain also keeps a bucket index of G + 1 int64 offsets, G <= 2K + 1,
+# and its K thresholds padded by c <= K infinities (`_bucket_index`): at most
+# 4 (K + 1) entries, within the successor table's n (K + 1) from 4 states on
+# (52 KB against its 980 KB at 50 states; 0.84 MB at 200 states, which
+# search 0.32 MB of keys instead).
 _TABLE_ENTRIES = 1 << 18
 
 # The k-step jump tables hold, for w = K + 1 ranks, n * w**k entries of a
@@ -48,16 +56,14 @@ _JUMP_ENTRIES = 1 << 16
 # A one-state chain has one rank, so its tables fit the budget at any k.
 _MAX_JUMP = 16
 
-# Up to this many distinct thresholds, ranking a uniform by one comparison
-# per threshold is faster than a binary search.
-_FEW_THRESHOLDS = 32
-
 
 class ChainTables(NamedTuple):
     """The step function of a chain, as `chain_tables` builds it."""
 
     n: int
-    q: np.ndarray  # the distinct inner thresholds, sorted
+    q: np.ndarray  # the K distinct inner thresholds, sorted: padded[:K]
+    padded: np.ndarray  # q, then c infinities: c is the fullest bucket's count
+    base: np.ndarray  # (G + 1,) bucket offsets #{q < g / G} (see `_ranks`)
     step: np.ndarray  # successor * w by i * w + rank, or None: search `keys`
     keys: np.ndarray
     k: int = 1  # steps per code: 1 for a chain without jump tables
@@ -86,37 +92,55 @@ def chain_tables(cdf):
     their n^2 transition counts (`moves`, uint8).  A rank does not depend on
     the state and has the law p = diff([0, q, 1]), so a code has the product
     law prod_j p[r_j], which `accept` and `alias` draw (see `_alias`).
+    Every chain's uniforms are ranked through its bucket index (`padded`
+    and `base`, see `_bucket_index`).
     """
     cdf = np.ascontiguousarray(cdf, dtype=np.float64)
     n = cdf.shape[0]
     inner = cdf[:, :-1]
     q, where = np.unique(inner, return_inverse=True)
     w = len(q) + 1
+    padded, base = _bucket_index(q)
+    q = padded[: w - 1]
     # cdf[i, j] <= v from rank edges[i, j] on: row i of the table is j on
     # ranks [edges[i, j-1], edges[i, j])
     edges = where.reshape(inner.shape) + 1
     if n * w > _TABLE_ENTRIES:
         keys = (edges + np.arange(n, dtype=np.int64)[:, None] * w).ravel()
-        return ChainTables(n, q, None, keys)
+        return ChainTables(n, q, padded, base, None, keys)
     bounds = np.concatenate(
         [np.zeros((n, 1), np.int64), edges, np.full((n, 1), w, np.int64)], axis=1
     )
     succ = np.repeat(np.tile(np.arange(n, dtype=np.int64), n), np.diff(bounds, axis=1).ravel())
-    step = succ * w
     k = 1
     while k < _MAX_JUMP and _jump_entries(n, w, k + 1) <= _JUMP_ENTRIES:
         k += 1
+    if k > 1:
+        path, moves = _jump_tables(succ.reshape(n, w), k)
+    succ *= w  # in place: the step table is the successors times w
     if k == 1:
-        return ChainTables(n, q, step, None)
-    path, moves = _jump_tables(succ.reshape(n, w), k)
+        return ChainTables(n, q, padded, base, succ, None)
     # a uniform's rank has the law p whatever the state (a threshold past 1,
     # from round-off, is never reached)
     p = np.diff(np.clip(np.concatenate([[0.0], q, [1.0]]), 0.0, 1.0))
     law = p
     for _ in range(k - 1):
         law = np.multiply.outer(p, law).ravel()
-    return ChainTables(n, q, step, None, k, path[-1] * w**k, moves,
+    return ChainTables(n, q, padded, base, succ, None, k, path[-1] * w**k, moves,
                        np.ascontiguousarray(path.T, dtype=np.uint8), *_alias(law))
+
+
+def _bucket_index(q):
+    """(padded, base): the K sorted thresholds q followed by c infinities,
+    and the offsets base[g] = #{q < g / G}, g = 0..G, of the G buckets [g /
+    G, (g + 1) / G) of [0, 1), for G the least power of two above K; c is
+    the most thresholds any bucket holds.  G is a power of two, so g / G is
+    exact, and so is the bucket floor(v G) of a uniform v."""
+    K = len(q)
+    G = 1 << K.bit_length()
+    base = q.searchsorted(np.arange(G + 1) / G, side="left")
+    c = int(np.diff(base).max())
+    return np.concatenate([q, np.full(c, np.inf)]), base
 
 
 def _jump_entries(n, w, k):
@@ -299,33 +323,36 @@ def _steps(tables, u, paths):
     """Fill paths[:, 1:] from paths[:, 0], one add and one gather (or
     search) per step by the rank of its uniform in u."""
     B, m = u.shape
-    n, q, w, table, keys = tables.n, tables.q, tables.w, tables.step, tables.keys
+    n, w, table, keys = tables.n, tables.w, tables.step, tables.keys
     if B == 0 or m == 0:
         return
     rows = min(B, _SLICE_CELLS)
     span = min(m, _SLICE_CELLS // rows)
     rank = np.empty((span, rows), dtype=np.int64)
     nxt = np.empty((span, rows), dtype=np.int64)
-    hit = np.empty((span, rows), dtype=bool)
-    idx = np.empty(rows, dtype=np.int64)
+    # `_ranks`' copy of the uniforms, its gathered thresholds and verdicts
+    scratch = (np.empty((span, rows)), np.empty((span, rows)),
+               np.empty((span, rows), dtype=bool))
     for lo in range(0, B, rows):
         hi = min(lo + rows, B)
-        cur = paths[lo:hi, 0] * w
-        ix = idx[: hi - lo]
         for t0 in range(0, m, span):
             t1 = min(t0 + span, m)
             # time-major slice: row t holds step t0 + t of every trajectory
-            r = rank[: t1 - t0, : hi - lo]
-            nx = nxt[: t1 - t0, : hi - lo]
-            _ranks(q, u[lo:hi, t0:t1].T, r, hit[: t1 - t0, : hi - lo])
+            sl = np.s_[: t1 - t0, : hi - lo]
+            r, nx = rank[sl], nxt[sl]
+            v, found, hit = (a[sl] for a in scratch)
+            np.copyto(v, u[lo:hi, t0:t1].T)
+            _ranks(tables, v, r, nx, found, hit)
+            # each rank row, once added to the states, is the flat index
+            cur = np.multiply(paths[lo:hi, t0], w, out=nx[0])
             if table is not None:
                 for rt, cur_next in zip(r, nx):
-                    np.add(cur, rt, out=ix)
-                    cur = table.take(ix, out=cur_next, mode="clip")
+                    np.add(cur, rt, out=rt)
+                    cur = table.take(rt, out=cur_next, mode="clip")
             else:
                 for rt, cur_next in zip(r, nx):
-                    np.add(cur, rt, out=ix)
-                    cur = _search(keys, ix, w, n, out=cur_next)
+                    np.add(cur, rt, out=rt)
+                    cur = _search(keys, rt, w, n, out=cur_next)
             np.floor_divide(nx, w, out=r)
             paths[lo:hi, t0 + 1 : t1 + 1] = r.T
 
@@ -340,15 +367,33 @@ def _search(keys, idx, w, n, out):
     return out
 
 
-def _ranks(q, v, out, hit):
-    """out[...] = #{r : q[r] <= v}, the rank of each v among sorted q."""
-    if len(q) > _FEW_THRESHOLDS:
-        out[...] = np.searchsorted(q, v, side="right")
-        return
-    out[...] = 0
-    for threshold in q:
-        np.greater_equal(v, threshold, out=hit)
-        out += hit
+def _ranks(tables, v, out, idx, found, hit):
+    """out[...] = #{r : q[r] <= v}, the rank of each uniform v in [0, 1)
+    among the sorted thresholds q, equal to searchsorted(q, v, "right");
+    idx, found and hit are scratch arrays of v's shape.
+
+    The thresholds below v's bucket g = floor(v G) (`_bucket_index`) are
+    all below v and number base[g]; those past it are all above v.  So the
+    rank is base[g] plus the count of bucket g's thresholds that v reaches,
+    which a branch-free search of fixed depth c.bit_length() finds, for c
+    the most thresholds a bucket holds.  Each step of s, for s halving from
+    a power of two, probes padded[out + s - 1] (a gather through the view
+    padded[s - 1:]) and adds s where v reaches it.  The probes read at most
+    c entries past base[g]: the bucket's own, larger thresholds or the
+    padding's infinities.  When thresholds crowd one bucket, the depth is at
+    most log2(K + 1)."""
+    K, padded, base = len(tables.q), tables.padded, tables.base
+    np.multiply(v, len(base) - 1, out=idx, casting="unsafe")
+    base.take(idx, out=out, mode="clip")
+    s = 1 << (len(padded) - K).bit_length() >> 1
+    while s:
+        padded[s - 1 :].take(out, out=found, mode="clip")
+        np.less_equal(found, v, out=hit)
+        if s > 1:
+            np.add(out, s, out=out, where=hit)
+        else:
+            out += hit
+        s >>= 1
 
 
 def pair_counts(xs, ys, n_states, out=None):
@@ -359,9 +404,9 @@ def pair_counts(xs, ys, n_states, out=None):
     xs, ys : (B, m) integer states; a trajectory block `paths` (B, m+1)
         passes `paths[:, :-1], paths[:, 1:]`
     n_states : int
-    out : (B, n, n) int64, optional
-        Counts to add these into, so that time slices of one block tally
-        in place.
+    out : (B, n, n) C-contiguous int64, optional
+        Counts to add these into, in place, so that time slices of one
+        block tally with no (B, n, n) temporary.
 
     Returns
     -------
@@ -372,10 +417,11 @@ def pair_counts(xs, ys, n_states, out=None):
     B, n = len(xs), int(n_states)
     flat = xs * n + np.asarray(ys, dtype=np.int64)
     flat += np.arange(B, dtype=np.int64)[:, None] * (n * n)
-    counts = np.bincount(flat.ravel(), minlength=B * n * n).reshape(B, n, n)
     if out is None:
-        return counts
-    out += counts
+        return np.bincount(flat.ravel(), minlength=B * n * n).reshape(B, n, n)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous: it is added into in place")
+    np.add.at(out.reshape(-1), flat.ravel(), 1)
     return out
 
 

@@ -20,7 +20,7 @@ from .config import StudyConfig, dictionary_from_config, system_from_config
 from .dictionaries import DictionaryKind
 from .edmd import solve_khat
 from .errors import ConfigError, InsufficientPoints, UnsupportedSystem
-from .galerkin import galerkin_matrix, gram_block, is_singular
+from .galerkin import galerkin_matrix, gram_block, is_singular, weyl_radius
 from .systems import (
     CircleRotationSystem,
     FiniteMarkovSystem,
@@ -51,16 +51,31 @@ def _psi_on_states(dictionary, states):
     return flat.T.reshape(B, k, -1)
 
 
+class Reference(tuple):
+    """The (C, C_plus, K_V) a command scores its trials against.  It unpacks
+    as that triple, and holds C's `galerkin.weyl_radius`, computed on first
+    use and then read by every block the command scores."""
+
+    def __new__(cls, C, Cplus, KV):
+        return super().__new__(cls, (C, Cplus, KV))
+
+    @functools.cached_property
+    def radius(self):
+        return weyl_radius(self[0])
+
+
 def _gram_errors_block(Chat, Cphat, ref):
     """Per-trial Frobenius errors (err_C, err_Cplus, err_K) of (B, N, N)
-    Gram stacks against ref = (C, C_plus, K_V); err_K is NaN where
-    `galerkin.is_singular(C_hat)`.  err_C is each trial's distance from C,
-    so the gate clears the trials near a well-conditioned C by Weyl's
-    inequality and factorises only the others."""
+    Gram stacks against ref = (C, C_plus, K_V), a `Reference` or a plain
+    triple; err_K is NaN where `galerkin.is_singular(C_hat)`.  err_C is each
+    trial's distance from C, so the gate clears the trials near a
+    well-conditioned C by Weyl's inequality and factorises only the
+    others."""
     C, Cplus, KV = ref
     err_C = np.sqrt(np.sum((Chat - C) ** 2, axis=(1, 2)))
     err_Cp = np.sqrt(np.sum((Cphat - Cplus) ** 2, axis=(1, 2)))
-    good = ~is_singular(Chat, C, err_C)
+    radius = ref.radius if isinstance(ref, Reference) else None
+    good = ~is_singular(Chat, C, err_C, radius)
     err_K = np.full(len(Chat), np.nan)
     if np.any(good):
         Khat = np.linalg.solve(Chat[good], Cphat[good])
@@ -268,8 +283,8 @@ def mc_trial_errors(sys, dictionary, ref, m, n_trials, seed, regime, threads=1,
 
 
 def exact_reference(gram):
-    """(C, C_plus, K_V) of an exact GramPair."""
-    return gram.C, gram.Cplus, galerkin_matrix(gram).KV
+    """The `Reference` (C, C_plus, K_V) of an exact GramPair."""
+    return Reference(gram.C, gram.Cplus, galerkin_matrix(gram).KV)
 
 
 @dataclass
@@ -290,12 +305,15 @@ def _mean_stderr(x):
 
 
 def montecarlo_variance_oracle(rep, m, n_trials, seed, threads=1,
-                               regime=Regime.ERGODIC, modes=None) -> OracleResult:
+                               regime=Regime.ERGODIC, modes=None, ref=None) -> OracleResult:
     """Sample mean of ||C - C_hat||_F^2 (and the C_+ analogue) over
     independent trials of the rep's system, with standard errors: stationary
-    trajectories, or i.i.d. pairs from the invariant law."""
+    trajectories, or i.i.d. pairs from the invariant law.  ref is the rep's
+    `exact_reference`, built here if not given."""
+    if ref is None:
+        ref = exact_reference(rep.gram)
     err_C, err_Cp, _ = mc_trial_errors(
-        rep.system, rep.dictionary, exact_reference(rep.gram), int(m), int(n_trials),
+        rep.system, rep.dictionary, ref, int(m), int(n_trials),
         seed, regime, threads=threads, modes=modes,
     )
     vc, sc = _mean_stderr(err_C**2)
@@ -326,7 +344,7 @@ def reference_model(sys, dictionary, m, n_trials, seed, threads=1):
     means = [s / n for s in sums[:2]]
     se = tuple(math.sqrt(max(q - n * np.sum(mean**2), 0.0) / (n * (n - 1)))
                for q, mean in zip(sums[2:], means))
-    return (*means, solve_khat(*means)), se
+    return Reference(*means, solve_khat(*means)), se
 
 
 @dataclass
@@ -471,7 +489,7 @@ def run_variance_check(cfg: StudyConfig):
     sys = system_from_config(cfg.system)
     dictionary = dictionary_from_config(cfg.dictionary, system=sys)
     rep = build_rep(sys, dictionary)
-    exact_reference(rep.gram)  # the singularity gate, before any variance
+    ref = exact_reference(rep.gram)  # the singularity gate, before any variance
     regime = Regime(cfg.regime)
     modes = engine_modes(sys, dictionary, regime)
     rows = []
@@ -479,7 +497,7 @@ def run_variance_check(cfg: StudyConfig):
         vr = exact_variance(rep, int(m), regime)
         oracle = montecarlo_variance_oracle(
             rep, int(m), cfg.n_trials, _derived_seed(cfg.seed, mi), cfg.threads, regime,
-            modes,
+            modes, ref,
         )
 
         # degenerate trials (constant error) have zero stderr, so the

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from koopman_cert import cli, config, studies, systems, variance
+from koopman_cert import cli, config, galerkin, studies, systems, variance
 
 CHAIN_SYSTEM = {"type": "finite_chain", "transition": [[0.7, 0.3], [0.3, 0.7]]}
 
@@ -470,6 +470,52 @@ class TestOneExactReference:
                        "--out", str(tmp_path)])
         assert rc == 0
         assert len(calls) == builds
+
+
+    @pytest.mark.parametrize(
+        "cfg", [{"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"}},
+                {"system": GOLDEN, "dictionary": {"kind": "fourier", "max_freq": 2}}],
+        ids=["chain", "rotation"])
+    def test_one_galerkin_solve_per_variance_command(self, tmp_path, monkeypatch, cfg):
+        """`variance` solves its exact reference once, behind the singularity
+        gate, and scores every grid point's oracle against it."""
+        calls = []
+        solve = studies.galerkin_matrix
+        monkeypatch.setattr(studies, "galerkin_matrix",
+                            lambda gram: calls.append(gram) or solve(gram))
+        path = write_cfg(tmp_path, {**cfg, "m_grid": [8, 16, 32], "n_trials": 30, "seed": 1})
+        assert cli.main(["variance", "--config", path, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [("study", {"system": GOLDEN, "dictionary": {"kind": "fourier", "max_freq": 2},
+                    "m_grid": [10, 20, 40], "n_trials": 30, "seed": 1}),
+         ("variance", {"system": GOLDEN, "dictionary": {"kind": "fourier", "max_freq": 2},
+                       "m_grid": [8, 16], "n_trials": 30, "seed": 1}),
+         ("bounds", {"system": GOLDEN, "dictionary": {"kind": "fourier", "max_freq": 1},
+                     "branch": "ergodic_kappa_zero", "thin": {"alpha": 1.5, "theta": 0.2},
+                     "m_grid": [50, 150], "epsilons": [1.0], "n_trials": 30, "seed": 1}),
+         ("study", {"system": {"type": "sde", "model": "ornstein_uhlenbeck", "rate": 10.0,
+                               "lag": 0.1, "integrator_dt": 0.01},
+                    "dictionary": {"kind": "monomial", "degree": 2},
+                    "m_grid": [4, 8, 16], "n_trials": 30, "seed": 1})],
+        ids=["rotation_study", "rotation_variance", "rotation_bounds", "ou_study"])
+    def test_one_weyl_radius_per_command(self, tmp_path, monkeypatch, command, cfg):
+        """Every block a command scores is pre-gated against one reference,
+        whose Weyl radius (one N x N `eigvalsh`) is computed once."""
+        calls = []
+        radius = galerkin.weyl_radius
+
+        def counted(ref):
+            calls.append(ref)
+            return radius(ref)
+
+        monkeypatch.setattr(galerkin, "weyl_radius", counted)
+        monkeypatch.setattr(studies, "weyl_radius", counted)
+        path = write_cfg(tmp_path, cfg)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
 
 class TestEntryPoint:

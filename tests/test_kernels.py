@@ -56,8 +56,8 @@ CASES = {
     "no_steps": (5, 0, 4, 0.0),
     "no_trajectories": (0, 5, 3, 0.0),
     "two_states": (30, 50, 2, 0.0),
-    "few_thresholds": (20, 40, 5, 0.0),  # 20 thresholds: ranked by comparisons
-    "many_thresholds": (20, 40, 9, 0.0),  # 72 thresholds: ranked by searchsorted
+    "few_thresholds": (20, 40, 5, 0.0),  # 20 thresholds: 32 buckets, 2 steps deep
+    "many_thresholds": (20, 40, 9, 0.0),  # 72 thresholds: 128 buckets
     "fifty_states": (30, 64, 50, 0.0),
     "single_long_path": (1, 3000, 3, 0.0),
     "iid_shape": (3000, 1, 2, 0.0),
@@ -415,6 +415,118 @@ def test_pair_counts_adds_into_out():
     total = kernels.pair_counts(paths[:, 21:-1], paths[:, 22:], n, out=first)
     assert total is first
     assert np.array_equal(total, out)
+
+
+def _tables_of_thresholds(q):
+    """The tables of a chain whose inner cdf entries are the sorted q, laid
+    row by row over the fewest states that hold them (the last repeated)."""
+    q = np.sort(np.asarray(q, dtype=float))
+    n = 2
+    while n * (n - 1) < len(q):
+        n += 1
+    inner = np.append(q, np.full(n * (n - 1) - len(q), q[-1])).reshape(n, n - 1)
+    return kernels.chain_tables(np.concatenate([inner, np.ones((n, 1))], axis=1))
+
+
+def _ranks_of(tables, v):
+    v = np.asarray(v, dtype=float)
+    out, idx = np.empty(v.shape, dtype=np.int64), np.empty(v.shape, dtype=np.int64)
+    kernels._ranks(tables, v, out, idx, np.empty(v.shape), np.empty(v.shape, dtype=bool))
+    return out
+
+
+def _probes(tables):
+    """0, each threshold in [0, 1), its float neighbours in [0, 1), each
+    bucket edge, and 1000 uniforms."""
+    q = tables.q
+    G = len(tables.base) - 1
+    v = np.concatenate([[0.0], q, np.nextafter(q, -1.0), np.nextafter(q, 2.0),
+                        np.arange(G) / G, np.random.default_rng(len(q)).random(1000)])
+    return v[(v >= 0.0) & (v < 1.0)]
+
+
+def _check_ranks(thresholds):
+    tables = _tables_of_thresholds(thresholds)
+    q = np.unique(thresholds)
+    assert np.array_equal(tables.q, q)
+    # the bucket index: G + 1 offsets, G the least power of two above K, and
+    # q padded by c infinities, c the fullest bucket's count
+    K, G = len(q), len(tables.base) - 1
+    assert G == 1 << K.bit_length()
+    assert np.array_equal(tables.base, [np.sum(q < g / G) for g in range(G + 1)])
+    c = len(tables.padded) - K
+    assert c == np.diff(tables.base).max() and np.all(tables.padded[K:] == np.inf)
+    v = _probes(tables)
+    assert np.array_equal(_ranks_of(tables, v), np.searchsorted(q, v, "right"))
+    # a time-major (span, rows) slice, as `_steps` passes it
+    v = v[: len(v) // 4 * 4].reshape(4, -1)
+    assert np.array_equal(_ranks_of(tables, v), np.searchsorted(q, v, "right"))
+    return tables
+
+
+# thresholds that each stress one part of the bucket index
+RANK_THRESHOLDS = {
+    # 33 thresholds, 64 buckets: each threshold on a bucket edge g / G
+    "on_bucket_edges": np.arange(1, 34) / 64,
+    # cdf round-off: thresholds at 1 and just past it, never reached
+    "at_and_past_one": np.r_[np.linspace(0.1, 0.9, 30), 1.0, np.nextafter(1.0, 2.0),
+                             1.0 + 1e-12],
+    # 2,000 thresholds in one bucket of 4,096, and 50 spread out
+    "crowded_bucket": np.r_[0.5 + np.linspace(0.0, 1.0, 2000, endpoint=False) / 8192,
+                            np.linspace(0.01, 0.99, 50)],
+    "zero_threshold": np.r_[0.0, 0.0, 0.25, 0.75],
+    "one_threshold": [0.3],
+    "K_33": np.random.default_rng(33).random(33),
+    "K_2450": np.random.default_rng(2450).random(2450),
+    "K_39800": np.random.default_rng(39800).random(39800),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANK_THRESHOLDS))
+def test_ranks_match_searchsorted(case):
+    tables = _check_ranks(RANK_THRESHOLDS[case])
+    if case == "crowded_bucket":
+        # the search is as deep as the crowd: log2(2001) rounded up
+        assert len(tables.padded) - len(tables.q) >= 2000
+        assert (len(tables.padded) - len(tables.q)).bit_length() == 11
+    if case == "K_39800":
+        assert tables.step is None  # 200 states step by binary search
+
+
+def test_ranks_of_a_one_state_chain():
+    """No thresholds: one bucket, no padding, every uniform of rank 0."""
+    tables = kernels.chain_tables(np.ones((1, 1)))
+    assert len(tables.q) == 0 and len(tables.padded) == 0 and list(tables.base) == [0, 0]
+    assert np.array_equal(_ranks_of(tables, [0.0, 0.5, np.nextafter(1.0, 0.0)]), [0, 0, 0])
+
+
+def _threshold_lists():
+    """Thresholds from uniform floats, bucket edges k / 2**j and their
+    neighbours, clusters and ties, with some at or past 1."""
+    unit = st.floats(0.0, 1.0)
+    edge = st.builds(lambda k, j: k / 2**j, st.integers(0, 64), st.integers(0, 8))
+    near = st.builds(lambda x, up: np.nextafter(x, 2.0 if up else -1.0), edge, st.booleans())
+    past = st.sampled_from([1.0, float(np.nextafter(1.0, 2.0)), 1.0 + 1e-13])
+    cluster = st.builds(lambda c, k: [c + i * 2.0**-40 for i in range(k)],
+                        st.floats(0.0, 0.99), st.integers(1, 60))
+    single = st.one_of(unit, edge, near, past).map(lambda x: [x])
+    return st.lists(st.one_of(single, cluster), min_size=1, max_size=40).map(
+        lambda parts: np.clip(np.concatenate(parts), 0.0, None))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=_threshold_lists(), v=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_ranks_match_searchsorted_on_drawn_thresholds(q, v):
+    tables = _check_ranks(q)
+    v = np.asarray(v, dtype=float)
+    assert np.array_equal(_ranks_of(tables, v), np.searchsorted(tables.q, v, "right"))
+
+
+def test_pair_counts_rejects_a_strided_out():
+    xs = np.zeros((2, 3), dtype=np.int64)
+    out = np.zeros((2, 2, 4), dtype=np.int64)[:, :, :2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernels.pair_counts(xs, xs, 2, out=out)
 
 
 def test_searchsorted_convention_matches_numpy():
