@@ -55,14 +55,15 @@ class KoopmanGalerkinMatrix:
 def weyl_radius(ref):
     """The distance from the symmetric matrix ref within which `is_singular`
     clears a trial by Weyl's inequality: one N x N `eigvalsh` of ref, which
-    a caller that gates many stacks near one ref computes once."""
+    a `studies.Reference` computes once for all the stacks scored against
+    it."""
     s = np.abs(np.linalg.eigvalsh(ref))
     # the Weyl test solved for dist, less the underflow charge
     return ((s.min() - WEYL_MARGIN * s.max()) / (1.0 + WEYL_MARGIN)
             - len(ref) * _SUBNORMAL_ROOT)
 
 
-def is_singular(C, ref=None, dist=None, radius=None):
+def is_singular(C, dist=None, radius=None):
     """The singularity gate: s_min <= SINGULAR_RTOL * s_max.
 
     C is one symmetric matrix or a stack of them (the result is then a
@@ -73,32 +74,31 @@ def is_singular(C, ref=None, dist=None, radius=None):
     NumericalError, since it has no verdict.
 
     A stack near a known symmetric matrix ref, with dist[b] = ||C[b] -
-    ref||_F, is pre-gated by Weyl's inequality: each eigenvalue of C[b] lies
-    within ||C[b] - ref||_2 <= dist[b] of the matching eigenvalue of ref, so
-    s_min(C[b]) >= s_min(ref) - dist[b] and s_max(C[b]) <= s_max(ref) +
-    dist[b].  A trial with s_min(ref) - dist[b] > WEYL_MARGIN (s_max(ref) +
-    dist[b]) is regular, from one N x N `eigvalsh` of ref; only the other
-    trials reach the batched `eigvalsh`.  A non-finite trial has an inf or
-    NaN dist, fails the test, and still raises.  The verdicts are those of
-    the batched `eigvalsh` alone: it is backward stable, so the computed
-    eigenvalues of ref and C[b] and the computed dist are each off by about
-    N^2 u at most, relative to the matrices' norms (u the unit round-off).
+    ref||_F and radius = `weyl_radius(ref)`, is pre-gated by Weyl's
+    inequality: each eigenvalue of C[b] lies within ||C[b] - ref||_2 <=
+    dist[b] of the matching eigenvalue of ref, so s_min(C[b]) >= s_min(ref)
+    - dist[b] and s_max(C[b]) <= s_max(ref) + dist[b].  A trial with
+    s_min(ref) - dist[b] > WEYL_MARGIN (s_max(ref) + dist[b]) is regular,
+    which `weyl_radius` solves for dist from one N x N `eigvalsh` of ref;
+    only the other trials reach the batched `eigvalsh`.  A non-finite trial
+    has an inf or NaN dist, fails the test, and still raises.  The verdicts
+    are those of the batched `eigvalsh` alone: it is backward stable, so the
+    computed eigenvalues of ref and C[b] and the computed dist are each off
+    by about N^2 u at most, relative to the matrices' norms (u the unit
+    round-off).
     A cleared trial's computed s_min / s_max is then above WEYL_MARGIN -
     O(N^2 u), which the factor 1000 between WEYL_MARGIN and SINGULAR_RTOL
     keeps above SINGULAR_RTOL for any N below a few thousand.  Squares that
     underflow are off by at most the smallest subnormal each, so dist is
     charged N sqrt(smallest subnormal) more; without that, a singular trial
-    near a reference of scale 1e-160 would be cleared.  radius, if given, is
-    `weyl_radius(ref)`, computed once for all the stacks near one ref.
+    near a reference of scale 1e-160 would be cleared.
     """
     C = np.asarray(C)
-    if ref is None and radius is None:
+    if radius is None:
         if not np.isfinite(C).all():
             raise NumericalError("mass matrix has non-finite entries")
         s = np.abs(np.linalg.eigvalsh(C))
         return s.min(axis=-1) <= SINGULAR_RTOL * s.max(axis=-1)
-    if radius is None:
-        radius = weyl_radius(ref)
     clear = dist < radius
     if not clear.any():
         return is_singular(C)

@@ -410,15 +410,15 @@ def pair_counts(xs, ys, n_states, out=None):
 
     Returns
     -------
-    (B, n, n) int64; entry [b, i, j] counts pairs xs[b, k] = i, ys[b, k] = j,
-    plus out[b, i, j] when `out` is given (and is then `out`).
+    (B, n, n) int64, `out` if given; entry [b, i, j] counts pairs xs[b, k]
+    = i, ys[b, k] = j, plus out[b, i, j] when `out` is given.
     """
     xs = np.asarray(xs, dtype=np.int64)
     B, n = len(xs), int(n_states)
     flat = xs * n + np.asarray(ys, dtype=np.int64)
     flat += np.arange(B, dtype=np.int64)[:, None] * (n * n)
     if out is None:
-        return np.bincount(flat.ravel(), minlength=B * n * n).reshape(B, n, n)
+        out = np.zeros((B, n, n), dtype=np.int64)
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous: it is added into in place")
     np.add.at(out.reshape(-1), flat.ravel(), 1)

@@ -66,16 +66,14 @@ class Reference(tuple):
 
 def _gram_errors_block(Chat, Cphat, ref):
     """Per-trial Frobenius errors (err_C, err_Cplus, err_K) of (B, N, N)
-    Gram stacks against ref = (C, C_plus, K_V), a `Reference` or a plain
-    triple; err_K is NaN where `galerkin.is_singular(C_hat)`.  err_C is each
-    trial's distance from C, so the gate clears the trials near a
-    well-conditioned C by Weyl's inequality and factorises only the
-    others."""
+    Gram stacks against the `Reference` ref = (C, C_plus, K_V); err_K is
+    NaN where `galerkin.is_singular(C_hat)`.  err_C is each trial's distance
+    from C, so the gate clears the trials near a well-conditioned C by
+    Weyl's inequality and factorises only the others."""
     C, Cplus, KV = ref
     err_C = np.sqrt(np.sum((Chat - C) ** 2, axis=(1, 2)))
     err_Cp = np.sqrt(np.sum((Cphat - Cplus) ** 2, axis=(1, 2)))
-    radius = ref.radius if isinstance(ref, Reference) else None
-    good = ~is_singular(Chat, C, err_C, radius)
+    good = ~is_singular(Chat, err_C, ref.radius)
     err_K = np.full(len(Chat), np.nan)
     if np.any(good):
         Khat = np.linalg.solve(Chat[good], Cphat[good])
@@ -305,15 +303,13 @@ def _mean_stderr(x):
 
 
 def montecarlo_variance_oracle(rep, m, n_trials, seed, threads=1,
-                               regime=Regime.ERGODIC, modes=None, ref=None) -> OracleResult:
+                               regime=Regime.ERGODIC, modes=None) -> OracleResult:
     """Sample mean of ||C - C_hat||_F^2 (and the C_+ analogue) over
     independent trials of the rep's system, with standard errors: stationary
-    trajectories, or i.i.d. pairs from the invariant law.  ref is the rep's
-    `exact_reference`, built here if not given."""
-    if ref is None:
-        ref = exact_reference(rep.gram)
+    trajectories, or i.i.d. pairs from the invariant law, scored against
+    `rep.reference`."""
     err_C, err_Cp, _ = mc_trial_errors(
-        rep.system, rep.dictionary, ref, int(m), int(n_trials),
+        rep.system, rep.dictionary, rep.reference, int(m), int(n_trials),
         seed, regime, threads=threads, modes=modes,
     )
     vc, sc = _mean_stderr(err_C**2)
@@ -400,7 +396,7 @@ def run_convergence_study(cfg: StudyConfig):
     except UnsupportedSystem:
         rep = None
     try:
-        ref = exact_reference(rep.gram if rep else exact_reference_gram(sys, dictionary))
+        ref = rep.reference if rep else exact_reference(exact_reference_gram(sys, dictionary))
     except UnsupportedSystem:
         # reference-model mode: one more grid point of trials at the largest
         # m, on the stream index after the grid's
@@ -489,7 +485,7 @@ def run_variance_check(cfg: StudyConfig):
     sys = system_from_config(cfg.system)
     dictionary = dictionary_from_config(cfg.dictionary, system=sys)
     rep = build_rep(sys, dictionary)
-    ref = exact_reference(rep.gram)  # the singularity gate, before any variance
+    rep.reference  # solved behind the singularity gate, before any variance
     regime = Regime(cfg.regime)
     modes = engine_modes(sys, dictionary, regime)
     rows = []
@@ -497,7 +493,7 @@ def run_variance_check(cfg: StudyConfig):
         vr = exact_variance(rep, int(m), regime)
         oracle = montecarlo_variance_oracle(
             rep, int(m), cfg.n_trials, _derived_seed(cfg.seed, mi), cfg.threads, regime,
-            modes, ref,
+            modes,
         )
 
         # degenerate trials (constant error) have zero stderr, so the
@@ -586,7 +582,7 @@ def run_bound_validity(rep, inputs, branch, m_values, epsilons, n_trials, seed,
         if branch in (bounds_mod.BRANCH_IID_MARKOV, bounds_mod.BRANCH_IID_HOEFFDING)
         else Regime.ERGODIC
     )
-    ref = exact_reference(rep.gram)
+    ref = rep.reference
     # every bound first: a branch that cannot be built fails before sampling
     reports = [[(bounds_mod.branch_bound(inputs, branch, int(m), float(eps)),
                  bounds_mod.estimator_error_bounds(inputs, int(m), float(eps), branch),

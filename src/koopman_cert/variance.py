@@ -156,7 +156,9 @@ class KoopmanMatrixRep:
     silent, but a Gram pair that is not finite raises the gate's error.
     `family`, the product family itself (`function_family`, N^2 functions
     on dim coordinates), is built on first read: the spectral certificate
-    reads it, and no variance does.
+    reads it, and no variance does.  So is `reference`, the gram's
+    `studies.exact_reference`, which every trial a command scores against
+    the rep shares.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -195,6 +197,12 @@ class KoopmanMatrixRep:
     @np.errstate(over="ignore", invalid="ignore")
     def family(self):
         return function_family(self)
+
+    @functools.cached_property
+    def reference(self):
+        from .studies import exact_reference  # studies imports this module
+
+        return exact_reference(self.gram)
 
     # -- geometry ---------------------------------------------------------
     def norm_sq(self, f):

@@ -209,7 +209,7 @@ def test_criterion_4_bound_validity_all_branches():
     rep = variance.build_rep(chain, ind)
     m = 50
     vr = variance.exact_variance(rep, m)
-    ref = studies.exact_reference(rep.gram)
+    ref = rep.reference
     err_C, _, _ = studies.mc_trial_errors(
         chain, ind, ref, m, n_trials, SEED + 400, systems.Regime.ERGODIC
     )

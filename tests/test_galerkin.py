@@ -197,7 +197,7 @@ class TestSingularityGate:
         # one trial of m = 1 whose C_hat is diag(diag)
         psi = np.diag(np.sqrt(diag))[None]
         grams = galerkin.gram_block(psi, psi, 1)
-        _, _, err_K = studies._gram_errors_block(*grams, (C, C, np.eye(2)))
+        _, _, err_K = studies._gram_errors_block(*grams, studies.Reference(C, C, np.eye(2)))
         verdicts["_gram_errors_block"] = bool(np.isnan(err_K[0]))
         # pi = (1/2, 1/2), so the exact mass matrix is diag(diag)
         table = np.diag(np.sqrt(2.0 * np.asarray(diag)))
@@ -253,7 +253,7 @@ class TestSingularityGate:
 
 
 class TestWeylPreGate:
-    """`is_singular(stack, ref, dist)` clears the trials near a
+    """`is_singular(stack, dist, weyl_radius(ref))` clears the trials near a
     well-conditioned reference by Weyl's inequality, with the verdicts of
     `is_singular(stack)`."""
 
@@ -286,14 +286,14 @@ class TestWeylPreGate:
         stack = 0.5 * (stack + np.swapaxes(stack, 1, 2))
         with np.errstate(over="ignore"):
             dist = np.sqrt(np.sum((stack - ref) ** 2, axis=(1, 2)))
-        verdict = galerkin.is_singular(stack, ref, dist)
+        verdict = galerkin.is_singular(stack, dist, galerkin.weyl_radius(ref))
         assert np.array_equal(verdict, galerkin.is_singular(stack))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_trial_raises_among_cleared_ones(self, eigvalsh_stacks, bad):
         C = np.diag([2.0, 1.0, 0.5])
         Chat = np.stack([C + 1e-3 * k * np.eye(3) for k in range(4)])
-        ref = (C, C, np.eye(3))
+        ref = studies.Reference(C, C, np.eye(3))
         _, _, err_K = studies._gram_errors_block(Chat, Chat, ref)
         assert np.isfinite(err_K).all() and eigvalsh_stacks == []  # every trial cleared
         Chat[2, 1, 0] = Chat[2, 0, 1] = bad

@@ -147,7 +147,7 @@ class TestChainCounts:
         sys_ = random_ergodic_chain(4, 5)
         d = dictionaries.indicator(4)
         rep = variance.build_rep(sys_, d)
-        ref = studies.exact_reference(rep.gram)
+        ref = rep.reference
         m, count = 50, 40
         xs, ys = systems.iid_chunk(sys_, m, 2, 0, count)
         streamed = studies._gram_errors_block(*galerkin.gram_block(np.eye(4)[xs],
@@ -163,8 +163,7 @@ class TestChainCounts:
         # leave a state unvisited, so their err_K is NaN and the in-place
         # buffer's leftovers there must reach no other row
         sys_ = random_ergodic_chain(4, 5)
-        C, Cplus, KV = ref = studies.exact_reference(
-            variance.build_rep(sys_, dictionaries.indicator(4)).gram)
+        C, Cplus, KV = ref = variance.build_rep(sys_, dictionaries.indicator(4)).reference
         counts = rng.stream(3, 0).integers(0, 6, size=(7, 4, 4))
         counts[0, 1] = 0
         counts[3, 2] = 0
@@ -209,7 +208,7 @@ class TestChainCounts:
         sys_ = random_ergodic_chain(3, 8)
         d = dictionaries.monomial(2)
         rep = variance.build_rep(sys_, d)
-        ref = studies.exact_reference(rep.gram)
+        ref = rep.reference
         whole = studies.mc_trial_errors(sys_, d, ref, 30, 100, 6, systems.Regime.IID)
         monkeypatch.setattr(systems, "_BLOCK_CELLS", 7 * 9)
         sliced = studies.mc_trial_errors(sys_, d, ref, 30, 100, 6, systems.Regime.IID)
@@ -418,7 +417,7 @@ def test_many_state_chain_counts_memory_is_bounded_in_n_trials():
         P = rng.stream(11).random((200, 200)) + 0.05
         chain = systems.FiniteMarkovSystem(P / P.sum(axis=1, keepdims=True))
         d = dictionaries.monomial(2)
-        ref = studies.exact_reference(variance.build_rep(chain, d).gram)
+        ref = variance.build_rep(chain, d).reference
         errs = studies.mc_trial_errors(chain, d, ref, 1000, 1024, 0, systems.Regime.ERGODIC)
         result = {"finite": bool(np.isfinite(errs[0]).all())}
     """)

@@ -255,7 +255,7 @@ class TestIidRegime:
         sys_ = config.system_from_config(system)
         d = config.dictionary_from_config(dictionary, system=sys_)
         rep = variance.build_rep(sys_, d)
-        ref = studies.exact_reference(rep.gram)
+        ref = rep.reference
         for mi, (m, row) in enumerate(zip(m_grid, rows)):
             err_C, err_Cp, _ = studies.mc_trial_errors(
                 sys_, d, ref, m, n_trials, studies._derived_seed(3, mi),

@@ -217,7 +217,7 @@ class TestGaussianAR1Rep:
         rep = variance.build_rep(ou, dictionaries.monomial(2))
         m, n = 32, 3000
         err_C, err_Cp, _ = studies.mc_trial_errors(
-            em, rep.dictionary, studies.exact_reference(rep.gram), m, n, 21,
+            em, rep.dictionary, rep.reference, m, n, 21,
             systems.Regime.ERGODIC)
         vr = variance.exact_variance(rep, m)
         for errs, exact in ((err_C, vr.var_C), (err_Cp, vr.var_Cplus)):
