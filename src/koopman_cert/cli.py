@@ -10,6 +10,7 @@ JSON output writes null for a missing (non-finite) value.
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -42,7 +43,12 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output file or directory")
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built on the first call and shared by
+    every later `main` call in the process: parsing leaves it unchanged,
+    and building it, which checks every argument through a help formatter,
+    costs some twenty parses."""
     p = argparse.ArgumentParser(prog="koopman-cert")
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("simulate", "estimate", "variance", "bounds", "study"):

@@ -305,6 +305,12 @@ class RunConfig:
         return out
 
 
+def quantile_tag(q):
+    """The prefix of the `study` columns of error quantile q: its percent,
+    rounded, as in `q90`."""
+    return f"q{int(round(q * 100))}"
+
+
 @dataclass(kw_only=True)
 class StudyConfig(RunConfig):
     """The config of `study` and `variance`."""
@@ -330,6 +336,12 @@ class StudyConfig(RunConfig):
             raise ConfigError("error_quantiles must be a list of numbers in [0, 1], "
                               f"got {self.error_quantiles!r}")
         self.error_quantiles = q.tolist()
+        tagged = {}
+        for v in self.error_quantiles:
+            u = tagged.setdefault(quantile_tag(v), v)
+            if u != v:
+                raise ConfigError(f"error_quantiles {u!r} and {v!r} both name the columns "
+                                  f"{quantile_tag(v)}_*; give quantiles that differ in percent")
         if self.tail_epsilon is not None:
             eps = _number(d, "tail_epsilon", None, None)
             if eps <= 0:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import rng
-from .config import StudyConfig, dictionary_from_config, system_from_config
+from .config import StudyConfig, dictionary_from_config, quantile_tag, system_from_config
 from .dictionaries import DictionaryKind
 from .edmd import solve_khat
 from .errors import ConfigError, InsufficientPoints, UnsupportedSystem
@@ -424,12 +424,12 @@ def run_convergence_study(cfg: StudyConfig):
                   for m in cfg.m_grid}
 
     modes = engine_modes(sys, dictionary, regime)
+    errors = [mc_trial_errors(sys, dictionary, ref, m, cfg.n_trials, _derived_seed(cfg.seed, mi),
+                              regime, threads=cfg.threads, modes=modes)
+              for mi, m in enumerate(cfg.m_grid)]
     rows = []
-    for mi, m in enumerate(cfg.m_grid):
-        err_C, err_Cp, err_K = mc_trial_errors(
-            sys, dictionary, ref, m, cfg.n_trials,
-            _derived_seed(cfg.seed, mi), regime, threads=cfg.threads, modes=modes,
-        )
+    for m, (err_C, err_Cp, err_K), quantiles in zip(
+            cfg.m_grid, errors, _quantile_columns(errors, cfg.error_quantiles)):
         good = np.isfinite(err_K)
         row = {
             "m": int(m),
@@ -438,12 +438,8 @@ def run_convergence_study(cfg: StudyConfig):
             "rmse_C": float(np.sqrt(np.mean(err_C**2))),
             "rmse_Cplus": float(np.sqrt(np.mean(err_Cp**2))),
             "rmse_K": float(np.sqrt(np.mean(err_K[good] ** 2))) if good.any() else float("nan"),
+            **quantiles,
         }
-        for q in cfg.error_quantiles:
-            tag = f"q{int(round(q * 100))}"
-            row[f"{tag}_C"] = float(np.quantile(err_C, q))
-            row[f"{tag}_Cplus"] = float(np.quantile(err_Cp, q))
-            row[f"{tag}_K"] = float(np.quantile(err_K[good], q)) if good.any() else float("nan")
         if rep is not None:
             vr = exact_variance(rep, int(m), regime)
             row["pred_rmse_C"] = math.sqrt(max(vr.var_C, 0.0))
@@ -465,6 +461,33 @@ def run_convergence_study(cfg: StudyConfig):
         except InsufficientPoints:
             fits[key] = None
     return rows, fits
+
+
+def _quantile_columns(errors, quantiles):
+    """The `q<percent>_C`, `_Cplus` and `_K` columns of each grid point's
+    (err_C, err_Cp, err_K), all taken by one `np.quantile` over the stacked
+    rows, the same values as one call per row.  The K errors of a point with
+    singular (NaN) trials are the exception: they are taken over its regular
+    trials alone, by one call of their own, or read NaN when every trial is
+    singular."""
+    regular = [np.isfinite(err_K).all() for _, _, err_K in errors]
+    stack = [e for errs, ok in zip(errors, regular) for e in (errs if ok else errs[:2])]
+    values = iter(np.quantile(np.stack(stack), quantiles, axis=1).T.tolist())
+    columns = []
+    for (_, _, err_K), ok in zip(errors, regular):
+        by_C, by_Cp = next(values), next(values)
+        if ok:
+            by_K = next(values)
+        else:
+            good = np.isfinite(err_K)
+            by_K = (np.quantile(err_K[good], quantiles).tolist() if good.any()
+                    else [float("nan")] * len(quantiles))
+        cols = {}
+        for q, c, cp, k in zip(quantiles, by_C, by_Cp, by_K):
+            tag = quantile_tag(q)
+            cols.update({f"{tag}_C": c, f"{tag}_Cplus": cp, f"{tag}_K": k})
+        columns.append(cols)
+    return columns
 
 
 def _system_name(cfg):

@@ -390,11 +390,13 @@ class TestCheckedBeforeSampling:
          ({"error_quantiles": [1.5]}, "error_quantiles"),
          ({"error_quantiles": "x"}, "error_quantiles"),
          ({"error_quantiles": None}, "error_quantiles"),
+         ({"error_quantiles": [0.9, 0.904]}, "error_quantiles 0.9 and 0.904 both name"
+                                             " the columns q90_*"),
          ({"tail_epsilon": 1.0, "tail_branch": "bogus", "m_grid": [200000],
            "n_trials": 200}, "tail_branch")],
         ids=["tail_eps_string", "tail_eps_nan", "tail_eps_list", "tail_eps_zero",
              "quantile_above_one", "quantiles_string", "quantiles_null",
-             "unknown_tail_branch"],
+             "quantile_tags_collide", "unknown_tail_branch"],
     )
     def test_bad_key_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, bad, key):
         def no_sampling(*args, **kwargs):
@@ -516,6 +518,80 @@ class TestOneExactReference:
         path = write_cfg(tmp_path, cfg)
         assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
+
+
+class TestOneParser:
+    """`main` builds the parser once per process, and no flag of one call
+    carries over to the next."""
+
+    STUDY = {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+             "m_grid": [10, 20], "n_trials": 30, "seed": 1}
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_do_not_carry_over(self, tmp_path, monkeypatch):
+        seen = []
+        study = studies.run_convergence_study
+
+        def recorded(cfg):
+            seen.append((cfg.seed, cfg.threads))
+            return study(cfg)
+
+        monkeypatch.setattr(studies, "run_convergence_study", recorded)
+        path = write_cfg(tmp_path, self.STUDY)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["study", "--config", path, "--out", str(first), "--format", "json",
+                         "--seed", "5", "--threads", "2"]) == 0
+        assert cli.main(["study", "--config", path, "--out", str(second)]) == 0
+        assert seen == [(5, 2), (1, 1)]
+        assert (first / "convergence.json").exists() and not (first / "convergence.csv").exists()
+        assert (second / "convergence.csv").exists() and not (second / "convergence.json").exists()
+
+    def test_argparse_failure_leaves_the_next_call_working(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, self.STUDY)
+        for argv in (["study"], ["study", "--config", path, "--format", "xml"],
+                     ["study", "--config", path, "--seed", "five"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        assert cli.main(["study", "--config", path, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "convergence.csv").exists()
+
+
+class TestOneQuantilePass:
+    """`study` takes every quantile column of its grid by one `np.quantile`,
+    plus one for the K errors of each grid point with singular trials."""
+
+    @pytest.mark.parametrize(
+        "cfg, most",
+        [({"system": GOLDEN, "dictionary": {"kind": "fourier", "max_freq": 2},
+           "m_grid": [10, 20, 40, 80], "error_quantiles": [0.1, 0.5, 0.9]}, 1),
+         ({"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator"},
+           "m_grid": [2, 3, 4, 200], "error_quantiles": [0.5, 0.9]}, 5)],
+        ids=["regular", "singular"])
+    def test_quantile_calls_per_study(self, tmp_path, monkeypatch, cfg, most):
+        calls = []
+        quantile = np.quantile
+        engine = studies.mc_trial_errors
+        singular = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quantile(*args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            errors = engine(*args, **kwargs)
+            singular.append(int(np.sum(np.isnan(errors[2]))))
+            return errors
+
+        monkeypatch.setattr(np, "quantile", counted)
+        monkeypatch.setattr(studies, "mc_trial_errors", recorded)
+        path = write_cfg(tmp_path, {**cfg, "n_trials": 30, "seed": 1})
+        assert cli.main(["study", "--config", path, "--out", str(tmp_path)]) == 0
+        # a point whose trials are all singular needs no call of its own
+        assert len(calls) == 1 + sum(0 < n < 30 for n in singular) <= most
+        assert any(singular) == (most > 1)
 
 
 class TestEntryPoint:

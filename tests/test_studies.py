@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import koopman_cert
-from koopman_cert import bounds, config, dictionaries, studies, systems, variance
+from koopman_cert import bounds, cli, config, dictionaries, studies, systems, variance
 from koopman_cert.errors import ConfigError, InsufficientPoints
 
 
@@ -124,6 +125,60 @@ class TestConvergenceStudy:
         rows, _ = studies.run_convergence_study(cfg)
         for r in rows:
             assert r["q50_C"] <= r["q90_C"]
+
+
+class TestQuantileColumns:
+    """Every quantile column a `study` writes, in either format, is the
+    `np.quantile` of the engine's own errors at that grid point, taken on
+    its own: the K errors over the regular trials, NaN when all are
+    singular."""
+
+    @pytest.mark.parametrize("quantiles", [[0, 0.5, 0.9, 1], []], ids=["four", "none"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_equal_per_column_quantiles(self, tmp_path, monkeypatch, quantiles, fmt):
+        errors = []
+        engine = studies.mc_trial_errors
+
+        def recorded(*args, **kwargs):
+            errors.append(engine(*args, **kwargs))
+            return errors[-1]
+
+        monkeypatch.setattr(studies, "mc_trial_errors", recorded)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CHAIN_CFG, m_grid=[1, 2, 3, 50], n_trials=40, seed=1,
+                                        error_quantiles=quantiles)))
+        assert cli.main(["study", "--config", str(path), "--out", str(tmp_path),
+                         "--format", fmt]) == 0
+        if fmt == "csv":
+            with open(tmp_path / "convergence.csv") as fh:
+                lines = fh.read().splitlines()[1:]
+            header = lines[0].split(",")
+            rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+        else:
+            rows = [{k: float("nan") if v is None else v for k, v in r.items()}
+                    for r in json.loads((tmp_path / "convergence.json").read_text())]
+            header = list(rows[0])
+        # one point with every trial singular, two with some, one with none
+        assert [r["n_singular"] for r in rows] == [40, 27, 21, 0]
+        tags = [f"q{round(q * 100)}" for q in quantiles]
+        columns = [f"{t}_{e}" for t in tags for e in ("C", "Cplus", "K")]
+        if fmt == "csv":  # between the RMSEs and the predictions, in the config's order
+            assert header[6:7 + len(columns)] == [*columns, "pred_rmse_C"]
+        else:
+            assert sorted(k for k in header if k.startswith("q")) == sorted(columns)
+        for row, (err_C, err_Cp, err_K) in zip(rows, errors, strict=True):
+            good = np.isfinite(err_K)
+            for q, tag in zip(quantiles, tags):
+                assert row[f"{tag}_C"] == np.quantile(err_C, q)
+                assert row[f"{tag}_Cplus"] == np.quantile(err_Cp, q)
+                if good.any():
+                    assert row[f"{tag}_K"] == np.quantile(err_K[good], q)
+                else:
+                    assert math.isnan(row[f"{tag}_K"])
+
+    def test_colliding_tags_rejected(self):
+        with pytest.raises(ConfigError, match=r"0\.5 and 0\.501 .* q50_\*"):
+            studies.StudyConfig(system={}, dictionary={}, error_quantiles=[0.5, 0.501])
 
 
 class TestVarianceCheck:
