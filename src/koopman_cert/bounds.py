@@ -22,6 +22,14 @@ from typing import Optional
 
 import numpy as np
 
+from .config import (  # noqa: F401  (bounds.BRANCHES stays importable)
+    BRANCH_ERGODIC_KAPPA_ZERO,
+    BRANCH_ERGODIC_LINEAR,
+    BRANCH_ERGODIC_SUPERLINEAR,
+    BRANCH_IID_HOEFFDING,
+    BRANCH_IID_MARKOV,
+    BRANCHES,
+)
 from .dictionaries import phi_function
 from .errors import (
     ConfigError,
@@ -33,13 +41,6 @@ from .errors import (
 from .galerkin import inv_fro_norm
 from .spectral import ThinMeasureCertificate, certify_family
 
-BRANCH_ERGODIC_LINEAR = "ergodic_linear"
-BRANCH_ERGODIC_SUPERLINEAR = "ergodic_superlinear"
-BRANCH_ERGODIC_KAPPA_ZERO = "ergodic_kappa_zero"
-BRANCH_IID_MARKOV = "iid_markov"
-BRANCH_IID_HOEFFDING = "iid_hoeffding"
-BRANCHES = (BRANCH_ERGODIC_LINEAR, BRANCH_ERGODIC_SUPERLINEAR, BRANCH_ERGODIC_KAPPA_ZERO,
-            BRANCH_IID_MARKOV, BRANCH_IID_HOEFFDING)
 
 # the constant L of the i.i.d. branches: every i.i.d. pair set starts from
 # its system's `initial_law` (`System.iid_slices`), the invariant law, so L = 1

@@ -9,6 +9,7 @@ JSON output writes null for a missing (non-finite) value.
 """
 
 import argparse
+import ctypes
 import errno
 import functools
 import json
@@ -19,8 +20,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import studies
+# `studies`, `bounds` and `variance` are imported by the commands that run
+# them, so that a process loads only what its command needs
 from .config import (
     BoundsConfig,
     RunConfig,
@@ -33,7 +34,6 @@ from .edmd import edmd_estimate, estimation_error
 from .errors import ConfigError, KoopmanCertError, UnsupportedSystem
 from .galerkin import galerkin_matrix
 from .systems import sample_ergodic, sample_iid
-from .variance import build_rep, exact_reference_gram
 
 
 def _add_common(p):
@@ -166,6 +166,8 @@ def _rows(states):
 
 
 def cmd_estimate(args):
+    from .variance import exact_reference_gram
+
     cfg = read_config(args.config, RunConfig, args.seed, args.threads)
     path = _out_file(args, "estimate.json")
     system = system_from_config(cfg.system)
@@ -184,6 +186,8 @@ def cmd_estimate(args):
     payload["config_hash"] = hash_config(dict(cfg.source, seed=cfg.seed,
                                               threads=cfg.threads))
     if ref is None:
+        from . import studies
+
         print(f"note: no exact reference for {studies._system_name(cfg.system)} ({missing}); "
               "the output has no errors block", file=_sys.stderr)
     else:
@@ -201,6 +205,8 @@ def hash_config(cfg):
 
 
 def cmd_variance(args):
+    from . import studies
+
     cfg = read_config(args.config, StudyConfig, args.seed, args.threads)
     # CSV only to a file; JSON to a file or standard output
     csv = args.format == "csv" and args.out
@@ -214,22 +220,27 @@ def cmd_variance(args):
 
 
 def cmd_bounds(args):
+    from . import bounds, studies
+    from .variance import build_rep
+
     cfg = read_config(args.config, BoundsConfig, args.seed, args.threads)
     out_dir = _out_dir(args)
     system = system_from_config(cfg.system)
     rep = build_rep(system, dictionary_from_config(cfg.dictionary, system=system))
-    inputs = bounds_mod.bound_inputs_from_exact(rep, thin_params=cfg.thin_params)
+    inputs = bounds.bound_inputs_from_exact(rep, thin_params=cfg.thin_params)
     rows = studies.run_bound_validity(
         rep, inputs, cfg.branch, cfg.m_grid, cfg.epsilons, cfg.n_trials, cfg.seed,
         threads=cfg.threads,
     )
-    report = bounds_mod.branch_bound(inputs, cfg.branch, cfg.m_grid[-1], cfg.epsilons[0])
+    report = bounds.branch_bound(inputs, cfg.branch, cfg.m_grid[-1], cfg.epsilons[0])
     _write_json(os.path.join(out_dir, "bound_report.json"), report.to_json_dict())
     studies.write_csv(os.path.join(out_dir, "bound_grid.csv"), rows, "bounds")
     return 0
 
 
 def cmd_study(args):
+    from . import studies
+
     cfg = read_config(args.config, StudyConfig, args.seed, args.threads)
     out_dir = _out_dir(args)
     rows, fits = studies.run_convergence_study(cfg)
@@ -251,7 +262,37 @@ COMMANDS = {
 }
 
 
+# glibc's mallopt parameters (malloc.h), and the ceiling its dynamic mmap
+# threshold rises to on a 64-bit host
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_CEILING = 32 << 20
+
+
+@functools.cache
+def keep_freed_heap():
+    """Have glibc keep freed heap memory for the next block, once per
+    process.  By default glibc returns the top of the heap to the kernel
+    whenever a free leaves more than its trim threshold there, and moves
+    that threshold with its mmap threshold as large blocks come and go; so
+    the heap layout decides whether every block of a command faults its
+    temporaries back in.  This fixes the mmap threshold at glibc's own
+    dynamic ceiling and the trim threshold at twice it, glibc's rule.  It
+    moves no output byte.  Without glibc (macOS, musl) it does nothing."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        # no such name (ValueError), no value (None), or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_CEILING)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_CEILING)
+
+
 def main(argv=None):
+    keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)

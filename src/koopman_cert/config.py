@@ -12,7 +12,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import bounds
 from . import dictionaries as dicts
 from .errors import ConfigError
 from .systems import (
@@ -23,6 +22,16 @@ from .systems import (
     SdeSystem,
     gaussian_ar1,
 )
+
+# the names of the bound branches (`bounds` implements them), defined here
+# so that reading a config does not import `bounds`
+BRANCH_ERGODIC_LINEAR = "ergodic_linear"
+BRANCH_ERGODIC_SUPERLINEAR = "ergodic_superlinear"
+BRANCH_ERGODIC_KAPPA_ZERO = "ergodic_kappa_zero"
+BRANCH_IID_MARKOV = "iid_markov"
+BRANCH_IID_HOEFFDING = "iid_hoeffding"
+BRANCHES = (BRANCH_ERGODIC_LINEAR, BRANCH_ERGODIC_SUPERLINEAR, BRANCH_ERGODIC_KAPPA_ZERO,
+            BRANCH_IID_MARKOV, BRANCH_IID_HOEFFDING)
 
 
 def load_json(path):
@@ -188,7 +197,7 @@ def _sde_from_config(cfg):
     if name == "ornstein_uhlenbeck":
         rate = _number(cfg, "rate", 1.0, "system")
         sigma = _number(cfg, "sigma", 1.0, "system")
-        dim = _number(cfg, "state_dim", 1, "system", int)
+        dim = _number(cfg, "state_dim", 1, "system", int, least=1)
 
         def drift(x):
             return -rate * x
@@ -240,9 +249,14 @@ def dictionary_from_config(cfg, system=None):
         raise ConfigError(f"the {kind} dictionary needs scalar states, but the "
                           f"system's states have {state_dim} coordinates")
     if kind == "indicator":
+        chain = isinstance(system, FiniteMarkovSystem)
         if cfg.get("n_states") is not None:
-            return dicts.indicator(_number(cfg, "n_states", None, "dictionary", int))
-        if not isinstance(system, FiniteMarkovSystem):
+            n = _number(cfg, "n_states", None, "dictionary", int)
+            if chain and n != system.n_states:
+                raise ConfigError(f"dictionary.n_states is {n}, but the chain has "
+                                  f"{system.n_states} states")
+            return dicts.indicator(n)
+        if not chain:
             raise ConfigError(
                 "indicator dictionary needs n_states or a finite-chain system"
             )
@@ -348,14 +362,14 @@ class StudyConfig(RunConfig):
                 raise ConfigError(f"tail_epsilon must be a number > 0, got {self.tail_epsilon!r}")
             self.tail_epsilon = eps
         if self.tail_branch is not None:
-            _choice(d, "tail_branch", bounds.BRANCHES)
+            _choice(d, "tail_branch", BRANCHES)
 
 
 @dataclass(kw_only=True)
 class BoundsConfig(RunConfig):
     """The config of `bounds`."""
 
-    branch: str = bounds.BRANCH_ERGODIC_LINEAR
+    branch: str = BRANCH_ERGODIC_LINEAR
     thin: Optional[dict] = None
     m_grid: List[int] = field(default_factory=lambda: [1000, 10000])
     epsilons: List[float] = field(default_factory=lambda: [1.0])
@@ -366,7 +380,7 @@ class BoundsConfig(RunConfig):
     def __post_init__(self):
         super().__post_init__()
         d = vars(self)
-        _choice(d, "branch", bounds.BRANCHES)
+        _choice(d, "branch", BRANCHES)
         self.m_grid = _grid(d, "m_grid")
         self.n_trials = _number(d, "n_trials", None, None, int, least=1)
         eps = _array(d, "epsilons", None)

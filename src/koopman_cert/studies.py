@@ -423,6 +423,11 @@ def run_convergence_study(cfg: StudyConfig):
         tail_p = {m: bounds_mod.branch_bound(inputs, cfg.tail_branch, m, cfg.tail_epsilon).p_bound
                   for m in cfg.m_grid}
 
+    # `np.quantile` imports numpy.ma on its first call.  Imported before the
+    # blocks, its objects sit below their temporaries in the heap, so that a
+    # later study in the process reuses the freed pages instead of growing it
+    import numpy.ma  # noqa: F401
+
     modes = engine_modes(sys, dictionary, regime)
     errors = [mc_trial_errors(sys, dictionary, ref, m, cfg.n_trials, _derived_seed(cfg.seed, mi),
                               regime, threads=cfg.threads, modes=modes)

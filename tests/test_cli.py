@@ -911,11 +911,20 @@ class TestMalformedStructure:
                     "m_grid": [10, 20], "n_trials": 30}, "dictionary.degree"),
          ("study", {"system": dict(OU_SYSTEM, rate=True),
                     "dictionary": {"kind": "monomial", "degree": 2},
-                    "m_grid": [10, 20], "n_trials": 30}, "system.rate")],
+                    "m_grid": [10, 20], "n_trials": 30}, "system.rate"),
+         # a negative state_dim ended in a numpy traceback, and 0 wrote
+         # rows with empty state columns
+         ("simulate", {"system": dict(OU_SYSTEM, state_dim=-2)}, "system.state_dim"),
+         ("simulate", {"system": dict(OU_SYSTEM, state_dim=0)}, "system.state_dim"),
+         # an indicator sized unlike its chain exited 3 as a numerical failure
+         ("estimate", {"system": CHAIN_SYSTEM, "dictionary": {"kind": "indicator",
+                                                              "n_states": 3}},
+          "dictionary.n_states is 3, but the chain has 2 states")],
         ids=["linear_without_matrix", "transition_not_numeric", "matrix_not_numeric",
              "matrix_not_square", "t0_without_b", "map_not_object", "rff_dim_mismatch",
              "rff_negative_seed", "x0_not_numeric", "x0_wrong_dimension", "x0_not_finite",
-             "t0_b_not_integral", "degree_not_integral", "rate_boolean"],
+             "t0_b_not_integral", "degree_not_integral", "rate_boolean",
+             "state_dim_negative", "state_dim_zero", "indicator_n_states_mismatch"],
     )
     def test_named_key_exit_2(self, tmp_path, capsys, command, cfg, path):
         rc = cli.main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)])

@@ -41,7 +41,7 @@ sdes = st.one_of(
         "type": "sde", "model": "ornstein_uhlenbeck", "rate": rate, "sigma": sigma, "lag": lag,
         "integrator_dt": 0.05, "state_dim": dim},
         st.floats(0.0, 50.0), st.floats(0.0, 2.0), st.sampled_from([0.05, 0.1]),
-        st.integers(1, 2)),
+        st.integers(-2, 2)),
     st.builds(lambda sigma, lag: {
         "type": "sde", "model": "double_well", "sigma": sigma, "lag": lag, "integrator_dt": 0.05},
         st.floats(0.0, 2.0), st.sampled_from([0.05, 0.1])),
